@@ -10,8 +10,7 @@ Subcommands::
     hamshoot solve-neumann    --config c.yaml --out DIR
     hamshoot full             --config c.yaml --out DIR     the whole chain
 
-Common flags: ``--seed N`` (overrides the config seed), ``--threads N``
-(advisory; execution is deterministic and single-threaded), and
+Common flags: ``--seed N`` (overrides the config seed) and
 ``--dump-trajectories``.  Exit codes: 0 ok, 2 config error, 3 integration
 failure, 4 solver found no solutions.
 
@@ -140,6 +139,16 @@ def _default_mbar_box(cfg):
                      w_ranges=tuple(tuple(map(float, r)) for r in w_box))
 
 
+def _estimate_mbar(cfg, seed):
+    """Estimated sup |grad_w P| over the configured box; 0 without a coupling."""
+    grad_P = cfg.system.grad_P
+    if grad_P is None:
+        return 0.0
+    mc = (cfg.conditions or {}).get("mbar", {}) or {}
+    return estimate_mbar(lambda t, x, y, w: grad_P(t, x, y, w)[2], _default_mbar_box(cfg),
+                         n_samples=int(mc.get("n_samples", 10000)), seed=seed)
+
+
 def _conditions_stage(cfg, out_dir, seed):
     sys_ = cfg.system
     cond = cfg.conditions or {}
@@ -154,12 +163,7 @@ def _conditions_stage(cfg, out_dir, seed):
         rows.append(("periodicity", "t and x shifts", per.max_t_residual,
                      per.tol, "pass" if per.passed else "FAIL"))
 
-    mbar = 0.0
-    if sys_.grad_P is not None:
-        mc = cond.get("mbar", {}) or {}
-        mbar = estimate_mbar(lambda t, x, y, w: sys_.grad_P(t, x, y, w)[2],
-                             _default_mbar_box(cfg),
-                             n_samples=int(mc.get("n_samples", 10000)), seed=seed)
+    mbar = _estimate_mbar(cfg, seed)
     section["mbar"] = {"estimate": mbar,
                        "note": "empirical max over Halton samples; lower bound of sup"}
     rows.append(("mbar", "sup |grad_w P| estimate", mbar, "", ""))
@@ -221,9 +225,9 @@ def _ll_stage(cfg, out_dir, seed, mbar_hint=None):
     if sys_.decomposition is None:
         return {"note": "no decomposition; Landesman-Lazer margins skipped"}
     ll_cfg = (cfg.conditions or {}).get("ll", {}) or {}
-    mbar = ll_cfg.get("mbar", None)
+    mbar = ll_cfg.get("mbar")
     if mbar is None:
-        mbar = mbar_hint if mbar_hint is not None else 0.0
+        mbar = mbar_hint if mbar_hint is not None else _estimate_mbar(cfg, seed)
     lam = np.logspace(np.log10(float(ll_cfg.get("lambda_min", 1e2))),
                       np.log10(float(ll_cfg.get("lambda_max", 1e6))),
                       int(ll_cfg.get("lambda_points", 9)))
@@ -327,8 +331,6 @@ def _build_parser():
     p.add_argument("--config", required=True, help="YAML experiment config")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="advisory; runs are single-threaded for determinism")
     p.add_argument("--dump-trajectories", action="store_true")
     return p
 
@@ -350,7 +352,7 @@ def main(argv=None):
         "tool": "hamshoot", "version": __version__,
         "subcommand": args.subcommand, "config_path": cfg.path,
         "config_hash": cfg.config_hash, "seed": seed, "mode": cfg.mode,
-        "M": cfg.M, "threads": args.threads,
+        "M": cfg.M,
     }}
 
     code = EXIT_OK

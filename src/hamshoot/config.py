@@ -277,17 +277,16 @@ def _build_system(cfg):
     ham = raw.get("hamiltonian", {}) or {}
     hpreset = ham.get("preset", "free_rotator")
     if hpreset == "pendulum":
-        grad_H, H_value = pendulum_hamiltonian(float(ham.get("A", 1.0)),
-                                               str(ham.get("E", "0")), params)
+        grad_H = pendulum_hamiltonian(float(ham.get("A", 1.0)), str(ham.get("E", "0")), params)
     elif hpreset == "expr":
-        grad_H, H_value = hamiltonian_block_from_expr(ham["expr"], M, params)
+        grad_H = hamiltonian_block_from_expr(ham["expr"], M, params)
     else:
-        grad_H, H_value = free_rotator(M)
+        grad_H = free_rotator(M)
 
-    grad_P = P_value = None
+    grad_P = None
     coup = raw.get("coupling")
     if coup and coup.get("expr", "0") != "0":
-        grad_P, P_value = coupling_from_expr(coup["expr"], M, params)
+        grad_P = coupling_from_expr(coup["expr"], M, params)
 
     planar = raw.get("planar", {}) or {}
     ppreset = planar.get("preset", "asymmetric")
@@ -306,5 +305,5 @@ def _build_system(cfg):
 
     return CoupledSystem(M=M, F=F, grad_H=grad_H, grad_P=grad_P,
                          T=cfg.T, interval=cfg.interval, decomposition=dec,
-                         H_value=H_value, P_value=P_value, w_kink=w_kink,
+                         w_kink=w_kink,
                          label=f"{hpreset}+{ppreset}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -106,8 +107,24 @@ class Trajectory:
         p = np.array([s, s * s, s ** 3, s ** 4])
         return y_left + h * (Q @ p)
 
+    @cached_property
+    def _steps(self):
+        # the interpolants stacked per field: t_left, h, y_left, Q
+        return tuple(np.array(c) for c in zip(*self._interp))
+
     def query_many(self, ts):
-        return np.array([self.query(t) for t in ts])
+        """``query`` at every time of ``ts`` at once; shape ``(len(ts), n)``."""
+        ts = np.asarray(ts, dtype=float)
+        if ts.size and not (self.ts[0] <= ts.min() and ts.max() <= self.ts[-1]):
+            raise ValueError(f"times outside [{self.ts[0]}, {self.ts[-1]}]")
+        t_left, h, y_left, Q = self._steps
+        k = np.minimum(np.searchsorted(self.ts, ts, side="right") - 1, len(h) - 1)
+        s = (ts - t_left[k]) / h[k]
+        p = np.stack([s, s * s, s ** 3, s ** 4], axis=-1)
+        out = y_left[k] + h[k][:, None] * (Q[k] @ p[:, :, None])[:, :, 0]
+        out[ts == self.ts[0]] = self.ys[0]
+        out[ts == self.ts[-1]] = self.ys[-1]
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Scalar expression language for specifying Hamiltonians and couplings.
 
 Systems are written as plain text, e.g. ``"0.5*(mu*pos(u)^2 + nu*neg(u)^2 + v^2)"``,
-parsed once into an immutable AST and then evaluated with numeric bindings.
-Evaluation accepts floats or numpy arrays transparently, and forward-mode dual
-numbers provide exact derivatives for the gradient fields.
+parsed once into an immutable AST and compiled once (:func:`compile_expr`) into
+straight-line numpy code returning either the value or the exact forward-mode
+gradient with respect to chosen variables.  The compiled functions accept
+floats or numpy arrays alike.
 
 Grammar (EBNF), whitespace-insensitive::
 
@@ -34,7 +35,8 @@ from .errors import DomainError, ExprSyntaxError, UnboundVariableError
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
-    "parse_expr", "eval_expr", "grad_expr", "unparse", "free_variables", "has_kinks", "Dual",
+    "parse_expr", "compile_expr", "eval_expr", "grad_expr", "unparse", "free_variables",
+    "has_kinks",
 ]
 
 
@@ -218,266 +220,273 @@ def parse_expr(src):
 
 
 # --------------------------------------------------------------------------
-# Dual numbers (forward mode)
+# Compilation to straight-line forward-mode code
 # --------------------------------------------------------------------------
 
-class Dual:
-    """Value together with a vector of partial derivatives.
-
-    ``der`` has shape ``(nvars,) + shape(val)`` so array-valued bindings
-    differentiate in one pass.
-    """
-
-    __slots__ = ("val", "der")
-
-    # make ndarray <op> Dual defer to the reflected Dual operators instead of
-    # broadcasting Dual as an object scalar
-    __array_ufunc__ = None
-
-    def __init__(self, val, der):
-        self.val = val
-        self.der = der
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.der + other.der)
-        return Dual(self.val + other, self.der)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val - other.val, self.der - other.der)
-        return Dual(self.val - other, self.der)
-
-    def __rsub__(self, other):
-        return Dual(other - self.val, -self.der)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val * other.val, self.der * other.val + self.val * other.der)
-        return Dual(self.val * other, self.der * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            _check_nonzero_divisor(other.val)
-            return Dual(self.val / other.val,
-                        (self.der * other.val - self.val * other.der) / other.val ** 2)
-        _check_nonzero_divisor(other)
-        return Dual(self.val / other, self.der / other)
-
-    def __rtruediv__(self, other):
-        _check_nonzero_divisor(self.val)
-        return Dual(other / self.val, -other * self.der / self.val ** 2)
-
-    def __neg__(self):
-        return Dual(-self.val, -self.der)
+def _any(mask):
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _check_nonzero_divisor(x):
-    if np.any(np.asarray(x) == 0.0):
-        raise DomainError("division by zero")
+# Helpers that give numpy's values on arrays and on scalars alike, with a
+# plain branch on scalars, where a ufunc call costs over a microsecond.
+
+def _where(mask, a, b):
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, a, b)
+    return a if mask else b
 
 
-def _pow(base, expo):
-    """x^y with domain checking; handles Dual in either slot."""
-    if isinstance(expo, Dual):
-        bval = base.val if isinstance(base, Dual) else base
-        if np.any(np.asarray(bval) <= 0.0):
-            raise DomainError("x^y with variable exponent requires x > 0")
-        ln_b = _fn_ln(base)
-        return _fn_exp(expo * ln_b)
-    # plain exponent
-    e = float(expo)
-    bval = base.val if isinstance(base, Dual) else base
-    barr = np.asarray(bval, dtype=float)
-    if e != np.round(e):
-        if np.any(barr < 0.0):
-            raise DomainError("negative base with non-integer exponent")
-    if e < 0 and np.any(barr == 0.0):
-        raise DomainError("zero base with negative exponent")
-    if not isinstance(base, Dual):
-        return np.power(bval, e)
-    val = np.power(base.val, e)
-    return Dual(val, e * np.power(base.val, e - 1.0) * base.der)
+def _pos(a):
+    # np.maximum(a, 0.0): NaN propagates, and -0.0 gives 0.0
+    if isinstance(a, np.ndarray):
+        return np.maximum(a, 0.0)
+    return a if a > 0.0 or a != a else 0.0
 
 
-def _fn_exp(x):
-    if isinstance(x, Dual):
-        v = np.exp(x.val)
-        return Dual(v, v * x.der)
-    return np.exp(x)
+def _pow2(x):
+    # x ** 2 as numpy evaluates it on an intermediate value (pow on scalars)
+    return x ** 2 if isinstance(x, np.ndarray) else np.float64(x) ** 2
 
 
-def _fn_ln(x):
-    xv = x.val if isinstance(x, Dual) else x
-    if np.any(np.asarray(xv) <= 0.0):
-        raise DomainError("ln of a nonpositive value")
-    if isinstance(x, Dual):
-        return Dual(np.log(x.val), x.der / x.val)
-    return np.log(x)
+def _gradient(value, partials):
+    shape = getattr(value, "shape", ())
+    if not shape:
+        # a partial never has more axes than the value it belongs to
+        return np.array(partials, dtype=float)
+    out = np.empty((len(partials),) + shape)
+    for i, p in enumerate(partials):
+        out[i] = p
+    return out
 
 
-def _fn_sqrt(x):
-    xv = x.val if isinstance(x, Dual) else x
-    if np.any(np.asarray(xv) < 0.0):
-        raise DomainError("sqrt of a negative value")
-    if isinstance(x, Dual):
-        if np.any(np.asarray(x.val) == 0.0):
-            raise DomainError("sqrt not differentiable at 0")
-        v = np.sqrt(x.val)
-        return Dual(v, 0.5 * x.der / v)
-    return np.sqrt(x)
-
-
-def _fn_abs(x):
-    if isinstance(x, Dual):
-        # subgradient 0 at the kink, matching pos/neg
-        return Dual(np.abs(x.val), np.sign(x.val) * x.der)
-    return np.abs(x)
-
-
-def _fn_pos(x):
-    if isinstance(x, Dual):
-        return Dual(np.maximum(x.val, 0.0), np.where(x.val > 0.0, 1.0, 0.0) * x.der)
-    return np.maximum(x, 0.0)
-
-
-def _fn_neg(x):
-    if isinstance(x, Dual):
-        return Dual(np.maximum(-x.val, 0.0), np.where(x.val < 0.0, -1.0, 0.0) * x.der)
-    return np.maximum(-x, 0.0)
-
-
-def _fn_sin(x):
-    if isinstance(x, Dual):
-        return Dual(np.sin(x.val), np.cos(x.val) * x.der)
-    return np.sin(x)
-
-
-def _fn_cos(x):
-    if isinstance(x, Dual):
-        return Dual(np.cos(x.val), -np.sin(x.val) * x.der)
-    return np.cos(x)
-
-
-def _fn_atan(x):
-    if isinstance(x, Dual):
-        return Dual(np.arctan(x.val), x.der / (1.0 + x.val ** 2))
-    return np.arctan(x)
-
-
-def _fn_min(a, b):
-    av = a.val if isinstance(a, Dual) else a
-    bv = b.val if isinstance(b, Dual) else b
-    if not (isinstance(a, Dual) or isinstance(b, Dual)):
-        return np.minimum(av, bv)
-    ad = a.der if isinstance(a, Dual) else 0.0
-    bd = b.der if isinstance(b, Dual) else 0.0
-    # ties follow the second argument
-    take_a = av < bv
-    return Dual(np.minimum(av, bv), np.where(take_a, ad, bd))
-
-
-def _fn_max(a, b):
-    av = a.val if isinstance(a, Dual) else a
-    bv = b.val if isinstance(b, Dual) else b
-    if not (isinstance(a, Dual) or isinstance(b, Dual)):
-        return np.maximum(av, bv)
-    ad = a.der if isinstance(a, Dual) else 0.0
-    bd = b.der if isinstance(b, Dual) else 0.0
-    take_a = av > bv
-    return Dual(np.maximum(av, bv), np.where(take_a, ad, bd))
-
-
-_FUNCTIONS = {
-    "sin": _fn_sin, "cos": _fn_cos, "exp": _fn_exp, "ln": _fn_ln,
-    "abs": _fn_abs, "sqrt": _fn_sqrt, "atan": _fn_atan,
-    "pos": _fn_pos, "neg": _fn_neg, "min": _fn_min, "max": _fn_max,
+_NAMESPACE = {
+    "_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt,
+    "_abs": np.abs, "_sign": np.sign, "_arctan": np.arctan, "_power": np.power,
+    "_round": np.round, "_maximum": np.maximum, "_minimum": np.minimum,
+    "_square": np.square, "_pow2": _pow2, "_any": _any, "_where": _where, "_pos": _pos,
+    "_gradient": _gradient, "_float": float, "_DomainError": DomainError,
 }
 
 
-# --------------------------------------------------------------------------
-# Evaluation
-# --------------------------------------------------------------------------
+def _literal(v):
+    text = repr(float(v))
+    if not np.isfinite(v):
+        return f"_float({text!r})"
+    return text if text[0].isdigit() else f"({text})"
 
-def _eval(e, binding):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return binding[e.name]
-        except KeyError:
-            raise UnboundVariableError(f"variable {e.name!r} is not bound") from None
-    if isinstance(e, Neg):
-        return -_eval(e.arg, binding)
-    if isinstance(e, BinOp):
-        a = _eval(e.lhs, binding)
-        b = _eval(e.rhs, binding)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if not isinstance(a, Dual) and not isinstance(b, Dual):
-                _check_nonzero_divisor(b)
-            return a / b
-        if e.op == "^":
-            return _pow(a, b)
-        raise AssertionError(e.op)
-    if isinstance(e, Call):
-        args = [_eval(a, binding) for a in e.args]
-        return _FUNCTIONS[e.fn](*args)
-    raise TypeError(f"not an Expr node: {e!r}")
+
+def _prod(p, q):
+    # multiplying by the seed partial 1.0 is exact, so it is left out
+    return q if p == "1.0" else p if q == "1.0" else f"{p} * {q}"
+
+
+def _product_rule(a, da, b, db):
+    # d(ab) = da b + a db, in that order; a missing list is a passive factor
+    return [None if p is None and q is None else _prod(a, q) if p is None
+            else _prod(p, b) if q is None else f"{_prod(p, b)} + {_prod(a, q)}"
+            for p, q in zip(da or [None] * len(db), db or [None] * len(da))]
+
+
+class _Compiler:
+    """Emits assignments for the nodes in evaluation order (children first).
+
+    A node becomes its value ``aN`` and, when it depends on a ``wrt``
+    variable, its partials ``dN_i``; ``None`` marks a partial that is
+    structurally zero, which is never computed.  Only generated names,
+    float literals and fixed messages reach the source text.
+    """
+
+    def __init__(self, args, wrt, params):
+        self.args = {name: f"x{i}" for i, name in enumerate(args)}
+        self.seeds = {name: i for i, name in enumerate(wrt or ())}
+        self.params = params or {}
+        self.lines = []
+
+    def value(self, text):
+        name = f"a{len(self.lines)}"
+        self.lines.append(f"{name} = {text}")
+        return name
+
+    def partials(self, name, texts):
+        out = list(texts)
+        for i, text in enumerate(texts):
+            if not (text is None or text == "1.0" or text.isidentifier()):
+                out[i] = f"d{name[1:]}_{i}"
+                self.lines.append(f"{out[i]} = {text}")
+        return out
+
+    def check(self, cond, message):
+        self.lines.append(f"if _any({cond}): raise _DomainError({message!r})")
+
+    def node(self, e):
+        """(value operand, partials or None) of ``e``."""
+        if isinstance(e, Num):
+            return _literal(e.value), None
+        if isinstance(e, Var):
+            return self.var(e.name)
+        if isinstance(e, Neg):
+            a, da = self.node(e.arg)
+            v = self.value(f"-{a}")
+            return v, da and self.partials(v, [d and f"-{d}" for d in da])
+        if isinstance(e, BinOp):
+            return self.binop(e)
+        if isinstance(e, Call):
+            return self.call(e.fn, [self.node(a) for a in e.args], e.args)
+        raise TypeError(f"not an Expr node: {e!r}")
+
+    def var(self, name):
+        if name in self.seeds:
+            da = [None] * len(self.seeds)
+            da[self.seeds[name]] = "1.0"
+            return self.args[name], da
+        if name in self.args:
+            return self.args[name], None
+        if name in self.params:
+            return _literal(self.params[name]), None
+        raise UnboundVariableError(f"variable {name!r} is not bound")
+
+    def square(self, a, node):
+        # seeds by a product, intermediates by pow(): numpy's ** 2 on 0-d
+        # array seeds and on scalars, so gradients match a dual-number pass
+        return self.value(f"_square({a})" if isinstance(node, Var) else f"_pow2({a})")
+
+    def binop(self, e):
+        a, da = self.node(e.lhs)
+        b, db = self.node(e.rhs)
+        op = e.op
+        if op == "^":
+            return self.power(a, da, b, db, e)
+        if op == "/" and not (isinstance(e.rhs, Num) and e.rhs.value != 0.0):
+            self.check(f"{b} == 0.0", "division by zero")
+        v = self.value(f"{a} {op} {b}")
+        if da is None and db is None:
+            return v, None
+        k = len(self.seeds)
+        da = da or [None] * k
+        pairs = zip(da, db or [None] * k)
+        if op == "+":
+            out = [p if q is None else q if p is None else f"{p} + {q}" for p, q in pairs]
+        elif op == "-":
+            out = [p if q is None else f"-{q}" if p is None else f"{p} - {q}" for p, q in pairs]
+        elif op == "*":
+            out = _product_rule(a, da, b, db)
+        elif db is None:
+            out = [p and f"{p} / {b}" for p in da]
+        else:
+            b2 = self.square(b, e.rhs)
+            out = [None if p is None and q is None else f"-{_prod(a, q)} / {b2}" if p is None
+                   else f"{_prod(p, b)} / {b2}" if q is None
+                   else f"({_prod(p, b)} - {_prod(a, q)}) / {b2}" for p, q in pairs]
+        return v, self.partials(v, out)
+
+    def power(self, a, da, b, db, e):
+        if db is not None:
+            # variable exponent: exp(y ln x), differentiated through ln and exp
+            self.check(f"{a} <= 0.0", "x^y with variable exponent requires x > 0")
+            ln = self.value(f"_log({a})")
+            dln = da and self.partials(ln, [p and f"{p} / {a}" for p in da])
+            y = self.value(f"{b} * {ln}")
+            dy = self.partials(y, _product_rule(b, db, ln, dln))
+            v = self.value(f"_exp({y})")
+            return v, self.partials(v, [p and _prod(v, p) for p in dy])
+        const = e.rhs.value if isinstance(e.rhs, Num) else None
+        if const is None or const != np.round(const):
+            self.check(f"({b} != _round({b})) & ({a} < 0.0)",
+                       "negative base with non-integer exponent")
+        if const is None or const < 0:
+            self.check(f"({b} < 0.0) & ({a} == 0.0)", "zero base with negative exponent")
+        # numpy squares exactly (power(x, 2.0) == x * x, power(x, 1.0) == x)
+        square = const == 2.0
+        v = self.value(f"{a} * {a}" if square else f"_power({a}, {b})")
+        if da is None:
+            return v, None
+        slope = self.value(f"2.0 * {a}" if square else
+                           f"{b} * _power({a}, {b} - 1.0)")
+        return v, self.partials(v, [p and _prod(slope, p) for p in da])
+
+    def call(self, fn, args, nodes):
+        (a, da) = args[0]
+        if fn in ("min", "max"):
+            b, db = args[1]
+            v = self.value(f"_{fn}imum({a}, {b})")
+            if da is None and db is None:
+                return v, None
+            take_a = self.value(f"{a} {'<' if fn == 'min' else '>'} {b}")
+            k = len(self.seeds)
+            return v, self.partials(v, [
+                None if p is None and q is None else f"_where({take_a}, {p or '0.0'}, {q or '0.0'})"
+                for p, q in zip(da or [None] * k, db or [None] * k)])
+        if fn == "ln":
+            self.check(f"{a} <= 0.0", "ln of a nonpositive value")
+        if fn == "sqrt":
+            self.check(f"{a} < 0.0", "sqrt of a negative value")
+            if da is not None:
+                self.check(f"{a} == 0.0", "sqrt not differentiable at 0")
+        value_text = {"sin": "_sin({})", "cos": "_cos({})", "exp": "_exp({})",
+                      "ln": "_log({})", "sqrt": "_sqrt({})", "abs": "_abs({})",
+                      "atan": "_arctan({})", "pos": "_pos({})", "neg": "_pos(-{})"}[fn]
+        v = self.value(value_text.format(a))
+        if da is None:
+            return v, None
+        if fn == "ln":
+            return v, self.partials(v, [p and f"{p} / {a}" for p in da])
+        if fn == "sqrt":
+            return v, self.partials(v, [p and f"{_prod('0.5', p)} / {v}" for p in da])
+        if fn == "atan":
+            q = self.value(f"1.0 + {self.square(a, nodes[0])}")
+            return v, self.partials(v, [p and f"{p} / {q}" for p in da])
+        slope = v if fn == "exp" else self.value({
+            "sin": "_cos({})", "cos": "-_sin({})", "abs": "_sign({})",
+            "pos": "_where({} > 0.0, 1.0, 0.0)", "neg": "_where({} < 0.0, -1.0, 0.0)",
+        }[fn].format(a))
+        return v, self.partials(v, [p and _prod(slope, p) for p in da])
+
+
+def compile_expr(e, args, wrt=None, params=None):
+    """Compile ``e`` once into a numpy function of the positional ``args``.
+
+    The function returns the value of ``e``, or with ``wrt`` (names from
+    ``args``) its forward-mode gradient, shape ``(len(wrt),) + shape(value)``.
+    ``params`` maps further names to constants folded into the code.  Calls
+    take floats or numpy arrays and raise :class:`DomainError` on a domain
+    violation (with ``wrt``, also ``sqrt`` at 0); unbound names raise
+    :class:`UnboundVariableError` here.
+    """
+    args = tuple(args)
+    for name in wrt or ():
+        if name not in args:
+            raise UnboundVariableError(f"variable {name!r} is not bound")
+    c = _Compiler(args, wrt, params)
+    v, dv = c.node(e)
+    partials = ", ".join(p or "0.0" for p in dv or [None] * len(wrt or ()))
+    ret = v if wrt is None else f"_gradient({v}, [{partials}])"
+    signature = ", ".join(f"x{i}" for i in range(len(args)))
+    body = "".join(f"    {line}\n" for line in c.lines)
+    src = f"def compiled({signature}):\n{body}    return {ret}\n"
+    namespace = dict(_NAMESPACE)
+    exec(compile(src, "<hamshoot.expr>", "exec"), namespace)
+    return namespace["compiled"]
 
 
 def eval_expr(e, binding):
-    """Evaluate ``e`` with the given name->value binding.
+    """Evaluate ``e`` with the given name->value binding of floats or arrays.
 
-    Values may be floats or numpy arrays (broadcast with numpy rules).
     Raises :class:`UnboundVariableError` or :class:`DomainError`.
     """
-    out = _eval(e, binding)
-    if isinstance(out, Dual):
-        raise TypeError("binding contains Dual values; use grad_expr")
-    return out
+    return compile_expr(e, tuple(binding))(*binding.values())
 
 
 def grad_expr(e, var_names, binding):
     """Forward-mode gradient of ``e`` with respect to ``var_names`` at ``binding``.
 
-    Returns an array of shape ``(len(var_names),) + shape(value)``.  Values of
-    the differentiation variables may be floats or arrays; the remaining
-    bindings stay passive.  pos/neg/abs use the fixed subgradient 0 at their
-    kink, so the result is deterministic everywhere.
+    Returns an array of shape ``(len(var_names),) + shape(value)``; bindings
+    may be floats or arrays.  pos/neg/abs use the fixed subgradient 0 at
+    their kink, so the result is deterministic everywhere.
     """
-    k = len(var_names)
-    seeded = dict(binding)
-    # seeds carry singleton trailing axes so they broadcast against any
-    # array-valued binding (including passive ones like an array of times)
-    ndim = max((np.ndim(val) for val in binding.values()), default=0)
-    for i, v in enumerate(var_names):
-        if v not in binding:
-            raise UnboundVariableError(f"variable {v!r} is not bound")
-        der = np.zeros((k,) + (1,) * ndim)
-        der[i] = 1.0
-        seeded[v] = Dual(np.asarray(binding[v], dtype=float), der)
-    out = _eval(e, seeded)
-    if not isinstance(out, Dual):
-        return np.zeros((k,) + np.shape(np.asarray(out)))
-    val = np.asarray(out.val)
-    der = np.asarray(out.der)
-    target = (k,) + val.shape
-    if der.shape != target:
-        if val.shape == ():
-            der = der.reshape(k)
-        else:
-            der = np.array(np.broadcast_to(der, target))
-    return der
+    wrt = tuple(var_names)
+    fn = compile_expr(e, tuple(binding), wrt)
+    return fn(*(np.asarray(val, dtype=float) if name in wrt else val
+                for name, val in binding.items()))
 
 
 def substitute(e, mapping):

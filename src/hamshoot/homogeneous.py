@@ -98,13 +98,15 @@ def hamiltonian_from_expr(src, params=None, u_name="u", v_name="v",
                           claims_homogeneous2=True, claims_positive=True):
     """Build a PlanarHamiltonian from an expression in (u, v)."""
     ast = src if isinstance(src, xp.Expr) else xp.parse_expr(src)
-    params = dict(params or {})
+    names = (u_name, v_name)
+    value_uv = xp.compile_expr(ast, names, params=params)
+    grad_uv = xp.compile_expr(ast, names, names, params)
 
     def value(w):
-        return xp.eval_expr(ast, {u_name: w[0], v_name: w[1], **params})
+        return value_uv(w[0], w[1])
 
     def grad(w):
-        return xp.grad_expr(ast, (u_name, v_name), {u_name: w[0], v_name: w[1], **params})
+        return grad_uv(w[0], w[1])
 
     return PlanarHamiltonian(value, grad, claims_homogeneous2=claims_homogeneous2,
                              claims_positive=claims_positive,
@@ -237,7 +239,7 @@ class ReferenceOrbit:
         return self.trajectory.query(float(np.mod(s, self.tau)))
 
     def points(self, ss):
-        return np.array([self.point(s) for s in np.atleast_1d(ss)]).T
+        return self.trajectory.query_many(np.mod(np.atleast_1d(ss), self.tau)).T
 
     def norms(self, ss):
         pts = self.points(ss)

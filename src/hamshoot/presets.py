@@ -26,15 +26,6 @@ def xy_names(M):
     return [f"x{i + 1}" for i in range(M)], [f"y{i + 1}" for i in range(M)]
 
 
-def _bind_xy(M, t, x, y, params):
-    xn, yn = xy_names(M)
-    b = {"t": t, **params}
-    for i in range(M):
-        b[xn[i]] = x[i]
-        b[yn[i]] = y[i]
-    return b
-
-
 def _resolve_aliases(ast, M):
     # for M = 1 the short names x, y stand for x1, y1
     if M == 1:
@@ -42,79 +33,63 @@ def _resolve_aliases(ast, M):
     return ast
 
 
+def _parsed(src):
+    return xp.parse_expr(src) if isinstance(src, str) else src
+
+
+def _uv(w):
+    # one point as Python floats, on which scalar arithmetic is faster than
+    # on numpy scalars; points of shape (2, n) as their two rows
+    return w.tolist() if w.ndim == 1 else w
+
+
 def pendulum_hamiltonian(A=1.0, E_src="0", params=None):
-    """Pendulum-type block: H(t, q, p) = p^2/2 + E(t) p - A cos q (M = 1).
+    """Pendulum-type block: grad of H(t, q, p) = p^2/2 + E(t) p - A cos q (M = 1).
 
     ``E_src`` is the T-periodic primitive of the forcing (E' = e), entering
     the equations as q' = p + E(t), p' = -A sin q.
     """
-    params = dict(params or {})
-    E_ast = xp.parse_expr(E_src) if isinstance(E_src, str) else E_src
-
-    def E(t):
-        return xp.eval_expr(E_ast, {"t": t, **params})
+    E = xp.compile_expr(_parsed(E_src), ("t",), params=params)
 
     def grad_H(t, x, y):
         return (np.array([A * np.sin(x[0])]), np.array([y[0] + E(t)]))
 
-    def H_value(t, x, y):
-        return 0.5 * y[0] ** 2 + E(t) * y[0] - A * np.cos(x[0])
-
-    return grad_H, H_value
+    return grad_H
 
 
 def free_rotator(M):
-    """H = |y|^2 / 2: x drifts at rate y, y is conserved."""
+    """Gradient of H = |y|^2 / 2: x drifts at rate y, y is conserved."""
 
     def grad_H(t, x, y):
         return (np.zeros(M), np.asarray(y, dtype=float).copy())
 
-    def H_value(t, x, y):
-        return 0.5 * float(np.dot(y, y))
-
-    return grad_H, H_value
+    return grad_H
 
 
 def hamiltonian_block_from_expr(src, M, params=None):
-    """Angular block from an expression in (t, x1.., y1..)."""
-    params = dict(params or {})
-    ast = _resolve_aliases(xp.parse_expr(src) if isinstance(src, str) else src, M)
+    """grad_H(t, x, y), x and y arrays, of an expression in (t, x1.., y1..)."""
     xn, yn = xy_names(M)
     names = tuple(xn + yn)
+    grad = xp.compile_expr(_resolve_aliases(_parsed(src), M), ("t",) + names, names, params)
 
     def grad_H(t, x, y):
-        g = xp.grad_expr(ast, names, _bind_xy(M, t, x, y, params))
-        return (np.asarray(g[:M], dtype=float), np.asarray(g[M:], dtype=float))
+        g = grad(t, *x.tolist(), *y.tolist())
+        return g[:M], g[M:]
 
-    def H_value(t, x, y):
-        return xp.eval_expr(ast, _bind_xy(M, t, x, y, params))
-
-    return grad_H, H_value
+    return grad_H
 
 
 def coupling_from_expr(src, M, params=None):
-    """Coupling block P from an expression in (t, x1.., y1.., u, v)."""
-    params = dict(params or {})
-    ast = _resolve_aliases(xp.parse_expr(src) if isinstance(src, str) else src, M)
+    """grad_P(t, x, y, w), x, y and w arrays, of an expression in (t, x1.., y1.., u, v)."""
     xn, yn = xy_names(M)
     names = tuple(xn + yn + ["u", "v"])
-
-    def binding(t, x, y, w):
-        b = _bind_xy(M, t, x, y, params)
-        b["u"] = w[0]
-        b["v"] = w[1]
-        return b
+    grad = xp.compile_expr(_resolve_aliases(_parsed(src), M), ("t",) + names, names, params)
 
     def grad_P(t, x, y, w):
-        g = xp.grad_expr(ast, names, binding(t, x, y, w))
-        return (np.asarray(g[:M], dtype=float),
-                np.asarray(g[M:2 * M], dtype=float),
-                np.asarray(g[2 * M:], dtype=float))
+        g = grad(t, *x.tolist(), *y.tolist(), *w.tolist())
+        return g[:M], g[M:2 * M], g[2 * M:]
 
-    def P_value(t, x, y, w):
-        return xp.eval_expr(ast, binding(t, x, y, w))
-
-    return grad_P, P_value
+    return grad_P
 
 
 def asymmetric_field(mu1, nu1, mu2=None, nu2=None, h_src="0", params=None):
@@ -137,11 +112,7 @@ def asymmetric_field(mu1, nu1, mu2=None, nu2=None, h_src="0", params=None):
         raise ValidationError([f"{p} must be positive" for p in problems])
     if mu2 < mu1 or nu2 < nu1:
         raise ValidationError(["stiffness ordering requires mu1 <= mu2 and nu1 <= nu2"])
-    params = dict(params or {})
-    h_ast = xp.parse_expr(h_src) if isinstance(h_src, str) else h_src
-
-    def h(t, u):
-        return xp.eval_expr(h_ast, {"t": t, "u": u, **params})
+    h = xp.compile_expr(_parsed(h_src), ("t", "u"), params=params)
 
     def f(u):
         up = np.maximum(u, 0.0)
@@ -175,31 +146,33 @@ def planar_field_from_expr(K_src=None, components=None, params=None,
     ``components`` gives (F_u_src, F_v_src) directly.  Optional H1/H2/Q
     expressions attach a decomposition.  Returns (F, dec_or_None, w_kink).
     """
-    params = dict(params or {})
     if (K_src is None) == (components is None):
         raise ValidationError(["planar expr block needs exactly one of K or components"])
+    tuv = ("t", "u", "v")
     if K_src is not None:
-        ast = xp.parse_expr(K_src) if isinstance(K_src, str) else K_src
+        ast = _parsed(K_src)
         kinky = xp.has_kinks(ast)
+        grad_K = xp.compile_expr(ast, tuv, ("u", "v"), params)
 
         def F(t, w):
-            return xp.grad_expr(ast, ("u", "v"), {"t": t, "u": w[0], "v": w[1], **params})
+            return grad_K(t, *_uv(w))
     else:
-        asts = [xp.parse_expr(c) if isinstance(c, str) else c for c in components]
+        asts = [_parsed(c) for c in components]
         kinky = any(xp.has_kinks(a) for a in asts)
+        fns = [xp.compile_expr(a, tuv, params=params) for a in asts]
 
         def F(t, w):
-            b = {"t": t, "u": w[0], "v": w[1], **params}
-            return np.stack([np.asarray(xp.eval_expr(a, b), dtype=float) for a in asts])
+            return np.stack([np.asarray(f(t, *_uv(w)), dtype=float) for f in fns])
 
     dec = None
     if H1_src is not None and H2_src is not None:
         H1 = hamiltonian_from_expr(H1_src, params=params)
         H2 = hamiltonian_from_expr(H2_src, params=params)
-        Q_ast = xp.parse_expr(Q_src if Q_src is not None else "0")
+        grad_Q_uv = xp.compile_expr(xp.parse_expr(Q_src if Q_src is not None else "0"),
+                                    tuv, ("u", "v"), params)
 
         def grad_Q(t, w):
-            return xp.grad_expr(Q_ast, ("u", "v"), {"t": t, "u": w[0], "v": w[1], **params})
+            return grad_Q_uv(t, *_uv(w))
 
         dec = DecompositionData(H1, H2, grad_Q)
         kinky = kinky or H1.kink_on_u_axis or H2.kink_on_u_axis

@@ -74,8 +74,6 @@ class CoupledSystem:
     T: float = None
     interval: tuple = None
     decomposition: DecompositionData = None
-    H_value: callable = None
-    P_value: callable = None
     w_kink: bool = False
     label: str = ""
 

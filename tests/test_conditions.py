@@ -283,8 +283,8 @@ def test_twist_invariant_under_2pi_x_shift():
 
 def test_twist_pendulum_block_passes_for_large_momentum():
     from hamshoot.presets import coupling_from_expr, pendulum_hamiltonian
-    grad_H, _ = pendulum_hamiltonian(A=1.0, E_src="0.3*sin(t)")
-    grad_P, _ = coupling_from_expr("0.1*sin(x)*sin(u)", 1)
+    grad_H = pendulum_hamiltonian(A=1.0, E_src="0.3*sin(t)")
+    grad_P = coupling_from_expr("0.1*sin(x)*sin(u)", 1)
     sys_ = CoupledSystem(M=1, F=lambda t, w: np.zeros(2), grad_H=grad_H,
                          grad_P=grad_P, T=2 * np.pi)
     ens = [constant_path([0.0, 0.0])] + fourier_paths(2, 1.0, 3, 2 * np.pi, seed=5)

@@ -270,3 +270,35 @@ solver:
     assert lines[0] == "mode,class,xa_1,u_a,residual,iterations"
     assert len(lines) >= 3  # several distinct x_a classes
     assert all(abs(float(l.split(",")[3])) < 1e-9 for l in lines[1:])
+
+
+SMALL_NEUMANN_LL = """
+mode: neumann
+M: 1
+interval: [0.0, 1.0]
+seed: 3
+hamiltonian: {preset: free_rotator}
+planar: {preset: asymmetric, mu1: 4.0, nu1: 1.0}
+coupling: {expr: "0.1*sin(x)*sin(u)"}
+solver:
+  neumann_multistart: {x_points: 1, u_points: 1}
+conditions:
+  mbar: {n_samples: 200}
+  ll: {enabled: true, theta_points: 2, lambda_points: 3, s_points: 3, t_nodes: 16}
+"""
+
+
+def test_cli_ll_alone_estimates_mbar_like_full(tmp_path):
+    from hamshoot import cli
+    cfg = tmp_path / "neu.yaml"
+    cfg.write_text(SMALL_NEUMANN_LL)
+    rhs = {}
+    for sub in ("ll", "full"):
+        out = tmp_path / sub
+        assert cli.main([sub, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        lines = (out / "ll_margins.csv").read_text().splitlines()
+        col = lines[0].split(",").index("rhs")
+        rhs[sub] = [line.split(",")[col] for line in lines[1:]]
+    assert len(rhs["ll"]) == 4
+    assert rhs["ll"] == rhs["full"]
+    assert float(rhs["ll"][0]) > 0.0

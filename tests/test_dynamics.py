@@ -26,6 +26,18 @@ def test_pendulum_equilibrium():
     assert np.max(np.abs(traj.ys[-1] - [np.pi, 0.0])) < 1e-12
 
 
+def test_query_many_matches_query():
+    traj = integrate(PENDULUM, [1.0, 0.5], 0.0, 7.0, 1e-10)
+    ts = np.concatenate([np.linspace(0.0, 7.0, 301), traj.ts])
+    many = traj.query_many(ts)
+    assert many.shape == (len(ts), 2)
+    assert np.max(np.abs(many - np.array([traj.query(t) for t in ts]))) <= 1e-14
+    # the ends are the stored states exactly
+    assert np.array_equal(many[0], traj.ys[0]) and np.array_equal(many[300], traj.ys[-1])
+    with pytest.raises(ValueError):
+        traj.query_many([0.5, 7.5])
+
+
 def test_flow_map_linear_center():
     for z0 in ([1.0, 0.0], [0.3, -0.7], [-2.0, 1.5]):
         assert np.max(np.abs(flow_map(CENTER, z0, 2 * np.pi, 1e-10) - z0)) < 1e-8

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamshoot.errors import DomainError, ExprSyntaxError, UnboundVariableError
-from hamshoot.expr import (eval_expr, free_variables, grad_expr, has_kinks,
-                           parse_expr, unparse)
+from hamshoot.expr import (compile_expr, eval_expr, free_variables, grad_expr,
+                           has_kinks, parse_expr, unparse)
 
 ASYM = "0.5*(mu*pos(u)^2 + nu*neg(u)^2 + v^2)"
 
@@ -193,3 +193,128 @@ def test_parse_unparse_roundtrip(src):
 
 def test_free_variables():
     assert free_variables(parse_expr("sin(x1)*y1 + t - mu")) == {"x1", "y1", "t", "mu"}
+
+
+# ---------------------------------------------------------------------------
+# compiled code
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("src,u,v,expected", [
+    # derivative 0 at the kinks of pos/neg/abs
+    ("pos(u)", 0.0, 0.0, [0.0, 0.0]),
+    ("neg(u)", 0.0, 0.0, [0.0, 0.0]),
+    ("abs(u)", 0.0, 0.0, [0.0, 0.0]),
+    ("pos(u)", 2.0, 0.0, [1.0, 0.0]),
+    ("neg(u)", -2.0, 0.0, [-1.0, 0.0]),
+    ("abs(u)", -2.0, 0.0, [-1.0, 0.0]),
+    # min/max ties follow the second argument
+    ("min(u, v)", 1.0, 1.0, [0.0, 1.0]),
+    ("max(u, v)", 1.0, 1.0, [0.0, 1.0]),
+    ("min(2*u, v)", 0.5, 1.0, [0.0, 1.0]),
+    ("max(v, 3*u)", 1.0, 3.0, [3.0, 0.0]),
+    ("min(u, v)", 0.5, 1.0, [1.0, 0.0]),
+    ("max(u, v)", 0.5, 1.0, [0.0, 1.0]),
+])
+def test_kink_and_tie_conventions(src, u, v, expected):
+    e = parse_expr(src)
+    assert grad_expr(e, ("u", "v"), {"u": u, "v": v}).tolist() == expected
+    # the same conventions hold elementwise on arrays
+    g = compile_expr(e, ("u", "v"), ("u", "v"))(np.full(3, u), np.full(3, v))
+    assert g.tolist() == [[d] * 3 for d in expected]
+
+
+@pytest.mark.parametrize("src,binding,wrt", [
+    ("ln(u)", {"u": 0.0}, ()),
+    ("ln(u)", {"u": 0.0}, ("u",)),
+    ("1/u", {"u": 0.0}, ()),
+    ("1/u", {"u": 0.0}, ("u",)),
+    ("2/u", {"u": 0.0, "v": 1.0}, ("v",)),
+    ("u^0.5", {"u": -1.0}, ()),
+    ("u^0.5", {"u": -1.0}, ("u",)),
+    ("u^-1", {"u": 0.0}, ()),
+    ("u^-1", {"u": 0.0}, ("u",)),
+    ("sqrt(u)", {"u": 0.0}, ("u",)),
+    ("sqrt(u*v)", {"u": 0.0, "v": 2.0}, ("v",)),
+    ("u^v", {"u": 0.0, "v": 2.0}, ("v",)),
+    ("u^v", {"u": -1.0, "v": 2.0}, ("v",)),
+    ("u^v", {"u": -1.0, "v": 2.0}, ("u", "v")),
+])
+def test_domain_error_table(src, binding, wrt):
+    e = parse_expr(src)
+    with pytest.raises(DomainError):
+        if wrt:
+            grad_expr(e, wrt, binding)
+        else:
+            eval_expr(e, binding)
+
+
+def test_domain_checks_follow_what_is_differentiated():
+    # sqrt is differentiable only away from 0, but its value at 0 is fine;
+    # x^y with x <= 0 is fine while y stays passive
+    assert eval_expr(parse_expr("sqrt(u)"), {"u": 0.0}) == 0.0
+    assert grad_expr(parse_expr("sqrt(u) + v"), ("v",), {"u": 0.0, "v": 1.0}).tolist() == [1.0]
+    g = grad_expr(parse_expr("u^v"), ("u",), {"u": -1.0, "v": 2.0})
+    assert g.tolist() == [-2.0]
+
+
+def test_compile_checks_names_up_front():
+    with pytest.raises(UnboundVariableError):
+        compile_expr(parse_expr("a + b"), ("a",))
+    with pytest.raises(UnboundVariableError):
+        compile_expr(parse_expr("a"), ("a",), ("b",))
+
+
+_POINT = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
+
+
+def _call_or_raise(fn, *args):
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(fn(*args), dtype=float)
+    except DomainError:
+        return None
+
+
+@given(_expr_sources(), st.lists(st.tuples(_POINT, _POINT, _POINT), min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_array_evaluation_matches_scalar_evaluation(src, points):
+    """Arrays evaluate like their elements one by one, or both raise."""
+    e = parse_expr(src)
+    names = ("a", "b", "zz_1")
+    cols = [np.array(c) for c in zip(*points)]
+    for wrt in (None, names):
+        fn = compile_expr(e, names, wrt)
+        whole = _call_or_raise(fn, *cols)
+        each = [_call_or_raise(fn, *p) for p in points]
+        if whole is None:
+            assert any(r is None for r in each), src
+            continue
+        assert all(r is not None for r in each), src
+        expected = np.stack(each, axis=-1)
+        if whole.shape != expected.shape:  # a result that does not depend on the points
+            whole = np.broadcast_to(whole[..., None], expected.shape)
+        if wrt is None:
+            np.testing.assert_array_equal(whole, expected)
+        else:
+            # on scalars an intermediate divisor is squared by pow(), on
+            # arrays by a product, so the two may differ in the last bit
+            np.testing.assert_allclose(whole, expected, rtol=1e-9, atol=1e-300)
+
+
+_HOSTILE = ("lambda", "if", "np", "None", "__import__", "compiled", "x0", "a1", "d2_0",
+            "_DomainError", "sin")
+
+
+def test_hostile_names_as_variables_and_params():
+    src = " + ".join(f"{k + 1}*{name}^2" for k, name in enumerate(_HOSTILE))
+    e = parse_expr(src)
+    vals = {name: 0.5 + k for k, name in enumerate(_HOSTILE)}
+    expected = sum((k + 1) * vals[name] ** 2 for k, name in enumerate(_HOSTILE))
+    assert eval_expr(e, vals) == pytest.approx(expected)
+    g = grad_expr(e, _HOSTILE, vals)
+    assert g.tolist() == pytest.approx([2 * (k + 1) * vals[n] for k, n in enumerate(_HOSTILE)])
+    # the same names as folded-in params, differentiating one of them
+    params = {n: v for n, v in vals.items() if n != "np"}
+    fn = compile_expr(e, ("np",), ("np",), params)
+    assert fn(vals["np"]).tolist() == pytest.approx([2 * 3 * vals["np"]])
+    assert compile_expr(e, (), params=vals)() == pytest.approx(expected)

@@ -92,6 +92,14 @@ def test_reference_orbit_energy_drift():
     assert drift <= 1e-10
 
 
+def test_reference_orbit_points_match_point():
+    orb = reference_orbit(asymmetric(4, 1), tol=1e-10)
+    ss = np.concatenate([np.linspace(-1.0, 2 * orb.tau, 517), [0.0, orb.tau]])
+    pts = orb.points(ss)
+    assert pts.shape == (2, len(ss))
+    assert np.max(np.abs(pts - np.array([orb.point(s) for s in ss]).T)) <= 1e-14
+
+
 def test_reference_orbit_one_clockwise_turn():
     for H in (isotropic(), asymmetric(4, 1)):
         orb = reference_orbit(H, tol=1e-10)

@@ -8,25 +8,22 @@ from hamshoot.presets import (asymmetric_field, coupling_from_expr, free_rotator
 
 
 def test_pendulum_equations_of_motion():
-    grad_H, H_val = pendulum_hamiltonian(A=1.5, E_src="0.2*cos(t)")
+    grad_H = pendulum_hamiltonian(A=1.5, E_src="0.2*cos(t)")
     x, y = np.array([0.4]), np.array([-0.3])
     hx, hy = grad_H(0.7, x, y)
     assert hx[0] == pytest.approx(1.5 * np.sin(0.4))          # dH/dq = A sin q
     assert hy[0] == pytest.approx(-0.3 + 0.2 * np.cos(0.7))   # dH/dp = p + E(t)
-    assert H_val(0.7, x, y) == pytest.approx(
-        0.5 * 0.09 + 0.2 * np.cos(0.7) * (-0.3) - 1.5 * np.cos(0.4))
 
 
 def test_free_rotator_block():
-    grad_H, H_val = free_rotator(2)
+    grad_H = free_rotator(2)
     hx, hy = grad_H(0.0, np.array([1.0, 2.0]), np.array([0.5, -0.5]))
     assert np.array_equal(hx, np.zeros(2))
     assert np.array_equal(hy, [0.5, -0.5])
-    assert H_val(0.0, np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(12.5)
 
 
 def test_hamiltonian_block_from_expr_multidim():
-    grad_H, _ = hamiltonian_block_from_expr("0.5*(y1^2 + y2^2) - cos(x1)*cos(x2)", 2)
+    grad_H = hamiltonian_block_from_expr("0.5*(y1^2 + y2^2) - cos(x1)*cos(x2)", 2)
     x, y = np.array([0.3, 1.1]), np.array([0.2, -0.7])
     hx, hy = grad_H(0.0, x, y)
     assert hx[0] == pytest.approx(np.sin(0.3) * np.cos(1.1))
@@ -35,14 +32,13 @@ def test_hamiltonian_block_from_expr_multidim():
 
 
 def test_coupling_alias_and_gradients():
-    grad_P, P_val = coupling_from_expr("eps*sin(x)*sin(u)", 1, params={"eps": 0.1})
+    grad_P = coupling_from_expr("eps*sin(x)*sin(u)", 1, params={"eps": 0.1})
     x, y, w = np.array([0.3]), np.array([0.0]), np.array([0.5, 0.7])
     px, py, pw = grad_P(0.2, x, y, w)
     assert px[0] == pytest.approx(0.1 * np.cos(0.3) * np.sin(0.5))
     assert py[0] == 0.0
     assert pw[0] == pytest.approx(0.1 * np.sin(0.3) * np.cos(0.5))
     assert pw[1] == 0.0
-    assert P_val(0.2, x, y, w) == pytest.approx(0.1 * np.sin(0.3) * np.sin(0.5))
 
 
 def test_asymmetric_field_stiffness_stays_between_pairs():

@@ -39,7 +39,7 @@ def test_assemble_decoupled_pendulum_plus_rotation():
 
 def test_assemble_pendulum_with_forcing_matches_first_order_form():
     from hamshoot.presets import pendulum_hamiltonian
-    grad_H, _ = pendulum_hamiltonian(A=2.0, E_src="0.3*sin(t)")
+    grad_H = pendulum_hamiltonian(A=2.0, E_src="0.3*sin(t)")
     sys_ = CoupledSystem(M=1, F=lambda t, w: np.zeros(2), grad_H=grad_H, T=2 * np.pi)
     f = assemble_field(sys_)
     for t in (0.0, 0.7, 2.0):
@@ -58,8 +58,7 @@ def test_dimension_mismatch():
 def test_energy_conservation_decoupled():
     grad_H = _grad_pendulum()
     iso = isotropic()
-    sys_ = CoupledSystem(M=1, F=_iso_field(), grad_H=grad_H, T=2 * np.pi,
-                         H_value=lambda t, x, y: 0.5 * y[0] ** 2 - np.cos(x[0]))
+    sys_ = CoupledSystem(M=1, F=_iso_field(), grad_H=grad_H, T=2 * np.pi)
     f = assemble_field(sys_)
     z0 = np.array([0.7, 0.0, 0.3, 0.4])
     tol = 1e-10
@@ -269,7 +268,7 @@ def test_phi_rho_between_h1_and_h2():
 
 def test_periodicity_certificate():
     from hamshoot.presets import coupling_from_expr
-    grad_P, _ = coupling_from_expr("0.1*sin(x)*sin(u)", 1)
+    grad_P = coupling_from_expr("0.1*sin(x)*sin(u)", 1)
     sys_ = CoupledSystem(M=1, F=_iso_field(), grad_H=_grad_pendulum(),
                          grad_P=grad_P, T=2 * np.pi)
     assert validate_periodicity(sys_).passed
