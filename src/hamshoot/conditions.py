@@ -251,7 +251,7 @@ def _vectorized_field(F):
             out = np.asarray(F(ts, w), dtype=float)
             if out.shape == w.shape:
                 return out
-        except Exception:
+        except (TypeError, ValueError):  # scalar-only field
             pass
         return np.stack([np.asarray(F(float(t), w[:, k]), dtype=float)
                          for k, t in enumerate(ts)], axis=1)

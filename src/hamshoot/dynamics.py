@@ -305,21 +305,27 @@ def flow_map(f, z0, T, tol, t0=0.0):
     return traj.ys[-1]
 
 
-def flow_jacobian(f, z0, T, tol, fd_step=1e-6, t0=0.0):
+def flow_jacobian(f, z0, T, tol, fd_step=1e-6, t0=0.0, switches=(), cols=None):
     """Jacobian of the time-T flow map by central finite differences.
 
-    Column ``j`` perturbs ``z0[j]`` by ``fd_step * (1 + |z0[j]|)``.
+    Column ``j`` perturbs ``z0[j]`` by ``fd_step * (1 + |z0[j]|)``.  ``cols``
+    selects the columns to compute (all by default); ``switches`` is passed
+    to :func:`integrate`.
     """
     z0 = np.asarray(z0, dtype=float)
-    n = z0.size
-    J = np.empty((n, n))
-    for j in range(n):
+    cols = range(z0.size) if cols is None else cols
+
+    def flow(z):
+        return integrate(f, z, t0, t0 + T, tol, dense=False, switches=switches).ys[-1]
+
+    J = np.empty((z0.size, len(cols)))
+    for k, j in enumerate(cols):
         d = fd_step * (1.0 + abs(z0[j]))
         zp = z0.copy()
         zp[j] += d
         zm = z0.copy()
         zm[j] -= d
-        J[:, j] = (flow_map(f, zp, T, tol, t0) - flow_map(f, zm, T, tol, t0)) / (2 * d)
+        J[:, k] = (flow(zp) - flow(zm)) / (2 * d)
     return J
 
 

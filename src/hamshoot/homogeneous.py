@@ -38,13 +38,12 @@ class PlanarHamiltonian:
     """Planar Hamiltonian with gradient access.
 
     ``value`` maps w of shape (2,) or (2, n) to a scalar / array; ``grad``
-    returns the same leading shape.  The claims flags are sample-checked by
+    returns the same leading shape.  ``claims_positive`` is sample-checked by
     :func:`check_homogeneous`, not enforced at construction.
     """
 
     value: callable
     grad: callable
-    claims_homogeneous2: bool = True
     claims_positive: bool = True
     # gradient has a kink across the u = 0 axis (e.g. asymmetric stiffness);
     # flows then split integration steps at u-axis crossings
@@ -94,8 +93,7 @@ def asymmetric(mu, nu):
                              label=f"asymmetric(mu={mu} nu={nu})")
 
 
-def hamiltonian_from_expr(src, params=None, u_name="u", v_name="v",
-                          claims_homogeneous2=True, claims_positive=True):
+def hamiltonian_from_expr(src, params=None, u_name="u", v_name="v", claims_positive=True):
     """Build a PlanarHamiltonian from an expression in (u, v)."""
     ast = src if isinstance(src, xp.Expr) else xp.parse_expr(src)
     names = (u_name, v_name)
@@ -108,8 +106,7 @@ def hamiltonian_from_expr(src, params=None, u_name="u", v_name="v",
     def grad(w):
         return grad_uv(w[0], w[1])
 
-    return PlanarHamiltonian(value, grad, claims_homogeneous2=claims_homogeneous2,
-                             claims_positive=claims_positive,
+    return PlanarHamiltonian(value, grad, claims_positive=claims_positive,
                              kink_on_u_axis=xp.has_kinks(ast), label=str(src))
 
 

@@ -1,10 +1,16 @@
-"""Shooting solvers for T-periodic and Neumann-type solutions.
+"""Newton shooting for T-periodic and Neumann-type solutions.
 
-Periodic mode roots R(z0) = wrap(Phi_T(z0) - z0), where the angular (x)
-components of the difference are wrapped to (-pi, pi]; the Newton map then
-lives on the cylinder, so solutions whose x drifts by multiples of 2pi over a
-period count as periodic.  Neumann mode shoots from (x_a, 0, u_a, 0) and
-roots the boundary residual (y(b), v(b)).
+One core serves both problems.  It integrates the assembled field over a
+window (t0, t1) and roots the rows ``rows`` of the boundary defect
+wrap_x(z(t1) - z(t0)), whose angular (x) components are wrapped to
+(-pi, pi], over the state components ``cols`` that hold the unknowns.
+Periodic mode takes the window (0, T) and every component and row; the
+Newton map then lives on the cylinder, so solutions whose x drifts by
+multiples of 2pi over a period count as periodic.  Neumann mode takes the
+window [a, b] and the state (x_a, 0, u_a, 0): x and u are the unknowns and
+the y and v rows of the defect, i.e. (y(b), v(b)), must vanish.  The
+Jacobian is :func:`~hamshoot.dynamics.flow_jacobian` restricted to those
+rows and columns, minus the matching block of the identity.
 
 Damped Newton with Armijo backtracking; a Jacobian with condition number
 beyond 1e12 switches the step to Levenberg-Marquardt with fixed damping
@@ -12,9 +18,10 @@ beyond 1e12 switches the step to Levenberg-Marquardt with fixed damping
 the LM step then returns a point on the continuum instead of failing.
 
 Solutions are geometrically distinct when they are not related by shifting
-some x_i by an integer multiple of 2pi; records are compared at the initial
-time, which identifies orbits provided the right-hand side is locally
-Lipschitz (uniqueness of the IVP).
+some x_i by an integer multiple of 2pi; records are compared by their
+initial state (in Neumann mode: x_a modulo 2pi and u_a), which identifies
+orbits provided the right-hand side is locally Lipschitz (uniqueness of the
+IVP).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import integrate, winding
+from .dynamics import flow_jacobian, integrate, winding
 from .errors import (IntegrationError, MaxIterationsError, OriginTooCloseError,
                      SingularJacobianError)
 from .systems import assemble_field, field_switches
@@ -158,24 +165,63 @@ def _newton(residual_fn, jacobian_fn, z0, tol, max_iter):
 
 
 # --------------------------------------------------------------------------
-# periodic shooting
+# shooting
 # --------------------------------------------------------------------------
 
-def _periodic_residual_fn(sys, field, switches, tol):
-    M = sys.M
-
-    def residual(z):
-        zT = _flow(field, z, sys.T, tol, switches)
-        d = zT - z
-        d[:M] = wrap_angle_diff(d[:M])
-        return d
-
-    return residual
+def _wrap_x(d, M):
+    """``d`` with its M angular (x) components wrapped to (-pi, pi], in place."""
+    d[:M] = wrap_angle_diff(d[:M])
+    return d
 
 
-def _flow(field, z, T, tol, switches):
-    traj = integrate(field, z, 0.0, T, tol, dense=False, switches=switches)
-    return traj.ys[-1]
+def _problem(sys):
+    """Window (t0, t1), unknown components and defect rows of ``sys``."""
+    M, n = sys.M, sys.dim
+    if sys.mode == "periodic":
+        return (0.0, sys.T), np.arange(n), np.arange(n)
+    return tuple(sys.interval), np.r_[0:M, 2 * M], np.r_[M:2 * M, 2 * M + 1]
+
+
+def _defect(sys, field, switches, z, tol):
+    """Shooting residual: the defect rows of wrap_x(z(t1) - z(t0)) from z."""
+    (t0, t1), _, rows = _problem(sys)
+    zt = integrate(field, z, t0, t1, tol, dense=False, switches=switches).ys[-1]
+    return _wrap_x(zt - z, sys.M)[rows]
+
+
+def _shoot(sys, z_guess, newton_tol, max_iter, integration_tol, jac_tol, fd_step):
+    """Newton shooting core shared by both modes.
+
+    ``z_guess`` is a full initial state; only its ``cols`` components move.
+    Returns (z0, |R|, iterations, trajectory), where ``trajectory()`` is the
+    dense flow from z0 at the residual tolerance.
+    """
+    if integration_tol is None:
+        integration_tol = 0.1 * newton_tol
+    if jac_tol is None:
+        jac_tol = max(1e-8, 10.0 * integration_tol)
+    field = assemble_field(sys)
+    switches = field_switches(sys)
+    (t0, t1), cols, rows = _problem(sys)
+    base = np.asarray(z_guess, dtype=float)
+    eye = np.eye(sys.dim)[np.ix_(rows, cols)]
+
+    def state(p):
+        z = base.copy()
+        z[cols] = p
+        return z
+
+    def residual_fn(p):
+        return _defect(sys, field, switches, state(p), integration_tol)
+
+    def jacobian_fn(p):
+        J = flow_jacobian(field, state(p), t1 - t0, jac_tol, fd_step, t0, switches, cols)
+        return J[rows] - eye
+
+    p, res, iters = _newton(residual_fn, jacobian_fn, base[cols], newton_tol, max_iter)
+    z = state(p)
+    return z, res, iters, lambda: integrate(field, z, t0, t1, integration_tol,
+                                            switches=switches)
 
 
 def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40,
@@ -187,44 +233,41 @@ def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40,
     """
     if sys.mode != "periodic":
         raise ValueError("shoot_periodic requires a periodic-mode system")
-    if integration_tol is None:
-        integration_tol = 0.1 * newton_tol
-    if jac_tol is None:
-        jac_tol = max(1e-8, 10.0 * integration_tol)
-    field = assemble_field(sys)
-    switches = field_switches(sys)
-    residual_fn = _periodic_residual_fn(sys, field, switches, integration_tol)
-    n = sys.dim
-
-    def jacobian_fn(z):
-        J = np.empty((n, n))
-        for j in range(n):
-            d = fd_step * (1.0 + abs(z[j]))
-            zp = z.copy()
-            zp[j] += d
-            zm = z.copy()
-            zm[j] -= d
-            J[:, j] = (_flow(field, zp, sys.T, jac_tol, switches)
-                       - _flow(field, zm, sys.T, jac_tol, switches)) / (2 * d)
-        return J - np.eye(n)
-
-    z, res, iters = _newton(residual_fn, jacobian_fn, np.asarray(z_guess, float),
-                            newton_tol, max_iter)
-    return _make_periodic_record(sys, field, switches, z, res, iters, integration_tol)
-
-
-def _make_periodic_record(sys, field, switches, z, res, iters, tol):
+    z, res, iters, trajectory = _shoot(sys, z_guess, newton_tol, max_iter,
+                                       integration_tol, jac_tol, fd_step)
     M = sys.M
-    turns = None
-    traj = integrate(field, z, 0.0, sys.T, tol, switches=switches)
     try:
-        rep = winding(traj, (2 * M, 2 * M + 1), _WINDING_MIN_RADIUS)
-        turns = rep.turns
+        turns = winding(trajectory(), (2 * M, 2 * M + 1), _WINDING_MIN_RADIUS).turns
     except OriginTooCloseError:
         turns = None
     return PeriodicSolutionRecord(
         z0=z, residual=res, iterations=iters, turns=turns,
         x0_normalized=np.mod(z[:M], 2 * np.pi), M=M)
+
+
+def shoot_neumann(sys, guess, newton_tol=1e-9, max_iter=40,
+                  integration_tol=None, jac_tol=None, fd_step=1e-6):
+    """Newton shooting for the Neumann problem from guess (x_a, u_a).
+
+    The initial state is (x_a, 0, u_a, 0) by construction; the residual is
+    (y(b), v(b)) over the free unknowns in R^{M+1}.
+    """
+    if sys.mode != "neumann":
+        raise ValueError("shoot_neumann requires a Neumann-mode system")
+    M = sys.M
+    z = np.zeros(sys.dim)
+    z[:M], z[2 * M] = guess
+    z, res, iters, _ = _shoot(sys, z, newton_tol, max_iter,
+                              integration_tol, jac_tol, fd_step)
+    return NeumannSolutionRecord(
+        x_a=z[:M], u_a=float(z[2 * M]), residual=res, iterations=iters,
+        z0=z, x_a_normalized=np.mod(z[:M], 2 * np.pi))
+
+
+def revalidate(sys, record, integration_tol=1e-12):
+    """Residual re-computed by an independent integration at ``integration_tol``."""
+    return float(np.linalg.norm(_defect(sys, assemble_field(sys), field_switches(sys),
+                                        record.z0, integration_tol)))
 
 
 # --------------------------------------------------------------------------
@@ -257,52 +300,38 @@ def _union_find_partition(n, same):
     return labels, classes
 
 
-def classify_distinct(records, tol=1e-6):
-    """Partition periodic records into geometrically distinct classes.
-
-    Two records coincide when their y(0) and w(0) agree within ``tol`` and
-    every x_i(0) agrees modulo 2pi within ``tol``.  Union-find makes the
-    relation a true equivalence regardless of input order.
-    """
+def _classify(records, tol):
     records = list(records)
-    n = len(records)
+    M = records[0].z0.size // 2 - 1 if records else 0
 
     def same(i, j):
-        a, b = records[i], records[j]
-        if np.max(np.abs(a.y0 - b.y0), initial=0.0) > tol:
-            return False
-        if np.max(np.abs(a.w0 - b.w0)) > tol:
-            return False
-        dx = wrap_angle_diff(a.z0[:a.M] - b.z0[:b.M])
-        return np.max(np.abs(dx), initial=0.0) <= tol
+        d = _wrap_x(records[i].z0 - records[j].z0, M)
+        return np.max(np.abs(d)) <= tol
 
-    labels, classes = _union_find_partition(n, same)
+    labels, classes = _union_find_partition(len(records), same)
     reps = tuple(min((records[i] for i in cls), key=lambda r: (r.residual, _canon_key(r)))
                  for cls in classes)
     return DistinctnessPartition(labels=labels, classes=classes, representatives=reps)
 
 
 def _canon_key(rec):
-    return tuple(np.round(np.concatenate([rec.x0_normalized, rec.z0[rec.M:]]), 9))
+    M = rec.z0.size // 2 - 1
+    return tuple(np.round(np.concatenate([np.mod(rec.z0[:M], 2 * np.pi), rec.z0[M:]]), 9))
+
+
+def classify_distinct(records, tol=1e-6):
+    """Partition solution records into geometrically distinct classes.
+
+    Two records coincide when their initial states agree within ``tol``
+    componentwise, every x_i modulo 2pi.  Union-find makes the relation a
+    true equivalence regardless of input order.
+    """
+    return _classify(records, tol)
 
 
 def classify_distinct_neumann(records, tol=1e-6):
     """Neumann distinctness: x_a modulo 2pi, u_a compared directly."""
-    records = list(records)
-    n = len(records)
-
-    def same(i, j):
-        a, b = records[i], records[j]
-        if abs(a.u_a - b.u_a) > tol:
-            return False
-        dx = wrap_angle_diff(a.x_a - b.x_a)
-        return np.max(np.abs(dx), initial=0.0) <= tol
-
-    labels, classes = _union_find_partition(n, same)
-    reps = tuple(min((records[i] for i in cls),
-                     key=lambda r: (r.residual, tuple(np.round(r.x_a_normalized, 9)), round(r.u_a, 9)))
-                 for cls in classes)
-    return DistinctnessPartition(labels=labels, classes=classes, representatives=reps)
+    return _classify(records, tol)
 
 
 # --------------------------------------------------------------------------
@@ -397,21 +426,19 @@ def _dedup_tol(records, base=1e-6):
     return base * (1.0 + scale)
 
 
-def multistart_periodic(sys, spec=None, newton_tol=1e-9, max_iter=40, seed=0, **kw):
-    """Run :func:`shoot_periodic` from every grid start and deduplicate.
+def _multistart(sys, starts, shoot, **kw):
+    """Run ``shoot`` from every start and deduplicate.
 
     Failures are dropped and counted in ``stats``; successes are partitioned
     into geometrically distinct classes (canonical order for determinism).
     """
-    spec = spec or MultistartSpec()
     successes = []
     stats = {"attempted": 0, "converged": 0, "max_iterations": 0,
              "singular_stall": 0, "integration_failure": 0}
-    for z0 in spec.starts(sys.M, seed=seed):
+    for guess in starts:
         stats["attempted"] += 1
         try:
-            rec = shoot_periodic(sys, z0, newton_tol=newton_tol, max_iter=max_iter, **kw)
-            successes.append(rec)
+            successes.append(shoot(sys, guess, **kw))
             stats["converged"] += 1
         except SingularJacobianError:
             stats["singular_stall"] += 1
@@ -425,104 +452,15 @@ def multistart_periodic(sys, spec=None, newton_tol=1e-9, max_iter=40, seed=0, **
                             all_records=tuple(successes), stats=stats)
 
 
-# --------------------------------------------------------------------------
-# Neumann shooting
-# --------------------------------------------------------------------------
-
-def _neumann_state(sys, x_a, u_a):
-    M = sys.M
-    z = np.zeros(sys.dim)
-    z[:M] = x_a
-    z[2 * M] = u_a
-    return z
-
-
-def _neumann_residual(sys, field, switches, tol, x_a, u_a):
-    a, b = sys.interval
-    z = _neumann_state(sys, x_a, u_a)
-    traj = integrate(field, z, a, b, tol, dense=False, switches=switches)
-    zb = traj.ys[-1]
-    M = sys.M
-    return np.concatenate([zb[M:2 * M], [zb[2 * M + 1]]])  # (y(b), v(b))
-
-
-def shoot_neumann(sys, guess, newton_tol=1e-9, max_iter=40,
-                  integration_tol=None, jac_tol=None, fd_step=1e-6):
-    """Newton shooting for the Neumann problem from guess (x_a, u_a).
-
-    The initial state is (x_a, 0, u_a, 0) by construction; the residual is
-    (y(b), v(b)) over the free unknowns in R^{M+1}.
-    """
-    if sys.mode != "neumann":
-        raise ValueError("shoot_neumann requires a Neumann-mode system")
-    if integration_tol is None:
-        integration_tol = 0.1 * newton_tol
-    if jac_tol is None:
-        jac_tol = max(1e-8, 10.0 * integration_tol)
-    field = assemble_field(sys)
-    switches = field_switches(sys)
-    M = sys.M
-    x_a0, u_a0 = guess
-    p0 = np.concatenate([np.asarray(x_a0, dtype=float).ravel(), [float(u_a0)]])
-
-    def residual_fn(p):
-        return _neumann_residual(sys, field, switches, integration_tol, p[:M], p[M])
-
-    def jacobian_fn(p):
-        n = M + 1
-        J = np.empty((n, n))
-        for j in range(n):
-            d = fd_step * (1.0 + abs(p[j]))
-            pp = p.copy()
-            pp[j] += d
-            pm = p.copy()
-            pm[j] -= d
-            J[:, j] = (_neumann_residual(sys, field, switches, jac_tol, pp[:M], pp[M])
-                       - _neumann_residual(sys, field, switches, jac_tol, pm[:M], pm[M])) / (2 * d)
-        return J
-
-    p, res, iters = _newton(residual_fn, jacobian_fn, p0, newton_tol, max_iter)
-    x_a = p[:M]
-    u_a = float(p[M])
-    return NeumannSolutionRecord(
-        x_a=x_a, u_a=u_a, residual=res, iterations=iters,
-        z0=_neumann_state(sys, x_a, u_a), x_a_normalized=np.mod(x_a, 2 * np.pi))
+def multistart_periodic(sys, spec=None, newton_tol=1e-9, max_iter=40, seed=0, **kw):
+    """Run :func:`shoot_periodic` from every grid start and deduplicate."""
+    starts = (spec or MultistartSpec()).starts(sys.M, seed=seed)
+    return _multistart(sys, starts, shoot_periodic, newton_tol=newton_tol,
+                       max_iter=max_iter, **kw)
 
 
 def multistart_neumann(sys, spec=None, newton_tol=1e-9, max_iter=40, seed=0, **kw):
     """Run :func:`shoot_neumann` from every grid start and deduplicate."""
-    spec = spec or NeumannStartSpec()
-    successes = []
-    stats = {"attempted": 0, "converged": 0, "max_iterations": 0,
-             "singular_stall": 0, "integration_failure": 0}
-    for x_a, u_a in spec.starts(sys.M, seed=seed):
-        stats["attempted"] += 1
-        try:
-            rec = shoot_neumann(sys, (x_a, u_a), newton_tol=newton_tol,
-                                max_iter=max_iter, **kw)
-            successes.append(rec)
-            stats["converged"] += 1
-        except SingularJacobianError:
-            stats["singular_stall"] += 1
-        except MaxIterationsError:
-            stats["max_iterations"] += 1
-        except IntegrationError:
-            stats["integration_failure"] += 1
-    successes.sort(key=lambda r: (tuple(np.round(r.x_a_normalized, 9)), round(r.u_a, 9)))
-    partition = classify_distinct_neumann(
-        successes, tol=_dedup_tol(successes) if successes else 1e-6)
-    return MultistartResult(records=partition.representatives, partition=partition,
-                            all_records=tuple(successes), stats=stats)
-
-
-def revalidate(sys, record, integration_tol=1e-12):
-    """Residual re-computed by an independent integration at ``integration_tol``."""
-    field = assemble_field(sys)
-    switches = field_switches(sys)
-    if sys.mode == "periodic":
-        zT = _flow(field, record.z0, sys.T, integration_tol, switches)
-        d = zT - record.z0
-        d[:sys.M] = wrap_angle_diff(d[:sys.M])
-        return float(np.linalg.norm(d))
-    return float(np.linalg.norm(
-        _neumann_residual(sys, field, switches, integration_tol, record.x_a, record.u_a)))
+    starts = (spec or NeumannStartSpec()).starts(sys.M, seed=seed)
+    return _multistart(sys, starts, shoot_neumann, newton_tol=newton_tol,
+                       max_iter=max_iter, **kw)

@@ -41,16 +41,13 @@ class DecompositionData:
     """Structural data of the convex-combination decomposition of F.
 
     ``mode`` is "global" (one gamma on all of R^2) or "quadrant" (a separate
-    gamma on each open quadrant).  ``grad_Q`` must be uniformly bounded by
-    ``C_tilde``.
+    gamma on each open quadrant).
     """
 
     H1: object
     H2: object
     grad_Q: callable
     mode: str = "global"
-    C_tilde: float | None = None
-    Q_value: callable = None
 
     def __post_init__(self):
         if self.mode not in ("global", "quadrant"):

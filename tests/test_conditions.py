@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hamshoot.conditions import (AsymmetricEigenfunction, Ball, ResonanceTag,
-                                 SampleBox, avoiding_rays_check,
+                                 SampleBox, _vectorized_field, avoiding_rays_check,
                                  classify_resonance, constant_path, estimate_mbar,
                                  fourier_paths, indefinite_twist_check, ll_margin,
                                  scalar_ll, twist_check)
@@ -333,3 +333,21 @@ def test_indefinite_twist_matrix_validation():
         indefinite_twist_check(sys_, ball, np.array([[1.0, 2.0], [2.0, 4.0]]), ens)
     with pytest.raises(SingularMatrixError):
         indefinite_twist_check(sys_, ball, np.array([[1.0, 2.0], [0.0, 1.0]]), ens)
+
+
+def test_vectorized_field_falls_back_only_for_scalar_only_fields():
+    ts, w = np.linspace(0.0, 1.0, 3), np.arange(6.0).reshape(2, 3)
+    scalar_only = lambda t, w: np.array([float(w[1]) * t, -float(w[0])])
+    assert np.array_equal(_vectorized_field(scalar_only)(ts, w),
+                          np.stack([w[1] * ts, -w[0]]))
+    calls = []
+
+    def broken(t, w):
+        calls.append(np.ndim(w))
+        if np.ndim(w) > 1:
+            raise RuntimeError("array input")
+        return w
+
+    with pytest.raises(RuntimeError, match="array input"):
+        _vectorized_field(broken)(ts, w)
+    assert calls == [2]

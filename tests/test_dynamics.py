@@ -5,6 +5,8 @@ from hamshoot.dynamics import (VectorField, flow_jacobian, flow_map, integrate,
                                variational_field, winding)
 from hamshoot.errors import (NonfiniteStateError, OriginTooCloseError,
                              StepUnderflowError)
+from hamshoot.homogeneous import asymmetric
+from hamshoot.systems import CoupledSystem, assemble_field, field_switches
 
 CENTER = VectorField(2, lambda t, z: np.array([z[1], -z[0]]))
 PENDULUM = VectorField(2, lambda t, z: np.array([z[1], -np.sin(z[0])]))
@@ -82,6 +84,31 @@ def test_flow_jacobian_vs_variational_oracle():
     M_oracle = integrate(aug, zM0, 0.0, 2 * np.pi, 1e-12).ys[-1][2:].reshape(2, 2)
     J_fd = flow_jacobian(PENDULUM, z0, 2 * np.pi, 1e-12, fd_step=1e-6)
     assert np.max(np.abs(J_fd - M_oracle)) < 1e-5
+
+
+def test_flow_jacobian_cols_are_columns_of_full_jacobian():
+    f = VectorField(4, lambda t, z: np.array([z[1], -np.sin(z[0]) + 0.3 * z[2], z[3], -z[2]]))
+    z0 = np.array([0.7, 0.3, -0.4, 0.2])
+    full = flow_jacobian(f, z0, 2.0, 1e-10)
+    for cols in ([0, 2], [3], [2, 0, 1]):
+        assert np.array_equal(flow_jacobian(f, z0, 2.0, 1e-10, cols=cols), full[:, cols])
+
+
+def test_flow_jacobian_with_switches_vs_variational_oracle():
+    """Across the u = 0 kink of an asymmetric oscillator, to the criterion-08 bound."""
+    mu, nu = 4.0, 1.0
+    osc = asymmetric(mu, nu)
+    sys_ = CoupledSystem(M=0, F=lambda t, w: np.asarray(osc.grad(w), dtype=float),
+                         T=1.5 * np.pi, w_kink=True)
+    field, switches = assemble_field(sys_), field_switches(sys_)
+    jac = lambda t, z: np.array([[0.0, 1.0], [-(mu if z[0] > 0 else nu), 0.0]])
+    aug = variational_field(field, jac, 2)
+    for z0 in (np.array([0.4, 0.0]), np.array([-0.3, 0.5])):
+        zM0 = np.concatenate([z0, np.eye(2).ravel()])
+        M_oracle = integrate(aug, zM0, 0.0, sys_.T, 1e-12,
+                             switches=switches).ys[-1][2:].reshape(2, 2)
+        J_fd = flow_jacobian(field, z0, sys_.T, 1e-12, fd_step=1e-6, switches=switches)
+        assert np.max(np.abs(J_fd - M_oracle)) < 1e-5
 
 
 def test_winding_clockwise_circle():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from hamshoot import solvers
 from hamshoot.homogeneous import asymmetric, isotropic
-from hamshoot.solvers import (MultistartSpec, NeumannStartSpec, classify_distinct,
+from hamshoot.solvers import (MultistartSpec, NeumannSolutionRecord, NeumannStartSpec,
+                              PeriodicSolutionRecord, classify_distinct,
                               classify_distinct_neumann, multistart_neumann,
                               multistart_periodic, revalidate, shoot_neumann,
                               shoot_periodic, wrap_angle_diff)
@@ -74,11 +76,19 @@ def test_lm_fallback_on_singular_jacobian_with_nonzero_residual():
     assert rec.iterations > 0
 
 
-def test_record_revalidates_at_tighter_tolerance():
+@pytest.mark.parametrize("mode", ["periodic", "neumann"])
+def test_record_revalidates_at_tighter_tolerance(mode):
     newton_tol = 1e-9
-    rec = shoot_periodic(PEND, np.array([np.pi - 0.08, 0.0, 0.0, 0.0]),
-                         newton_tol=newton_tol)
-    res_tight = revalidate(PEND, rec, integration_tol=1e-12)
+    if mode == "periodic":
+        sys_ = PEND
+        rec = shoot_periodic(sys_, np.array([np.pi - 0.08, 0.0, 0.0, 0.0]),
+                             newton_tol=newton_tol)
+    else:
+        sys_ = CoupledSystem(M=1, F=_iso_field(), grad_H=_grad_pendulum(),
+                             interval=(0.0, 1.0))
+        rec = shoot_neumann(sys_, (np.array([np.pi - 0.08]), 0.3), newton_tol=newton_tol)
+    assert rec.iterations > 0
+    res_tight = revalidate(sys_, rec, integration_tol=1e-12)
     assert abs(res_tight - rec.residual) < 10 * newton_tol
 
 
@@ -98,7 +108,6 @@ def test_winding_recorded_only_away_from_origin():
 # ---------------------------------------------------------------------------
 
 def _record(x, y, w, residual=1e-12):
-    from hamshoot.solvers import PeriodicSolutionRecord
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z0 = np.concatenate([x, np.atleast_1d(y), np.asarray(w, dtype=float)])
     return PeriodicSolutionRecord(z0=z0, residual=residual, iterations=1,
@@ -126,16 +135,30 @@ def test_classify_pendulum_equilibria_distinct():
     assert part.labels[0] == part.labels[2]
 
 
+def _neumann_record(x, u, residual=1e-12):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z0 = np.concatenate([x, np.zeros(x.size), [u, 0.0]])
+    return NeumannSolutionRecord(x_a=x, u_a=u, residual=residual, iterations=1, z0=z0,
+                                 x_a_normalized=np.mod(x, 2 * np.pi))
+
+
 def test_classify_is_equivalence_and_permutation_invariant():
-    recs = [_record(0.1, 0.0, [0, 0]), _record(0.1 - 2 * np.pi, 0.0, [0, 0]),
-            _record(2.0, 0.0, [0, 0]), _record(2.0, 1.0, [0, 0]),
-            _record(0.1 + 4 * np.pi, 0.0, [0, 0])]
-    a = classify_distinct(recs)
-    assert a.n_classes == 3
-    # chained 2pi shifts land in one class (transitivity via union-find)
-    assert a.labels[0] == a.labels[1] == a.labels[4]
-    b = classify_distinct(recs[::-1])
-    assert b.n_classes == 3
+    xs = (0.1, 0.1 - 2 * np.pi, 2.0, 2.0, 0.1 + 4 * np.pi)
+    ss = (0.0, 0.0, 0.0, 1.0, 0.0)
+    residuals = (3e-12, 1e-12, 2e-12, 1e-12, 2e-12)
+    periodic = [_record(x, s, [0, 0], r) for x, s, r in zip(xs, ss, residuals)]
+    neumann = [_neumann_record(x, s, r) for x, s, r in zip(xs, ss, residuals)]
+    for recs in (periodic, neumann):
+        a = classify_distinct(recs)
+        assert a.n_classes == 3
+        # chained 2pi shifts land in one class (transitivity via union-find)
+        assert a.labels[0] == a.labels[1] == a.labels[4]
+        assert a.representatives[a.labels[0]] is recs[1]  # smallest residual
+        b = classify_distinct(recs[::-1])
+        assert b.n_classes == 3
+    a, b = classify_distinct(neumann), classify_distinct_neumann(neumann)
+    assert np.array_equal(a.labels, b.labels) and a.classes == b.classes
+    assert all(r is s for r, s in zip(a.representatives, b.representatives))
 
 
 def test_multistart_decoupled_product_structure():
@@ -226,3 +249,28 @@ def test_neumann_pendulum_type_isolated_solutions():
     xs = sorted(r.x_a_normalized[0] for r in result.records)
     assert any(abs(x) < 1e-6 or abs(x - 2 * np.pi) < 1e-6 for x in xs)
     assert any(abs(x - np.pi) < 1e-6 for x in xs)
+
+
+def test_multistart_calls_public_hooks(monkeypatch):
+    """Each start and the one classification go through the module attributes
+    that instrumentation rebinds."""
+    names = ("shoot_periodic", "shoot_neumann", "multistart_periodic",
+             "multistart_neumann", "classify_distinct", "classify_distinct_neumann")
+    assert len({id(getattr(solvers, n)) for n in names}) == len(names)
+    calls = {}
+    for name in ("shoot_periodic", "shoot_neumann", "classify_distinct"):
+        def counted(*args, _orig=getattr(solvers, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(solvers, name, counted)
+    flat = CoupledSystem(M=1, F=_zero_field(),
+                         grad_H=lambda t, x, y: (np.zeros(1), np.zeros(1)), T=1.0)
+    result = solvers.multistart_periodic(flat, MultistartSpec(
+        x_points=2, y_ranges=((-1.0, 1.0),), y_points=1, w_radii=(0.5,), w_angles=2))
+    assert result.stats["attempted"] == 4
+    assert calls == {"shoot_periodic": 4, "classify_distinct": 1}
+    calls.clear()
+    result = solvers.multistart_neumann(_neumann_oscillator((0.0, 1.0)),
+                                        NeumannStartSpec(x_points=2, u_points=2))
+    assert result.stats["attempted"] == 4
+    assert calls == {"shoot_neumann": 4, "classify_distinct": 1}
