@@ -33,7 +33,7 @@ from . import __version__
 from .conditions import (Ball, avoiding_rays_check, classify_resonance,
                          constant_path, estimate_mbar, fourier_paths,
                          indefinite_twist_check, ll_margin, twist_check, SampleBox)
-from .config import load_config
+from .config import _number, _reading, load_config
 from .errors import (ConfigError, IntegrationError, SingularMatrixError,
                      ValidationError)
 from .homogeneous import asym_period, half_periods, minimal_period, reference_orbit
@@ -95,14 +95,9 @@ def _periods_stage(cfg, out_dir):
             rows.append((name, H.label, tau, hp.tau_plus, hp.tau_minus))
             section[name] = {"label": H.label, "tau": tau,
                              "tau_plus": hp.tau_plus, "tau_minus": hp.tau_minus}
-        planar = cfg.raw.get("planar", {}) or {}
-        if planar.get("preset", "asymmetric") == "asymmetric":
-            mu1 = float(planar.get("mu1", 1.0))
-            nu1 = float(planar.get("nu1", 1.0))
-            mu2 = float(planar.get("mu2", mu1))
-            nu2 = float(planar.get("nu2", nu1))
-            section["closed_form"] = {"tau1": asym_period((mu1, nu1)),
-                                      "tau2": asym_period((mu2, nu2))}
+        if cfg._stiffness is not None:   # (mu1, nu1, mu2, nu2)
+            section["closed_form"] = {"tau1": asym_period(cfg._stiffness[:2]),
+                                      "tau2": asym_period(cfg._stiffness[2:])}
     _write_csv(out_dir / "periods.csv",
                ["block", "label", "tau", "tau_plus", "tau_minus"], rows)
     return section
@@ -111,7 +106,8 @@ def _periods_stage(cfg, out_dir):
 def _classify_stage(cfg, periods_section):
     if "H1" not in periods_section:
         return {"note": "no decomposition; classification skipped"}
-    tol = float((cfg.conditions or {}).get("resonance_tol", 1e-9))
+    with _reading("conditions"):
+        tol = _number(cfg.conditions, "resonance_tol", 1e-9)
     if cfg.mode == "periodic":
         tau1 = periods_section["H1"]["tau"]
         tau2 = periods_section["H2"]["tau"]
@@ -127,31 +123,26 @@ def _classify_stage(cfg, periods_section):
             "span": span, "basis": basis, "text": str(rc)}
 
 
-def _default_mbar_box(cfg):
-    mc = (cfg.conditions or {}).get("mbar", {}) or {}
-    sys_ = cfg.system
-    M = cfg.M
-    y_box = mc.get("y_box") or [[-1.0, 1.0]] * M
-    w_box = mc.get("w_box") or [[-2.0, 2.0], [-2.0, 2.0]]
-    return SampleBox(t_range=(sys_.t0, sys_.t0 + sys_.span),
-                     x_ranges=tuple((0.0, 2 * np.pi) for _ in range(M)),
-                     y_ranges=tuple(tuple(map(float, r)) for r in y_box),
-                     w_ranges=tuple(tuple(map(float, r)) for r in w_box))
-
-
 def _estimate_mbar(cfg, seed):
     """Estimated sup |grad_w P| over the configured box; 0 without a coupling."""
-    grad_P = cfg.system.grad_P
-    if grad_P is None:
+    sys_, M = cfg.system, cfg.M
+    if sys_.grad_P is None:
         return 0.0
-    mc = (cfg.conditions or {}).get("mbar", {}) or {}
-    return estimate_mbar(lambda t, x, y, w: grad_P(t, x, y, w)[2], _default_mbar_box(cfg),
-                         n_samples=int(mc.get("n_samples", 10000)), seed=seed)
+    mc = cfg.conditions.get("mbar", {}) or {}
+    with _reading("conditions.mbar"):
+        box = SampleBox(t_range=(sys_.t0, sys_.t0 + sys_.span),
+                        x_ranges=((0.0, 2 * np.pi),) * M,
+                        y_ranges=_number(mc, "y_box", [[-1.0, 1.0]] * M, (M, 2)),
+                        w_ranges=_number(mc, "w_box", [[-2.0, 2.0]] * 2, (2, 2)))
+        n_samples = _number(mc, "n_samples", 10000, int)
+    return estimate_mbar(lambda t, x, y, w: sys_.grad_P(t, x, y, w)[2], box,
+                         n_samples=n_samples, seed=seed)
 
 
 def _conditions_stage(cfg, out_dir, seed):
     sys_ = cfg.system
-    cond = cfg.conditions or {}
+    cond = cfg.conditions
+    M = cfg.M
     rows = []
     section = {}
 
@@ -168,51 +159,42 @@ def _conditions_stage(cfg, out_dir, seed):
                        "note": "empirical max over Halton samples; lower bound of sup"}
     rows.append(("mbar", "sup |grad_w P| estimate", mbar, "", ""))
 
-    def _ensemble(block):
+    def ensemble(block):
         ens_cfg = block.get("ensemble", {}) or {}
         ens = [constant_path(c) for c in ens_cfg.get("constants", [[0.0, 0.0]])]
         fr = ens_cfg.get("fourier")
         if fr:
-            ens += fourier_paths(int(fr.get("count", 2)),
-                                 float(fr.get("amplitude", 1.0)),
-                                 int(fr.get("modes", 3)), sys_.T, seed=seed)
+            with _reading("ensemble.fourier"):
+                ens += fourier_paths(_number(fr, "count", 2, int), _number(fr, "amplitude", 1.0),
+                                     _number(fr, "modes", 3, int), sys_.T, seed=seed)
         return ens
 
-    twist_cfg = cond.get("twist", {}) or {}
-    if twist_cfg.get("enabled", False) and cfg.mode == "periodic":
-        rep = twist_check(sys_, twist_cfg["D"], twist_cfg["sigma"], _ensemble(twist_cfg),
-                          x_points=int(twist_cfg.get("x_points", 3)),
-                          y_points=int(twist_cfg.get("y_points", 3)))
-        section["twist"] = {"passed": rep.passed, "n_samples": len(rep.samples),
-                            "violations": list(rep.violations)}
-        rows.append(("twist", f"{len(rep.samples)} samples", len(rep.violations),
-                     0, "pass" if rep.passed else "FAIL"))
+    def ball(block):
+        return Ball(_number(block, "center", [0.0] * M, (M,)), _number(block, "radius", 1.0))
 
-    ar_cfg = cond.get("avoiding_rays", {}) or {}
-    if ar_cfg.get("enabled", False) and cfg.mode == "periodic":
-        body = Ball(np.asarray(ar_cfg.get("center", [0.0] * cfg.M), dtype=float),
-                    float(ar_cfg.get("radius", 1.0)))
-        rep = avoiding_rays_check(sys_, body, int(ar_cfg.get("sigma", 1)),
-                                  _ensemble(ar_cfg),
-                                  boundary_grid=int(ar_cfg.get("boundary_points", 16)),
-                                  x_points=int(ar_cfg.get("x_points", 3)))
-        section["avoiding_rays"] = {"passed": rep.passed, "n_samples": len(rep.samples),
-                                    "violations": list(rep.violations)}
-        rows.append(("avoiding-rays", f"{len(rep.samples)} samples",
-                     len(rep.violations), 0, "pass" if rep.passed else "FAIL"))
-
-    it_cfg = cond.get("indefinite_twist", {}) or {}
-    if it_cfg.get("enabled", False) and cfg.mode == "periodic":
-        body = Ball(np.asarray(it_cfg.get("center", [0.0] * cfg.M), dtype=float),
-                    float(it_cfg.get("radius", 1.0)))
-        A = np.asarray(it_cfg.get("A", np.eye(cfg.M).tolist()), dtype=float)
-        rep = indefinite_twist_check(sys_, body, A, _ensemble(it_cfg),
-                                     boundary_grid=int(it_cfg.get("boundary_points", 16)),
-                                     x_points=int(it_cfg.get("x_points", 3)))
-        section["indefinite_twist"] = {"passed": rep.passed,
-                                       "n_samples": len(rep.samples),
-                                       "violations": list(rep.violations)}
-        rows.append(("indefinite-twist", f"{len(rep.samples)} samples",
+    # (key, check, its arguments before the ensemble and its keywords besides x_points)
+    twist_checks = (
+        ("twist", twist_check, lambda b: (
+            [b["D"], b["sigma"]], {"y_points": _number(b, "y_points", 3, int)})),
+        ("avoiding_rays", avoiding_rays_check, lambda b: (
+            [ball(b), _number(b, "sigma", 1, int)],
+            {"boundary_grid": _number(b, "boundary_points", 16, int)})),
+        ("indefinite_twist", indefinite_twist_check, lambda b: (
+            [ball(b), _number(b, "A", np.eye(M), (M, M))],
+            {"boundary_grid": _number(b, "boundary_points", 16, int)})),
+    )
+    for key, check, arguments in twist_checks:
+        block = cond.get(key, {}) or {}
+        if not (block.get("enabled", False) and cfg.mode == "periodic"):
+            continue
+        with _reading(f"conditions.{key}"):
+            args, kwargs = arguments(block)
+            kwargs["x_points"] = _number(block, "x_points", 3, int)
+            ens = ensemble(block)
+        rep = check(sys_, *args, ens, **kwargs)
+        section[key] = {"passed": rep.passed, "n_samples": len(rep.samples),
+                        "violations": list(rep.violations)}
+        rows.append((key.replace("_", "-"), f"{len(rep.samples)} samples",
                      len(rep.violations), 0, "pass" if rep.passed else "FAIL"))
 
     _write_csv(out_dir / "conditions.csv",
@@ -224,22 +206,24 @@ def _ll_stage(cfg, out_dir, seed, mbar_hint=None):
     sys_ = cfg.system
     if sys_.decomposition is None:
         return {"note": "no decomposition; Landesman-Lazer margins skipped"}
-    ll_cfg = (cfg.conditions or {}).get("ll", {}) or {}
-    mbar = ll_cfg.get("mbar")
+    ll_cfg = cfg.conditions.get("ll", {}) or {}
+    with _reading("conditions.ll"):
+        lam = np.logspace(np.log10(_number(ll_cfg, "lambda_min", 1e2)),
+                          np.log10(_number(ll_cfg, "lambda_max", 1e6)),
+                          _number(ll_cfg, "lambda_points", 9, int))
+        theta_n = _number(ll_cfg, "theta_points", 64, int)
+        s_points = _number(ll_cfg, "s_points", 5, int)
+        t_nodes = _number(ll_cfg, "t_nodes", 512, int)
+        mbar = None if ll_cfg.get("mbar") is None else _number(ll_cfg, "mbar", None)
     if mbar is None:
         mbar = mbar_hint if mbar_hint is not None else _estimate_mbar(cfg, seed)
-    lam = np.logspace(np.log10(float(ll_cfg.get("lambda_min", 1e2))),
-                      np.log10(float(ll_cfg.get("lambda_max", 1e6))),
-                      int(ll_cfg.get("lambda_points", 9)))
-    theta_n = int(ll_cfg.get("theta_points", 64))
     grid = sys_.t0 + np.linspace(0.0, sys_.span, theta_n, endpoint=False)
     section = {}
     rows = []
     for which, H in (("lower", sys_.decomposition.H1), ("upper", sys_.decomposition.H2)):
         orbit = reference_orbit(H, tol=1e-10)
         rep = ll_margin(sys_, which, orbit, theta_grid=grid, lambda_schedule=lam,
-                        s_points=int(ll_cfg.get("s_points", 5)), mbar=float(mbar),
-                        t_nodes=int(ll_cfg.get("t_nodes", 512)))
+                        s_points=s_points, mbar=float(mbar), t_nodes=t_nodes)
         section[which] = {"passed": rep.passed, "min_margin": rep.min_margin,
                           "mbar": float(mbar)}
         for theta, lhs, rhs, margin, disp in rep.rows:
@@ -249,29 +233,22 @@ def _ll_stage(cfg, out_dir, seed, mbar_hint=None):
     return section
 
 
-def _solutions_csv_rows(cfg, records, partition):
+def _solutions_csv_rows(cfg, records):
     M = cfg.M
-    rows = []
     if cfg.mode == "periodic":
-        for cls, rec in enumerate(records):
-            row = ["periodic", cls]
-            row += [rec.x0_normalized[i] for i in range(M)]
-            row += [rec.y0[i] for i in range(M)]
-            row += [rec.w0[0], rec.w0[1], rec.residual, rec.iterations,
-                    "" if rec.turns is None else rec.turns]
-            rows.append(row)
-        header = (["mode", "class"] + [f"x0_{i + 1}" for i in range(M)]
-                  + [f"y0_{i + 1}" for i in range(M)]
+        header = ([f"x0_{i + 1}" for i in range(M)] + [f"y0_{i + 1}" for i in range(M)]
                   + ["u0", "v0", "residual", "iterations", "turns"])
+
+        def cells(rec):
+            return [*rec.x0_normalized[:M], *rec.y0[:M], rec.w0[0], rec.w0[1], rec.residual,
+                    rec.iterations, "" if rec.turns is None else rec.turns]
     else:
-        for cls, rec in enumerate(records):
-            row = ["neumann", cls]
-            row += [rec.x_a_normalized[i] for i in range(M)]
-            row += [rec.u_a, rec.residual, rec.iterations]
-            rows.append(row)
-        header = (["mode", "class"] + [f"xa_{i + 1}" for i in range(M)]
-                  + ["u_a", "residual", "iterations"])
-    return header, rows
+        header = [f"xa_{i + 1}" for i in range(M)] + ["u_a", "residual", "iterations"]
+
+        def cells(rec):
+            return [*rec.x_a_normalized[:M], rec.u_a, rec.residual, rec.iterations]
+    return (["mode", "class"] + header,
+            [[cfg.mode, cls] + cells(rec) for cls, rec in enumerate(records)])
 
 
 def _solve_stage(cfg, out_dir, seed, dump_trajectories=False):
@@ -285,7 +262,7 @@ def _solve_stage(cfg, out_dir, seed, dump_trajectories=False):
     else:
         result = multistart_neumann(sys_, cfg.neumann_spec(),
                                     newton_tol=newton_tol, max_iter=max_iter, seed=seed)
-    header, rows = _solutions_csv_rows(cfg, result.records, result.partition)
+    header, rows = _solutions_csv_rows(cfg, result.records)
     _write_csv(out_dir / "solutions.csv", header, rows)
 
     if dump_trajectories and result.records:

@@ -42,22 +42,26 @@ Top-level keys::
            s_points, t_nodes, mbar}
       twist: {enabled, D, sigma, x_points, y_points,
               ensemble: {constants: [[u,v], ...], fourier: {count, amplitude, modes}}}
+      avoiding_rays: {enabled, center, radius, sigma, boundary_points, x_points, ensemble}
+      indefinite_twist: {enabled, center, radius, A, boundary_points, x_points, ensemble}
 
-Validation collects every violation and raises :class:`ValidationError`.
+Loading builds the system.  Everything that fails to read or to build is
+collected, under its YAML path, into one :class:`ValidationError`.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+import numpy as np
 import yaml
 
-from . import expr as xp
-from .errors import ConfigParseError, ValidationError
+from .errors import ConfigParseError, ExprSyntaxError, UnboundVariableError, ValidationError
 from .presets import (asymmetric_field, coupling_from_expr, free_rotator,
                       hamiltonian_block_from_expr, pendulum_hamiltonian,
-                      planar_field_from_expr, xy_names)
+                      planar_field_from_expr)
 from .solvers import MultistartSpec, NeumannStartSpec
 from .systems import CoupledSystem
 
@@ -81,13 +85,9 @@ class ExperimentConfig:
     solver: dict
     conditions: dict
     output: dict
-    _system: CoupledSystem = field(default=None, repr=False)
-
-    @property
-    def system(self):
-        if self._system is None:
-            self._system = _build_system(self)
-        return self._system
+    system: CoupledSystem = field(default=None, repr=False)
+    # (mu1, nu1, mu2, nu2) of the asymmetric planar preset, None for other blocks
+    _stiffness: tuple = field(default=None, repr=False)
 
     def multistart_spec(self):
         ms = dict(self.solver.get("multistart", {}))
@@ -102,6 +102,39 @@ class ExperimentConfig:
         if "u_range" in ms:
             ms["u_range"] = tuple(map(float, ms["u_range"]))
         return NeumannStartSpec(**ms)
+
+
+def _number(section, key, default, kind=float):
+    """``section[key]``, or ``default`` when absent, as ``kind``: float, int,
+    or the shape of a float array."""
+    value = section.get(key, default)
+    try:
+        if not isinstance(kind, tuple):
+            return kind(value)
+        arr = np.asarray(value, dtype=float)
+        if arr.shape == kind:
+            return arr
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = {int: "an integer", float: "a number"}.get(kind, f"numbers in shape {kind}")
+    raise ValidationError([f"{key} must be {what}, got {value!r}"])
+
+
+@contextmanager
+def _reading(where, problems=None):
+    """Name what fails inside by the YAML path ``where``: a ValidationError's
+    problems (each starts with its key) as ``where.problem``, an expression
+    error as ``where: error``; add them to ``problems``, or raise them."""
+    try:
+        yield
+        return
+    except ValidationError as exc:
+        found = [f"{where}.{p}" for p in exc.problems]
+    except (ExprSyntaxError, UnboundVariableError) as exc:
+        found = [f"{where}: {exc}"]
+    if problems is None:
+        raise ValidationError(found) from None
+    problems.extend(found)
 
 
 def load_config(path):
@@ -141,14 +174,15 @@ def loads_config(text, path="<string>"):
     if mode == "periodic":
         if T is None:
             problems.append("periodic mode requires T")
-        elif not T > 0:
-            problems.append(f"T must be positive, got {T}")
+        elif not (isinstance(T, (int, float)) and T > 0):
+            problems.append(f"T must be a positive number, got {T!r}")
         if interval is not None:
             problems.append("periodic mode must not set interval")
     else:
         if interval is None:
             problems.append("neumann mode requires interval: [a, b]")
         elif not (isinstance(interval, (list, tuple)) and len(interval) == 2
+                  and all(isinstance(c, (int, float)) for c in interval)
                   and interval[0] < interval[1]):
             problems.append(f"interval must be [a, b] with a < b, got {interval!r}")
         if T is not None:
@@ -163,147 +197,85 @@ def loads_config(text, path="<string>"):
     if not isinstance(params, dict):
         problems.append("params must be a mapping of name -> number")
         params = {}
-    else:
-        for k, v in params.items():
-            if not isinstance(v, (int, float)):
-                problems.append(f"params.{k} must be a number, got {v!r}")
+    for k, v in params.items():
+        if not isinstance(v, (int, float)):
+            problems.append(f"params.{k} must be a number, got {v!r}")
+    params = {k: v for k, v in params.items() if isinstance(v, (int, float))}
 
-    problems += _validate_blocks(raw, M, params)
+    twist = (raw.get("conditions", {}) or {}).get("twist", {}) or {}
+    if twist.get("enabled", False):
+        with _reading("conditions.twist", problems):
+            D = _number(twist, "D", None, (M, 2))
+            if not np.all(D[:, 0] < D[:, 1]):
+                raise ValidationError([f"D must be M={M} ranges [a_i, b_i] with a_i < b_i"])
+        with _reading("conditions.twist", problems):
+            if not np.all(np.abs(_number(twist, "sigma", None, (M,))) == 1):
+                raise ValidationError([f"sigma must be M={M} entries of +-1"])
+
+    system, stiffness = _build_system(raw, M, params, T, interval, problems)
 
     if problems:
         raise ValidationError(problems)
 
     return ExperimentConfig(
         raw=raw, path=path, config_hash=cfg_hash, mode=mode, M=M,
-        T=float(T) if T is not None else None,
-        interval=tuple(map(float, interval)) if interval is not None else None,
+        T=system.T, interval=system.interval,
         seed=seed, params=dict(params),
         solver=raw.get("solver", {}) or {},
         conditions=raw.get("conditions", {}) or {},
         output=raw.get("output", {}) or {},
+        system=system, _stiffness=stiffness,
     )
 
 
-def _check_expr(src, allowed, params, where, problems):
-    if src is None:
-        return None
-    try:
-        ast = xp.parse_expr(str(src))
-    except Exception as exc:
-        problems.append(f"{where}: {exc}")
-        return None
-    extra = xp.free_variables(ast) - set(allowed) - set(params)
-    if extra:
-        problems.append(f"{where}: unknown variables {sorted(extra)} "
-                        f"(allowed: {sorted(allowed)} plus params)")
-    return ast
-
-
-def _validate_blocks(raw, M, params):
-    problems = []
-    xn, yn = xy_names(M)
-    alias = ["x", "y"] if M == 1 else []
-
+def _build_system(raw, M, params, T, interval, problems):
+    """Build every block of ``raw``, adding what fails to ``problems`` under its YAML
+    path.  Returns the CoupledSystem (None if there are problems) and the stiffness
+    pairs of an asymmetric planar preset."""
     ham = raw.get("hamiltonian", {}) or {}
     hpreset = ham.get("preset", "free_rotator")
-    if hpreset == "pendulum":
-        if M != 1:
-            problems.append("hamiltonian.preset pendulum requires M = 1")
-        if not ham.get("A", 1.0) > 0:
-            problems.append("hamiltonian.A must be positive")
-        _check_expr(ham.get("E", "0"), ["t"], params, "hamiltonian.E", problems)
-    elif hpreset == "expr":
-        if "expr" not in ham:
-            problems.append("hamiltonian.preset expr requires hamiltonian.expr")
-        _check_expr(ham.get("expr"), ["t"] + xn + yn + alias, params,
-                    "hamiltonian.expr", problems)
-    elif hpreset != "free_rotator":
-        problems.append(f"unknown hamiltonian.preset {hpreset!r}")
-
-    coup = raw.get("coupling")
-    if coup:
-        _check_expr(coup.get("expr", "0"), ["t", "u", "v"] + xn + yn + alias,
-                    params, "coupling.expr", problems)
-
-    planar = raw.get("planar", {}) or {}
-    ppreset = planar.get("preset", "asymmetric")
-    if ppreset == "asymmetric":
-        mu1 = planar.get("mu1", 1.0)
-        nu1 = planar.get("nu1", 1.0)
-        mu2 = planar.get("mu2", mu1)
-        nu2 = planar.get("nu2", nu1)
-        for name, val in (("mu1", mu1), ("nu1", nu1), ("mu2", mu2), ("nu2", nu2)):
-            if not (isinstance(val, (int, float)) and val > 0):
-                problems.append(f"planar.{name} must be a positive number, got {val!r}")
-        if isinstance(mu1, (int, float)) and isinstance(mu2, (int, float)) and mu2 < mu1:
-            problems.append(f"planar stiffness ordering violated: mu2 = {mu2} < mu1 = {mu1}")
-        if isinstance(nu1, (int, float)) and isinstance(nu2, (int, float)) and nu2 < nu1:
-            problems.append(f"planar stiffness ordering violated: nu2 = {nu2} < nu1 = {nu1}")
-        _check_expr(planar.get("h", "0"), ["t", "u"], params, "planar.h", problems)
-    elif ppreset == "expr":
-        has_K = "K" in planar
-        has_comp = "components" in planar
-        if has_K == has_comp:
-            problems.append("planar.preset expr requires exactly one of K or components")
-        _check_expr(planar.get("K"), ["t", "u", "v"], params, "planar.K", problems)
-        for i, c in enumerate(planar.get("components", []) or []):
-            _check_expr(c, ["t", "u", "v"], params, f"planar.components[{i}]", problems)
-        for key in ("H1", "H2", "Q"):
-            _check_expr(planar.get(key), ["t", "u", "v"], params, f"planar.{key}", problems)
-        if ("H1" in planar) != ("H2" in planar):
-            problems.append("planar decomposition requires both H1 and H2")
-    else:
-        problems.append(f"unknown planar.preset {ppreset!r}")
-
-    cond = raw.get("conditions", {}) or {}
-    twist = cond.get("twist", {}) or {}
-    if twist.get("enabled", False):
-        D = twist.get("D")
-        if not (isinstance(D, (list, tuple)) and len(D) == M
-                and all(len(r) == 2 and r[0] < r[1] for r in D)):
-            problems.append(f"conditions.twist.D must be M={M} ranges [a_i, b_i]")
-        sig = twist.get("sigma")
-        if not (isinstance(sig, (list, tuple)) and len(sig) == M
-                and all(s in (-1, 1) for s in sig)):
-            problems.append(f"conditions.twist.sigma must be M={M} entries of +-1")
-    return problems
-
-
-def _build_system(cfg):
-    raw = cfg.raw
-    params = cfg.params
-    M = cfg.M
-
-    ham = raw.get("hamiltonian", {}) or {}
-    hpreset = ham.get("preset", "free_rotator")
-    if hpreset == "pendulum":
-        grad_H = pendulum_hamiltonian(float(ham.get("A", 1.0)), str(ham.get("E", "0")), params)
-    elif hpreset == "expr":
-        grad_H = hamiltonian_block_from_expr(ham["expr"], M, params)
-    else:
-        grad_H = free_rotator(M)
+    grad_H = None
+    with _reading("hamiltonian", problems):
+        if hpreset == "pendulum":
+            if M != 1:
+                raise ValidationError(["preset pendulum requires M = 1"])
+            grad_H = pendulum_hamiltonian(_number(ham, "A", 1.0), ham.get("E", "0"), params)
+        elif hpreset == "expr":
+            if "expr" not in ham:
+                raise ValidationError(["expr is required by preset expr"])
+            grad_H = hamiltonian_block_from_expr(ham["expr"], M, params)
+        elif hpreset == "free_rotator":
+            grad_H = free_rotator(M)
+        else:
+            raise ValidationError([f"preset {hpreset!r} is unknown"])
 
     grad_P = None
-    coup = raw.get("coupling")
-    if coup and coup.get("expr", "0") != "0":
-        grad_P = coupling_from_expr(coup["expr"], M, params)
+    coupling = (raw.get("coupling") or {}).get("expr", "0")
+    if coupling != "0":
+        with _reading("coupling", problems):
+            grad_P = coupling_from_expr(coupling, M, params)
 
     planar = raw.get("planar", {}) or {}
     ppreset = planar.get("preset", "asymmetric")
-    if ppreset == "asymmetric":
-        mu1 = float(planar.get("mu1", 1.0))
-        nu1 = float(planar.get("nu1", 1.0))
-        F, dec, w_kink = asymmetric_field(
-            mu1, nu1,
-            float(planar.get("mu2", mu1)), float(planar.get("nu2", nu1)),
-            str(planar.get("h", "0")), params)
-    else:
-        F, dec, w_kink = planar_field_from_expr(
-            K_src=planar.get("K"), components=planar.get("components"),
-            params=params, H1_src=planar.get("H1"), H2_src=planar.get("H2"),
-            Q_src=planar.get("Q"))
+    block = stiffness = None
+    with _reading("planar", problems):
+        if ppreset == "asymmetric":
+            mu1, nu1 = _number(planar, "mu1", 1.0), _number(planar, "nu1", 1.0)
+            stiffness = (mu1, nu1, _number(planar, "mu2", mu1), _number(planar, "nu2", nu1))
+            block = asymmetric_field(*stiffness, planar.get("h", "0"), params)
+        elif ppreset == "expr":
+            block = planar_field_from_expr(
+                K_src=planar.get("K"), components=planar.get("components"),
+                params=params, H1_src=planar.get("H1"), H2_src=planar.get("H2"),
+                Q_src=planar.get("Q"))
+        else:
+            raise ValidationError([f"preset {ppreset!r} is unknown"])
 
+    if problems:
+        return None, None
+    F, dec, w_kink = block
     return CoupledSystem(M=M, F=F, grad_H=grad_H, grad_P=grad_P,
-                         T=cfg.T, interval=cfg.interval, decomposition=dec,
-                         w_kink=w_kink,
-                         label=f"{hpreset}+{ppreset}")
+                         T=None if T is None else float(T),
+                         interval=None if interval is None else tuple(map(float, interval)),
+                         decomposition=dec, w_kink=w_kink,
+                         label=f"{hpreset}+{ppreset}"), stiffness

@@ -490,11 +490,12 @@ def grad_expr(e, var_names, binding):
 
 
 def substitute(e, mapping):
-    """Rename variables: ``mapping`` maps old names to new names."""
+    """Replace variables: ``mapping`` maps a name to a new name or to an Expr, kept as is."""
     if isinstance(e, Num):
         return e
     if isinstance(e, Var):
-        return Var(mapping.get(e.name, e.name))
+        new = mapping.get(e.name, e.name)
+        return new if isinstance(new, Expr) else Var(new)
     if isinstance(e, Neg):
         return Neg(substitute(e.arg, mapping))
     if isinstance(e, BinOp):

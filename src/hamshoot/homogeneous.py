@@ -95,18 +95,13 @@ def asymmetric(mu, nu):
 
 def hamiltonian_from_expr(src, params=None, u_name="u", v_name="v", claims_positive=True):
     """Build a PlanarHamiltonian from an expression in (u, v)."""
-    ast = src if isinstance(src, xp.Expr) else xp.parse_expr(src)
+    ast = src if isinstance(src, xp.Expr) else xp.parse_expr(str(src))
     names = (u_name, v_name)
     value_uv = xp.compile_expr(ast, names, params=params)
     grad_uv = xp.compile_expr(ast, names, names, params)
-
-    def value(w):
-        return value_uv(w[0], w[1])
-
-    def grad(w):
-        return grad_uv(w[0], w[1])
-
-    return PlanarHamiltonian(value, grad, claims_positive=claims_positive,
+    # w of shape (2,) or (2, n) unpacks to its two components
+    return PlanarHamiltonian(lambda w: value_uv(*w), lambda w: grad_uv(*w),
+                             claims_positive=claims_positive,
                              kink_on_u_axis=xp.has_kinks(ast), label=str(src))
 
 
@@ -237,10 +232,6 @@ class ReferenceOrbit:
 
     def points(self, ss):
         return self.trajectory.query_many(np.mod(np.atleast_1d(ss), self.tau)).T
-
-    def norms(self, ss):
-        pts = self.points(ss)
-        return np.hypot(pts[0], pts[1])
 
 
 def _planar_flow_field(H):

@@ -1,9 +1,10 @@
 """Ready-made building blocks for the coupled-system examples.
 
-The pendulum-type block and the asymmetric-oscillator planar block cover the
-showcase systems; expression-backed builders handle everything else.
-Expression variables: the angular block uses (t, x1..xM, y1..yM), planar
-expressions use (t, u, v); for M = 1 the aliases x, y are accepted.
+Every block is a compiled expression.  The pendulum-type block, the free
+rotator and the asymmetric-oscillator planar block are expression templates
+with their parameters spliced in; the expression-backed builders take any
+source.  Expression variables: the angular block uses (t, x1..xM, y1..yM),
+planar expressions use (t, u, v); for M = 1 the aliases x, y are accepted.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr as xp
-from .errors import ValidationError
+from .errors import UnboundVariableError, ValidationError
 from .homogeneous import asymmetric, hamiltonian_from_expr
 from .systems import DecompositionData
 
@@ -21,20 +22,15 @@ __all__ = [
     "xy_names",
 ]
 
+_TUV = ("t", "u", "v")
+
 
 def xy_names(M):
     return [f"x{i + 1}" for i in range(M)], [f"y{i + 1}" for i in range(M)]
 
 
-def _resolve_aliases(ast, M):
-    # for M = 1 the short names x, y stand for x1, y1
-    if M == 1:
-        return xp.substitute(ast, {"x": "x1", "y": "y1"})
-    return ast
-
-
 def _parsed(src):
-    return xp.parse_expr(src) if isinstance(src, str) else src
+    return src if isinstance(src, xp.Expr) else xp.parse_expr(str(src))
 
 
 def _uv(w):
@@ -43,34 +39,72 @@ def _uv(w):
     return w.tolist() if w.ndim == 1 else w
 
 
+def _on_w(fn):
+    # fn(t, u, v) as a function of (t, w)
+    return lambda t, w: fn(t, *_uv(w))
+
+
+def _part(name, src, allowed, params):
+    """A template's part ``name``, parsed; it may use only ``allowed`` and params."""
+    ast = _parsed(src)
+    extra = sorted(xp.free_variables(ast) - set(allowed) - set(params or ()))
+    if extra:
+        raise UnboundVariableError(f"{name} may use only {', '.join(allowed)} and params, "
+                                   f"found {', '.join(extra)}")
+    return ast
+
+
+def _template(src, **parts):
+    """Parse ``src`` and splice in ``parts``: an Expr as a subtree, a number as a literal."""
+    return xp.substitute(xp.parse_expr(src), {
+        name: part if isinstance(part, xp.Expr) else xp.Num(float(part))
+        for name, part in parts.items()})
+
+
+def _components_field(components, params):
+    """F(t, w) whose rows are the component expressions in (t, u, v)."""
+    fns = [xp.compile_expr(_parsed(c), _TUV, params=params) for c in components]
+
+    def F(t, w):
+        uv = _uv(w)
+        rows = [f(t, *uv) for f in fns]
+        # on arrays a constant component still gives a scalar
+        return np.array(rows) if w.ndim == 1 else np.stack(np.broadcast_arrays(*rows))
+
+    return F
+
+
 def pendulum_hamiltonian(A=1.0, E_src="0", params=None):
     """Pendulum-type block: grad of H(t, q, p) = p^2/2 + E(t) p - A cos q (M = 1).
 
     ``E_src`` is the T-periodic primitive of the forcing (E' = e), entering
     the equations as q' = p + E(t), p' = -A sin q.
     """
-    E = xp.compile_expr(_parsed(E_src), ("t",), params=params)
-
-    def grad_H(t, x, y):
-        return (np.array([A * np.sin(x[0])]), np.array([y[0] + E(t)]))
-
-    return grad_H
+    if not A > 0:
+        raise ValidationError([f"A must be positive, got {A!r}"])
+    H = _template("0.5*y1^2 + E*y1 - A*cos(x1)", A=A, E=_part("E", E_src, ("t",), params))
+    return hamiltonian_block_from_expr(H, 1, params)
 
 
 def free_rotator(M):
     """Gradient of H = |y|^2 / 2: x drifts at rate y, y is conserved."""
+    return hamiltonian_block_from_expr(
+        " + ".join(f"0.5*{y}^2" for y in xy_names(M)[1]) or "0", M)
 
-    def grad_H(t, x, y):
-        return (np.zeros(M), np.asarray(y, dtype=float).copy())
 
-    return grad_H
+def _angular_gradient(src, M, planar, params):
+    # gradient in (x1.., y1..) and, if ``planar``, (u, v); x, y alias x1, y1 for M = 1
+    xn, yn = xy_names(M)
+    names = tuple(xn + yn + ["u", "v"] * planar)
+    ast = _parsed(src)
+    if M == 1:
+        ast = xp.substitute(ast, {"x": "x1", "y": "y1"})
+    return xp.compile_expr(ast, ("t",) + names, names, params)
 
 
 def hamiltonian_block_from_expr(src, M, params=None):
     """grad_H(t, x, y), x and y arrays, of an expression in (t, x1.., y1..)."""
-    xn, yn = xy_names(M)
-    names = tuple(xn + yn)
-    grad = xp.compile_expr(_resolve_aliases(_parsed(src), M), ("t",) + names, names, params)
+    grad = _angular_gradient(src, M, False, params)
 
     def grad_H(t, x, y):
         g = grad(t, *x.tolist(), *y.tolist())
@@ -81,9 +115,7 @@ def hamiltonian_block_from_expr(src, M, params=None):
 
 def coupling_from_expr(src, M, params=None):
     """grad_P(t, x, y, w), x, y and w arrays, of an expression in (t, x1.., y1.., u, v)."""
-    xn, yn = xy_names(M)
-    names = tuple(xn + yn + ["u", "v"])
-    grad = xp.compile_expr(_resolve_aliases(_parsed(src), M), ("t",) + names, names, params)
+    grad = _angular_gradient(src, M, True, params)
 
     def grad_P(t, x, y, w):
         g = grad(t, *x.tolist(), *y.tolist(), *w.tolist())
@@ -102,39 +134,30 @@ def asymmetric_field(mu1, nu1, mu2=None, nu2=None, h_src="0", params=None):
 
     so mu1 <= f(u)/u <= mu2 on u > 0 and nu1 <= -f(-u)/u <= nu2, and h is a
     bounded remainder.  Returns (F, DecompositionData, w_kink) with
-    F(t, w) = (f(u) + h(t, u), v) and Q the primitive of h.
+    F(t, w) = (f(u) + h(t, u), v) and Q the primitive of h.  The emitted
+    source has pos/neg, and w_kink is set, unless all four stiffnesses agree.
     """
     mu2 = mu1 if mu2 is None else mu2
     nu2 = nu1 if nu2 is None else nu2
-    problems = [name for name, val in
+    problems = [f"{name} must be positive, got {val!r}" for name, val in
                 (("mu1", mu1), ("nu1", nu1), ("mu2", mu2), ("nu2", nu2)) if not val > 0]
-    if problems:
-        raise ValidationError([f"{p} must be positive" for p in problems])
     if mu2 < mu1 or nu2 < nu1:
-        raise ValidationError(["stiffness ordering requires mu1 <= mu2 and nu1 <= nu2"])
-    h = xp.compile_expr(_parsed(h_src), ("t", "u"), params=params)
-
-    def f(u):
-        up = np.maximum(u, 0.0)
-        um = np.maximum(-u, 0.0)
-        z1 = 0.5 * (mu1 + mu2) + 0.5 * (mu2 - mu1) * np.cos(u)
-        z2 = 0.5 * (nu1 + nu2) + 0.5 * (nu2 - nu1) * np.sin(u ** 3)
-        return z1 * up - z2 * um
-
-    def F(t, w):
-        return np.stack([f(w[0]) + h(t, w[0]), np.asarray(w[1], dtype=float)])
-
-    H1 = asymmetric(mu1, nu1)
-    H2 = asymmetric(mu2, nu2)
-
-    def grad_Q(t, w):
-        hv = h(t, w[0])
-        return np.stack([np.asarray(hv, dtype=float),
-                         np.zeros_like(np.asarray(hv, dtype=float))])
-
+        problems.append(f"mu2 >= mu1 and nu2 >= nu1 are required, got mu = ({mu1}, {mu2}), "
+                        f"nu = ({nu1}, {nu2})")
+    if problems:
+        raise ValidationError(problems)
+    if mu1 == mu2 == nu1 == nu2:
+        f = "mu1*u"
+    else:
+        f = (("mu1" if mu1 == mu2 else "(a + b*cos(u))") + "*pos(u) - "
+             + ("nu1" if nu1 == nu2 else "(c + d*sin(u^3))") + "*neg(u)")
+    h = _part("h", h_src, ("t", "u"), params)
+    F_u = _template(f"{f} + h", mu1=mu1, nu1=nu1, a=0.5 * (mu1 + mu2), b=0.5 * (mu2 - mu1),
+                    c=0.5 * (nu1 + nu2), d=0.5 * (nu2 - nu1), h=h)
+    F, _, w_kink = planar_field_from_expr(components=(F_u, "v"), params=params)
     mode = "global" if (mu1 == mu2 and nu1 == nu2) else "quadrant"
-    dec = DecompositionData(H1, H2, grad_Q, mode=mode)
-    w_kink = (mu1 != nu1) or (mu2 != nu2)
+    dec = DecompositionData(asymmetric(mu1, nu1), asymmetric(mu2, nu2),
+                            _components_field((h, "0"), params), mode=mode)
     return F, dec, w_kink
 
 
@@ -147,33 +170,27 @@ def planar_field_from_expr(K_src=None, components=None, params=None,
     expressions attach a decomposition.  Returns (F, dec_or_None, w_kink).
     """
     if (K_src is None) == (components is None):
-        raise ValidationError(["planar expr block needs exactly one of K or components"])
-    tuv = ("t", "u", "v")
+        raise ValidationError(["preset expr needs exactly one of K or components"])
+    if components is not None and not (isinstance(components, (list, tuple))
+                                       and len(components) == 2):
+        raise ValidationError([f"components must be a list [F_u, F_v], got {components!r}"])
+    if (H1_src is None) != (H2_src is None):
+        raise ValidationError(["H1 and H2 make a decomposition only together"])
     if K_src is not None:
         ast = _parsed(K_src)
         kinky = xp.has_kinks(ast)
-        grad_K = xp.compile_expr(ast, tuv, ("u", "v"), params)
-
-        def F(t, w):
-            return grad_K(t, *_uv(w))
+        F = _on_w(xp.compile_expr(ast, _TUV, ("u", "v"), params))
     else:
         asts = [_parsed(c) for c in components]
         kinky = any(xp.has_kinks(a) for a in asts)
-        fns = [xp.compile_expr(a, tuv, params=params) for a in asts]
-
-        def F(t, w):
-            return np.stack([np.asarray(f(t, *_uv(w)), dtype=float) for f in fns])
+        F = _components_field(asts, params)
 
     dec = None
-    if H1_src is not None and H2_src is not None:
+    if H1_src is not None:
         H1 = hamiltonian_from_expr(H1_src, params=params)
         H2 = hamiltonian_from_expr(H2_src, params=params)
-        grad_Q_uv = xp.compile_expr(xp.parse_expr(Q_src if Q_src is not None else "0"),
-                                    tuv, ("u", "v"), params)
-
-        def grad_Q(t, w):
-            return grad_Q_uv(t, *_uv(w))
-
-        dec = DecompositionData(H1, H2, grad_Q)
+        grad_Q = xp.compile_expr(_parsed(Q_src if Q_src is not None else "0"),
+                                 _TUV, ("u", "v"), params)
+        dec = DecompositionData(H1, H2, _on_w(grad_Q))
         kinky = kinky or H1.kink_on_u_axis or H2.kink_on_u_axis
     return F, dec, kinky

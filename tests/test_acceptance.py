@@ -5,13 +5,16 @@ criterion (the PASS lines below also print with ``-s``).
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hamshoot
 from hamshoot.conditions import ResonanceTag, classify_resonance, scalar_ll
 from hamshoot.dynamics import flow_jacobian, integrate, variational_field, VectorField
 from hamshoot.expr import eval_expr, grad_expr, parse_expr
@@ -287,13 +290,17 @@ def test_criterion_10_determinism(tmp_path):
     """Two `full` runs with identical config + seed: solutions.csv byte-identical."""
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(DETERMINISM_CONFIG)
+    # the CLI subprocesses import the hamshoot this test process imported
+    src = str(Path(hamshoot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "hamshoot.cli", "full",
              "--config", str(cfg), "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
     b0 = (outs[0] / "solutions.csv").read_bytes()

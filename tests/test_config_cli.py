@@ -1,12 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import hamshoot
 from hamshoot.config import loads_config
 from hamshoot.errors import ConfigParseError, ValidationError
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "pendulum_oscillator.yaml"
 
 MINIMAL = """
 mode: periodic
@@ -105,6 +111,64 @@ planar:
     assert sys_.decomposition is not None
 
 
+def test_problems_are_named_by_yaml_path():
+    bad = """
+mode: periodic
+M: 1
+T: 6.283185307179586
+hamiltonian: {preset: pendulum, A: "stiff", E: "0"}
+coupling: {expr: "sin(x"}
+planar: {preset: asymmetric, mu1: "abc", nu1: 1.0}
+"""
+    with pytest.raises(ValidationError) as ei:
+        loads_config(bad)
+    problems = ei.value.problems
+    assert "hamiltonian.A must be a number, got 'stiff'" in problems
+    assert "planar.mu1 must be a number, got 'abc'" in problems
+    assert any(p.startswith("coupling: expected ')'") for p in problems)
+    assert len(problems) == 3
+
+
+def test_non_numeric_param_is_a_problem():
+    with pytest.raises(ValidationError) as ei:
+        loads_config(MINIMAL.replace("0.1*sin", "eps*sin") + "params: {eps: small}\n")
+    assert ei.value.problems == ["params.eps must be a number, got 'small'",
+                                 "coupling: variable 'eps' is not bound"]
+
+
+def test_template_parts_are_checked_at_load():
+    # E is a function of t alone and h of (t, u): a state variable there is an error
+    bad = MINIMAL.replace("A: 1.0}", 'A: 1.0, E: "0.1*x"}').replace(
+        "nu1: 1.0}", 'nu1: 1.0, h: "v"}')
+    with pytest.raises(ValidationError) as ei:
+        loads_config(bad)
+    assert ei.value.problems == [
+        "hamiltonian: E may use only t and params, found x",
+        "planar: h may use only t, u and params, found v"]
+    with pytest.raises(ValidationError) as ei:
+        loads_config(MINIMAL.replace("nu1: 1.0}", 'nu1: 1.0, h: "eps*u"}'))
+    assert any(p.endswith("found eps") for p in ei.value.problems)
+    assert loads_config(MINIMAL.replace("nu1: 1.0}", 'nu1: 1.0, h: "eps*u"}')
+                        + "params: {eps: 0.2}\n").system.w_kink
+
+
+def test_planar_expr_block_problems():
+    base = "mode: periodic\nM: 0\nT: 6.0\nhamiltonian: {preset: free_rotator}\n"
+    cases = {
+        'planar: {preset: expr, K: "u", components: ["u", "v"]}':
+            "planar.preset expr needs exactly one of K or components",
+        'planar: {preset: expr, components: ["u"]}':
+            "planar.components must be a list [F_u, F_v], got ['u']",
+        'planar: {preset: expr, K: "u^2 + v^2", H1: "u^2 + v^2"}':
+            "planar.H1 and H2 make a decomposition only together",
+        "planar: {preset: elliptic}": "planar.preset 'elliptic' is unknown",
+    }
+    for planar, problem in cases.items():
+        with pytest.raises(ValidationError) as ei:
+            loads_config(base + planar)
+        assert ei.value.problems == [problem]
+
+
 def test_seed_and_params():
     cfg = loads_config(MINIMAL + "seed: 7\nparams: {eps: 0.25}\n")
     assert cfg.seed == 7
@@ -143,9 +207,29 @@ conditions:
 """
 
 
+@pytest.mark.parametrize("old, new, problem", [
+    ("D: [[-8.0, 8.0]]", "D: [[8.0, -8.0]]",
+     "conditions.twist.D must be M=1 ranges [a_i, b_i] with a_i < b_i"),
+    ("D: [[-8.0, 8.0]]", "D: [[-8.0, 8.0], [0, 1]]",
+     "conditions.twist.D must be numbers in shape (1, 2), got [[-8.0, 8.0], [0, 1]]"),
+    ("sigma: [1]", "sigma: [2]", "conditions.twist.sigma must be M=1 entries of +-1"),
+])
+def test_twist_box_problems(old, new, problem):
+    with pytest.raises(ValidationError) as ei:
+        loads_config(FAST_CONFIG.replace(old, new))
+    assert ei.value.problems == [problem]
+
+
+def _cli_env():
+    # the CLI subprocess imports the hamshoot this test process imported
+    src = str(Path(hamshoot.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def _run_cli(args):
     return subprocess.run([sys.executable, "-m", "hamshoot.cli"] + args,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_cli_env())
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +290,26 @@ def test_cli_config_error_exit_code(tmp_path):
     proc = _run_cli(["periods", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+
+
+@pytest.mark.parametrize("subcommand, block, values", [
+    ("check-conditions", "avoiding_rays", {"enabled": True, "radius": "abc"}),
+    ("check-conditions", "twist", {"x_points": "four"}),
+    ("check-conditions", "mbar", {"n_samples": "many"}),
+    ("ll", "ll", {"theta_points": "x"}),
+    ("check-conditions", "indefinite_twist", {"enabled": True, "center": [0, 0]}),
+    ("check-conditions", "twist", {"D": [["a", 8.0]]}),
+])
+def test_cli_malformed_conditions_exit_code(tmp_path, subcommand, block, values):
+    raw = yaml.safe_load(DEMO_CONFIG.read_text())
+    raw["conditions"].setdefault(block, {}).update(values)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    proc = _run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert f"conditions.{block}.{next(k for k in values if k != 'enabled')} must be" \
+        in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_missing_file_exit_code(tmp_path):

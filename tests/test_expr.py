@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hamshoot.errors import DomainError, ExprSyntaxError, UnboundVariableError
 from hamshoot.expr import (compile_expr, eval_expr, free_variables, grad_expr,
-                           has_kinks, parse_expr, unparse)
+                           has_kinks, parse_expr, substitute, unparse)
 
 ASYM = "0.5*(mu*pos(u)^2 + nu*neg(u)^2 + v^2)"
 
@@ -318,3 +318,9 @@ def test_hostile_names_as_variables_and_params():
     fn = compile_expr(e, ("np",), ("np",), params)
     assert fn(vals["np"]).tolist() == pytest.approx([2 * 3 * vals["np"]])
     assert compile_expr(e, (), params=vals)() == pytest.approx(expected)
+
+
+def test_substitute_renames_and_splices_once():
+    e = substitute(parse_expr("E*y - cos(x)"), {"E": parse_expr("x + y"), "x": "x1"})
+    # the spliced subtree keeps its own names
+    assert unparse(e) == "(x + y) * y - cos(x1)"

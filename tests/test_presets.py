@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
+from hamshoot.dynamics import integrate
 from hamshoot.errors import ValidationError
 from hamshoot.presets import (asymmetric_field, coupling_from_expr, free_rotator,
                               hamiltonian_block_from_expr, pendulum_hamiltonian,
                               planar_field_from_expr)
+from hamshoot.systems import CoupledSystem, assemble_field, field_switches
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def test_pendulum_equations_of_motion():
@@ -20,6 +26,64 @@ def test_free_rotator_block():
     hx, hy = grad_H(0.0, np.array([1.0, 2.0]), np.array([0.5, -0.5]))
     assert np.array_equal(hx, np.zeros(2))
     assert np.array_equal(hy, [0.5, -0.5])
+
+
+def test_template_gradients_bitwise_equal_closed_forms():
+    # the templates reproduce (A sin x, y + E(t)) and (0, y) to the last bit
+    rng = np.random.default_rng(11)
+    ts, xs, ys = rng.uniform(-10.0, 10.0, (3, 2000)).tolist()
+    pendulum = pendulum_hamiltonian(A=1.3, E_src="0.2*cos(t) + eps", params={"eps": 0.1})
+    rotator = free_rotator(2)
+    got, want = [], []
+    for t, x, y in zip(ts, xs, ys):
+        got += [*pendulum(t, np.array([x]), np.array([y]))]
+        want += [[1.3 * np.sin(x)], [y + (0.2 * np.cos(t) + 0.1)]]
+        got += [*rotator(t, np.array([x, y]), np.array([y, t]))]
+        want += [[0.0, 0.0], [y, t]]
+    assert _bits(np.concatenate(got)) == _bits(np.concatenate(want))
+
+
+def _interpolated_force(mu1, nu1, mu2, nu2, u):
+    # the restoring force f of asymmetric_field, written out with numpy scalars
+    z1 = 0.5 * (mu1 + mu2) + 0.5 * (mu2 - mu1) * np.cos(u)
+    z2 = 0.5 * (nu1 + nu2) + 0.5 * (nu2 - nu1) * np.sin(u ** 3)
+    return z1 * np.maximum(u, 0.0) - z2 * np.maximum(-u, 0.0)
+
+
+@pytest.mark.parametrize("pairs, rtol", [((4.0, 1.0, 4.0, 1.0), 0.0),
+                                         ((1.0, 2.0, 4.0, 9.0), 1e-12)])
+def test_asymmetric_template_matches_interpolated_force(pairs, rtol):
+    # bitwise for equal pairs; otherwise u^3 inside sin(u^3) may differ by an ulp
+    F, dec, _ = asymmetric_field(*pairs, h_src="0.3*sin(t)*atan(u)")
+    rng = np.random.default_rng(12)
+    ts, us, vs = rng.uniform(-20.0, 20.0, (3, 2000))
+    points = list(zip(ts.tolist(), us.tolist(), vs.tolist()))
+    h = [0.3 * np.sin(t) * np.arctan(u) for t, u, _ in points]
+    want = [[_interpolated_force(*pairs, np.float64(u)) + hi, v]
+            for (t, u, v), hi in zip(points, h)]
+    got = [F(t, np.array([u, v])) for t, u, v in points]
+    if rtol:
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+    else:
+        assert _bits(got) == _bits(want)
+    gq = [dec.grad_Q(t, np.array([u, v])) for t, u, v in points]
+    assert _bits(gq) == _bits([[hi, 0.0] for hi in h])
+    # whole arrays of points give the same field
+    np.testing.assert_allclose(F(ts, np.array([us, vs])).T, got, rtol=rtol, atol=0.0)
+
+
+def test_asymmetric_field_kink_flag_follows_the_force():
+    # stiffness pairs (1, 1) and (4, 4): f has slope 4 at u = 0+ and 2.5 at u = 0-
+    F, _, w_kink = asymmetric_field(1.0, 1.0, 4.0, 4.0)
+    assert w_kink
+    assert not asymmetric_field(1.0, 1.0, 1.0, 1.0)[2]
+    # with the kink flagged the flow splits its steps at u = 0
+    sys_ = CoupledSystem(M=0, F=F, T=6.0, w_kink=w_kink)
+    f, switches = assemble_field(sys_), field_switches(sys_)
+    z0 = np.array([0.3, 0.0])
+    ref = integrate(f, z0, 0.0, 6.0, 1e-13, switches=switches).ys[-1]
+    got = integrate(f, z0, 0.0, 6.0, 1e-8, switches=switches).ys[-1]
+    assert np.max(np.abs(got - ref)) < 1e-7
 
 
 def test_hamiltonian_block_from_expr_multidim():
@@ -75,6 +139,8 @@ def test_asymmetric_field_validation():
         asymmetric_field(4.0, 1.0, 1.0, 1.0)  # mu2 < mu1
     with pytest.raises(ValidationError):
         asymmetric_field(-1.0, 1.0)
+    with pytest.raises(ValidationError):
+        pendulum_hamiltonian(A=0.0)
 
 
 def test_planar_field_from_K_expr():
