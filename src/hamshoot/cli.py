@@ -253,15 +253,12 @@ def _solutions_csv_rows(cfg, records):
 
 def _solve_stage(cfg, out_dir, seed, dump_trajectories=False):
     sys_ = cfg.system
-    solver = cfg.solver or {}
-    newton_tol = float(solver.get("newton_tol", 1e-9))
-    max_iter = int(solver.get("max_iter", 40))
     if cfg.mode == "periodic":
-        result = multistart_periodic(sys_, cfg.multistart_spec(),
-                                     newton_tol=newton_tol, max_iter=max_iter, seed=seed)
+        result = multistart_periodic(sys_, cfg.multistart, newton_tol=cfg.newton_tol,
+                                     max_iter=cfg.max_iter, seed=seed)
     else:
-        result = multistart_neumann(sys_, cfg.neumann_spec(),
-                                    newton_tol=newton_tol, max_iter=max_iter, seed=seed)
+        result = multistart_neumann(sys_, cfg.neumann_multistart, newton_tol=cfg.newton_tol,
+                                    max_iter=cfg.max_iter, seed=seed)
     header, rows = _solutions_csv_rows(cfg, result.records)
     _write_csv(out_dir / "solutions.csv", header, rows)
 
@@ -274,7 +271,7 @@ def _solve_stage(cfg, out_dir, seed, dump_trajectories=False):
                                               sys_.span / 1000.0))
         for cls, rec in enumerate(result.records):
             traj = integrate(field, rec.z0, sys_.t0, sys_.t0 + sys_.span,
-                             newton_tol, switches=switches)
+                             cfg.newton_tol, switches=switches)
             ts = np.arange(sys_.t0, sys_.t0 + sys_.span + 0.5 * stride, stride)
             ts[-1] = min(ts[-1], sys_.t0 + sys_.span)
             _write_csv(traj_dir / f"class_{cls}.csv",

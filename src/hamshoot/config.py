@@ -82,42 +82,76 @@ class ExperimentConfig:
     interval: tuple | None
     seed: int
     params: dict
-    solver: dict
+    newton_tol: float
+    max_iter: int
+    multistart: MultistartSpec
+    neumann_multistart: NeumannStartSpec
     conditions: dict
     output: dict
     system: CoupledSystem = field(default=None, repr=False)
     # (mu1, nu1, mu2, nu2) of the asymmetric planar preset, None for other blocks
     _stiffness: tuple = field(default=None, repr=False)
 
-    def multistart_spec(self):
-        ms = dict(self.solver.get("multistart", {}))
-        ms.setdefault("y_ranges", [[-1.0, 1.0]])
-        ms["y_ranges"] = tuple(tuple(map(float, r)) for r in ms["y_ranges"])
-        if "w_radii" in ms:
-            ms["w_radii"] = tuple(float(r) for r in ms["w_radii"])
-        return MultistartSpec(**ms)
-
-    def neumann_spec(self):
-        ms = dict(self.solver.get("neumann_multistart", {}))
-        if "u_range" in ms:
-            ms["u_range"] = tuple(map(float, ms["u_range"]))
-        return NeumannStartSpec(**ms)
-
 
 def _number(section, key, default, kind=float):
     """``section[key]``, or ``default`` when absent, as ``kind``: float, int,
-    or the shape of a float array."""
+    or the shape of a float array, where None admits any length."""
     value = section.get(key, default)
     try:
         if not isinstance(kind, tuple):
             return kind(value)
         arr = np.asarray(value, dtype=float)
-        if arr.shape == kind:
+        if arr.ndim == len(kind) and all(k in (None, m) for k, m in zip(kind, arr.shape)):
             return arr
     except (TypeError, ValueError, OverflowError):
         pass
-    what = {int: "an integer", float: "a number"}.get(kind, f"numbers in shape {kind}")
+    what = {int: "an integer", float: "a number"}.get(
+        kind, f"numbers in shape {str(kind).replace('None', 'n')}")
     raise ValidationError([f"{key} must be {what}, got {value!r}"])
+
+
+def _mapping(section, key, problems, where=""):
+    """``section[key]`` as a mapping, {} when absent or null; anything else is
+    added to ``problems`` under ``where + key``."""
+    value = section.get(key)
+    if value is None or isinstance(value, dict):
+        return value or {}
+    problems.append(f"{where}{key} must be a mapping, got {value!r}")
+    return {}
+
+
+# the keys of each start grid, each with its kind for _number
+_START_KEYS = {
+    "multistart": (MultistartSpec, {
+        "x_points": int, "y_ranges": (None, 2), "y_points": int, "w_radii": (None,),
+        "w_angles": int, "budget": int, "jitter": float}),
+    "neumann_multistart": (NeumannStartSpec, {
+        "x_points": int, "u_range": (2,), "u_points": int, "budget": int, "jitter": float}),
+}
+
+
+def _known(section, keys, where, problems):
+    """Add every key of ``section`` that is not in ``keys`` to ``problems``."""
+    problems.extend(f"{where}.{k} must be one of the keys {', '.join(keys)}"
+                    for k in section if k not in keys)
+
+
+def _start_spec(solver, key, M, problems):
+    """The start grid ``solver[key]``; what fails to read goes to ``problems``."""
+    spec, kinds = _START_KEYS[key]
+    where = f"solver.{key}"
+    block = _mapping(solver, key, problems, "solver.")
+    _known(block, kinds, where, problems)
+    values = {}
+    for name in (k for k in kinds if k in block):
+        with _reading(where, problems):
+            value = _number(block, name, None, kinds[name])
+            if isinstance(value, np.ndarray):
+                value = tuple(map(tuple, value.tolist()) if value.ndim == 2 else value.tolist())
+            if name == "y_ranges" and M and len(value) not in (1, M):
+                raise ValidationError([f"y_ranges must have 1 (shared) or M={M} rows"])
+            values[name] = value
+    return spec(**values)
 
 
 @contextmanager
@@ -159,6 +193,8 @@ def loads_config(text, path="<string>"):
     unknown = set(raw) - _ALLOWED_TOP
     if unknown:
         problems.append(f"unknown top-level keys: {sorted(unknown)}")
+    blocks = {key: _mapping(raw, key, problems) for key in
+              ("hamiltonian", "coupling", "planar", "solver", "conditions", "output")}
 
     mode = raw.get("mode", "periodic")
     if mode not in ("periodic", "neumann"):
@@ -202,7 +238,7 @@ def loads_config(text, path="<string>"):
             problems.append(f"params.{k} must be a number, got {v!r}")
     params = {k: v for k, v in params.items() if isinstance(v, (int, float))}
 
-    twist = (raw.get("conditions", {}) or {}).get("twist", {}) or {}
+    twist = _mapping(blocks["conditions"], "twist", problems, "conditions.")
     if twist.get("enabled", False):
         with _reading("conditions.twist", problems):
             D = _number(twist, "D", None, (M, 2))
@@ -212,7 +248,15 @@ def loads_config(text, path="<string>"):
             if not np.all(np.abs(_number(twist, "sigma", None, (M,))) == 1):
                 raise ValidationError([f"sigma must be M={M} entries of +-1"])
 
-    system, stiffness = _build_system(raw, M, params, T, interval, problems)
+    solver = blocks["solver"]
+    _known(solver, ("newton_tol", "max_iter", *_START_KEYS), "solver", problems)
+    with _reading("solver", problems):
+        newton_tol = _number(solver, "newton_tol", 1e-9)
+    with _reading("solver", problems):
+        max_iter = _number(solver, "max_iter", 40, int)
+    starts = {key: _start_spec(solver, key, M, problems) for key in _START_KEYS}
+
+    system, stiffness = _build_system(blocks, M, params, T, interval, problems)
 
     if problems:
         raise ValidationError(problems)
@@ -221,18 +265,17 @@ def loads_config(text, path="<string>"):
         raw=raw, path=path, config_hash=cfg_hash, mode=mode, M=M,
         T=system.T, interval=system.interval,
         seed=seed, params=dict(params),
-        solver=raw.get("solver", {}) or {},
-        conditions=raw.get("conditions", {}) or {},
-        output=raw.get("output", {}) or {},
+        newton_tol=newton_tol, max_iter=max_iter, **starts,
+        conditions=blocks["conditions"], output=blocks["output"],
         system=system, _stiffness=stiffness,
     )
 
 
-def _build_system(raw, M, params, T, interval, problems):
-    """Build every block of ``raw``, adding what fails to ``problems`` under its YAML
-    path.  Returns the CoupledSystem (None if there are problems) and the stiffness
-    pairs of an asymmetric planar preset."""
-    ham = raw.get("hamiltonian", {}) or {}
+def _build_system(blocks, M, params, T, interval, problems):
+    """Build the system from the top-level ``blocks``, adding what fails to
+    ``problems`` under its YAML path.  Returns the CoupledSystem (None if there
+    are problems) and the stiffness pairs of an asymmetric planar preset."""
+    ham = blocks["hamiltonian"]
     hpreset = ham.get("preset", "free_rotator")
     grad_H = None
     with _reading("hamiltonian", problems):
@@ -250,12 +293,12 @@ def _build_system(raw, M, params, T, interval, problems):
             raise ValidationError([f"preset {hpreset!r} is unknown"])
 
     grad_P = None
-    coupling = (raw.get("coupling") or {}).get("expr", "0")
+    coupling = blocks["coupling"].get("expr", "0")
     if coupling != "0":
         with _reading("coupling", problems):
             grad_P = coupling_from_expr(coupling, M, params)
 
-    planar = raw.get("planar", {}) or {}
+    planar = blocks["planar"]
     ppreset = planar.get("preset", "asymmetric")
     block = stiffness = None
     with _reading("planar", problems):

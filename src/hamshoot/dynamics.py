@@ -10,6 +10,7 @@ fallback is provided; a collapsing step size raises instead.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,6 +48,8 @@ _P = np.array([
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 
+_C_FLOAT = _C.tolist()
+_TINY = 16 * np.finfo(float).eps  # h_min per unit of time
 _MAX_STATE = 1e8  # blowup guard: beyond this the trajectory is treated as escaping
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -148,6 +151,13 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
     across which a switch changes sign are cut at the crossing, so piecewise
     smooth fields (kinks on a switch's zero set) keep full accuracy.
 
+    Finiteness contract: ``f`` is only ever called on finite states.  A stage
+    state that is not finite rejects the step (the step size is quartered)
+    before ``f`` sees it.  The stage derivatives ``K[1..5]`` are not tested:
+    a non-finite one makes the next stage state non-finite (every DOPRI5
+    coefficient ``a_{i+1,i}`` is nonzero), so the step is rejected there, after
+    the same number of calls.  The last one, ``K[6]``, is tested once per step.
+
     Raises :class:`StepUnderflowError` when the step collapses or the state
     exceeds the blowup guard, :class:`NonfiniteStateError` on NaN/inf states.
     """
@@ -169,13 +179,17 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
 
     t = t0
     y = z0.copy()
-    k1 = feval(t, y)
-    h = _initial_step(feval, t, y, k1, tol, t1 - t0)
+    abs_y = np.abs(y)
+    K = np.empty((7, n))
+    K[0] = feval(t, y)
+    h = _initial_step(feval, t, y, K[0], tol, t1 - t0)
+    # KT[:, :i] is K[:i].T: views of the reused stage buffer
+    KT = K.T
+    stage_sums = [KT[:, :i] for i in range(7)]
 
     ts = [t0]
-    ys = [z0.copy()]
+    ys = [y]
     interpolants = []
-    K = np.empty((7, n))
     forced_h = None
 
     while t < t1:
@@ -183,36 +197,31 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
         if forced_h is not None:
             h = min(h, forced_h)
             forced_h = None
-        h_min = 16 * np.finfo(float).eps * max(abs(t), abs(t1 - t0))
+        h_min = _TINY * max(abs(t), abs(t1 - t0))
         if h < h_min:
             raise StepUnderflowError(
                 f"step size {h:.3e} underflowed at t={t:.6g}; suspected blowup or stiffness")
         if stats.steps + stats.rejected + stats.splits > max_steps:
             raise StepUnderflowError(f"exceeded {max_steps} steps")
 
-        K[0] = k1
-        bad_stage = False
+        ratio = math.inf  # stays so, rejecting the step, if a stage is not finite
         for i in range(1, 7):
-            zi = y + h * (K[:i].T @ _A[i])
-            if not np.all(np.isfinite(zi)):
-                bad_stage = True
+            zi = y + h * stage_sums[i].dot(_A[i])
+            if not _finite(zi):
                 break
-            K[i] = feval(t + _C[i] * h, zi)
-            if not np.all(np.isfinite(K[i])):
-                bad_stage = True
-                break
+            stats.nfev += 1
+            K[i] = rhs(t + _C_FLOAT[i] * h, zi)
+        else:
+            # K[6] feeds no later stage state; without this check b_7 = 0 would
+            # turn it into NaN with an invalid-value warning
+            if _finite(K[6]):
+                y_new = y + h * KT.dot(_B)
+                err = h * KT.dot(_E)
+                abs_new = np.abs(y_new)
+                scale = tol * (1.0 + np.maximum(abs_y, abs_new))
+                ratio = (np.abs(err) / scale).max() if n else 0.0
 
-        if bad_stage:
-            stats.rejected += 1
-            h *= 0.25
-            continue
-
-        y_new = y + h * (K.T @ _B)
-        err = h * (K.T @ _E)
-        scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-        ratio = np.max(np.abs(err) / scale) if n else 0.0
-
-        if not np.isfinite(ratio):
+        if not math.isfinite(ratio):
             stats.rejected += 1
             h *= 0.25
             continue
@@ -225,18 +234,19 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
                     forced_h = t_cross - t
                     continue
             if dense:
-                interpolants.append((t, h, y.copy(), K.T @ _P))
+                interpolants.append((t, h, y, KT.dot(_P)))
             t_new = t + h
-            if not np.all(np.isfinite(y_new)):
-                raise NonfiniteStateError(f"state became nonfinite at t={t_new:.6g}")
-            if np.max(np.abs(y_new)) > _MAX_STATE:
+            y_max = abs_new.max()
+            if not y_max <= _MAX_STATE:
+                if not math.isfinite(y_max):
+                    raise NonfiniteStateError(f"state became nonfinite at t={t_new:.6g}")
                 raise StepUnderflowError(
                     f"state magnitude exceeded {_MAX_STATE:.0e} at t={t_new:.6g}; suspected blowup")
             stats.steps += 1
-            k1 = K[6].copy()  # FSAL; copy: K is a reused buffer
-            t, y = t_new, y_new
+            K[0] = K[6]  # FSAL
+            t, y, abs_y = t_new, y_new, abs_new
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)
             factor = _MAX_FACTOR if ratio == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * ratio ** -0.2))
             h *= factor
@@ -245,6 +255,13 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
             h *= max(_MIN_FACTOR, _SAFETY * ratio ** -0.2)
 
     return Trajectory(ts, ys, interpolants if dense else [], stats)
+
+
+def _finite(a):
+    # A finite sum proves every entry finite (inf - inf is NaN), and Python
+    # float addition warns about nothing; only a sum that overflows falls back
+    # to the exact test.
+    return math.isfinite(sum(a.tolist())) or bool(np.isfinite(a).all())
 
 
 def _first_switch_crossing(switches, t, h, y, K, h_min):

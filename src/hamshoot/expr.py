@@ -31,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ExprSyntaxError, UnboundVariableError
+from .errors import DimensionMismatchError, DomainError, ExprSyntaxError, UnboundVariableError
 
 __all__ = [
-    "Expr", "Num", "Var", "Neg", "BinOp", "Call",
-    "parse_expr", "compile_expr", "eval_expr", "grad_expr", "unparse", "free_variables",
-    "has_kinks",
+    "Expr", "Num", "Var", "Neg", "BinOp", "Call", "ExprBlock",
+    "parse_expr", "compile_expr", "compile_blocks", "eval_expr", "grad_expr", "unparse",
+    "free_variables", "has_kinks",
 ]
 
 
@@ -265,6 +265,7 @@ _NAMESPACE = {
     "_round": np.round, "_maximum": np.maximum, "_minimum": np.minimum,
     "_square": np.square, "_pow2": _pow2, "_any": _any, "_where": _where, "_pos": _pos,
     "_gradient": _gradient, "_float": float, "_DomainError": DomainError,
+    "_array": np.array, "_DimensionMismatchError": DimensionMismatchError,
 }
 
 
@@ -460,12 +461,63 @@ def compile_expr(e, args, wrt=None, params=None):
     v, dv = c.node(e)
     partials = ", ".join(p or "0.0" for p in dv or [None] * len(wrt or ()))
     ret = v if wrt is None else f"_gradient({v}, [{partials}])"
-    signature = ", ".join(f"x{i}" for i in range(len(args)))
-    body = "".join(f"    {line}\n" for line in c.lines)
+    return _define(", ".join(f"x{i}" for i in range(len(args))), c.lines, ret)
+
+
+def _define(signature, lines, ret):
+    body = "".join(f"    {line}\n" for line in lines)
     src = f"def compiled({signature}):\n{body}    return {ret}\n"
     namespace = dict(_NAMESPACE)
     exec(compile(src, "<hamshoot.expr>", "exec"), namespace)
     return namespace["compiled"]
+
+
+@dataclass(frozen=True, eq=False)
+class ExprBlock:
+    """The expressions behind a compiled block, kept for :func:`compile_blocks`.
+
+    The block computes the values of ``exprs`` or, with ``wrt``, the gradient
+    of its single expression, as a function of ``args`` with ``params`` folded
+    in, exactly as ``compile_expr(exprs[0], args, wrt, params)`` does.
+    """
+
+    exprs: tuple
+    args: tuple
+    wrt: tuple = None
+    params: dict = None
+
+
+def compile_blocks(blocks, state, result):
+    """Compile ``blocks`` into one straight-line function ``compiled(t, z)``.
+
+    ``z`` is a 1-D array whose entries are named by ``state`` and unpacked to
+    floats; each block's ``args`` are ``t`` and names from ``state``.
+    ``result`` gets, per block, the operand texts of its outputs (the values
+    of its expressions, or the partials of its gradient, ``0.0`` where
+    structurally zero) and returns the source of the returned expression, in
+    which ``_array`` is ``np.array``.  Each block emits the operations of its
+    own :func:`compile_expr`, so every output is bitwise what that gives.  A
+    ``z`` of the wrong size raises :class:`DimensionMismatchError`.
+    """
+    names = dict(zip(("t",) + tuple(state), (f"x{i}" for i in range(len(state) + 1))))
+    c = _Compiler((), None, None)
+    outputs = []
+    for b in blocks:
+        # one line list for all blocks keeps every generated name unique
+        c.args = {name: names[name] for name in b.args}
+        c.seeds = {name: i for i, name in enumerate(b.wrt or ())}
+        c.params = b.params or {}
+        outs = []
+        for e in b.exprs:
+            v, dv = c.node(e)
+            outs += [v] if b.wrt is None else [p or "0.0" for p in dv or [None] * len(b.wrt)]
+        outputs.append(outs)
+    n = len(state)
+    head = [f"if z.shape[-1] != {n}: raise _DimensionMismatchError("
+            f"f'state has size {{z.shape[-1]}}, expected {n}')"]
+    if n:
+        head.append("".join(f"x{i + 1}, " for i in range(n)) + "= z.tolist()")
+    return _define("x0, z", head + c.lines, result(outputs))
 
 
 def eval_expr(e, binding):

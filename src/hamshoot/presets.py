@@ -14,7 +14,7 @@ import numpy as np
 from . import expr as xp
 from .errors import UnboundVariableError, ValidationError
 from .homogeneous import asymmetric, hamiltonian_from_expr
-from .systems import DecompositionData
+from .systems import DecompositionData, xy_names
 
 __all__ = [
     "pendulum_hamiltonian", "free_rotator", "hamiltonian_block_from_expr",
@@ -23,10 +23,6 @@ __all__ = [
 ]
 
 _TUV = ("t", "u", "v")
-
-
-def xy_names(M):
-    return [f"x{i + 1}" for i in range(M)], [f"y{i + 1}" for i in range(M)]
 
 
 def _parsed(src):
@@ -63,7 +59,8 @@ def _template(src, **parts):
 
 def _components_field(components, params):
     """F(t, w) whose rows are the component expressions in (t, u, v)."""
-    fns = [xp.compile_expr(_parsed(c), _TUV, params=params) for c in components]
+    asts = [_parsed(c) for c in components]
+    fns = [xp.compile_expr(a, _TUV, params=params) for a in asts]
 
     def F(t, w):
         uv = _uv(w)
@@ -71,6 +68,7 @@ def _components_field(components, params):
         # on arrays a constant component still gives a scalar
         return np.array(rows) if w.ndim == 1 else np.stack(np.broadcast_arrays(*rows))
 
+    F.expr_block = xp.ExprBlock(tuple(asts), _TUV, None, params)
     return F
 
 
@@ -93,34 +91,38 @@ def free_rotator(M):
 
 
 def _angular_gradient(src, M, planar, params):
-    # gradient in (x1.., y1..) and, if ``planar``, (u, v); x, y alias x1, y1 for M = 1
+    # gradient in (x1.., y1..) and, if ``planar``, (u, v); x, y alias x1, y1 for M = 1;
+    # returned compiled and as the block it compiles
     xn, yn = xy_names(M)
     names = tuple(xn + yn + ["u", "v"] * planar)
     ast = _parsed(src)
     if M == 1:
         ast = xp.substitute(ast, {"x": "x1", "y": "y1"})
-    return xp.compile_expr(ast, ("t",) + names, names, params)
+    block = xp.ExprBlock((ast,), ("t",) + names, names, params)
+    return xp.compile_expr(ast, block.args, names, params), block
 
 
 def hamiltonian_block_from_expr(src, M, params=None):
     """grad_H(t, x, y), x and y arrays, of an expression in (t, x1.., y1..)."""
-    grad = _angular_gradient(src, M, False, params)
+    grad, block = _angular_gradient(src, M, False, params)
 
     def grad_H(t, x, y):
         g = grad(t, *x.tolist(), *y.tolist())
         return g[:M], g[M:]
 
+    grad_H.expr_block = block
     return grad_H
 
 
 def coupling_from_expr(src, M, params=None):
     """grad_P(t, x, y, w), x, y and w arrays, of an expression in (t, x1.., y1.., u, v)."""
-    grad = _angular_gradient(src, M, True, params)
+    grad, block = _angular_gradient(src, M, True, params)
 
     def grad_P(t, x, y, w):
         g = grad(t, *x.tolist(), *y.tolist(), *w.tolist())
         return g[:M], g[M:2 * M], g[2 * M:]
 
+    grad_P.expr_block = block
     return grad_P
 
 
@@ -180,6 +182,7 @@ def planar_field_from_expr(K_src=None, components=None, params=None,
         ast = _parsed(K_src)
         kinky = xp.has_kinks(ast)
         F = _on_w(xp.compile_expr(ast, _TUV, ("u", "v"), params))
+        F.expr_block = xp.ExprBlock((ast,), _TUV, ("u", "v"), params)
     else:
         asts = [_parsed(c) for c in components]
         kinky = any(xp.has_kinks(a) for a in asts)

@@ -21,19 +21,26 @@ through a cutoff profile whose derivative obeys
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
+from . import expr as xp
 from .dynamics import VectorField
 from .errors import DimensionMismatchError, MissingDecompositionError, RhoTooSmallError
 
 __all__ = [
     "CoupledSystem", "DecompositionData", "CutoffProfile", "DecompositionReport",
     "assemble_field", "validate_decomposition", "build_cutoff", "modify_system",
-    "CutoffModification", "validate_periodicity", "gamma_least_squares",
+    "CutoffModification", "validate_periodicity", "gamma_least_squares", "xy_names",
 ]
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def xy_names(M):
+    """Expression names of the angular variables: (x1..xM), (y1..yM)."""
+    return [f"x{i + 1}" for i in range(M)], [f"y{i + 1}" for i in range(M)]
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,9 @@ class CoupledSystem:
     ``grad_P(t, x, y, w) -> (dx, dy, dw)`` may be None for absent blocks.
     ``w_kink`` marks a planar field with a gradient kink across u = 0
     (asymmetric stiffness); flows then split steps at u-axis crossings.
+    A block built from an expression carries it as ``expr_block``
+    (:class:`hamshoot.expr.ExprBlock`), in the variables (t, x1.., y1..) for
+    grad_H, (t, x1.., y1.., u, v) for grad_P and (t, u, v) for F.
     """
 
     M: int
@@ -100,12 +110,58 @@ class CoupledSystem:
         M = self.M
         return z[:M], z[M:2 * M], z[2 * M:2 * M + 2]
 
+    @cached_property
+    def _compiled_field(self):
+        # compiled on the first assemble_field, then shared by every flow
+        return _compile_field(self)
+
+
+def _compile_field(sys):
+    """The field as one compiled function of (t, z), or None unless every
+    present block carries its expression.
+
+    It performs the float operations of the generic assembly in its order,
+    ``0.0 + p`` and ``0.0 - p`` included where grad_H is absent, so the two
+    agree bitwise.
+    """
+    present = [b for b in (sys.F, sys.grad_H, sys.grad_P) if b is not None]
+    if not all(hasattr(b, "expr_block") for b in present):
+        return None
+    M = sys.M
+    xn, yn = xy_names(M)
+
+    def result(outputs):
+        outputs = iter(outputs)
+        w = next(outputs)  # F
+        x, y = ["0.0"] * M, ["0.0"] * M
+        if sys.grad_H is not None:
+            g = next(outputs)
+            x, y = g[M:], [f"-{d}" for d in g[:M]]
+        if sys.grad_P is not None:
+            g = next(outputs)
+            x = [f"{a} + {d}" for a, d in zip(x, g[M:2 * M])]
+            y = [f"{a} - {d}" for a, d in zip(y, g[:M])]
+            w = [f"{a} + {d}" for a, d in zip(w, g[2 * M:])]
+        # w' = (-J)(F + grad_w P)
+        return f"_array([{', '.join(x + y + [w[1], f'-({w[0]})'])}])"
+
+    return xp.compile_blocks([b.expr_block for b in present], xn + yn + ["u", "v"], result)
+
 
 def assemble_field(sys):
     """Assembled vector field of the coupled system.
 
     w' solves J w' = F + grad_w P, i.e. w' = (-J)(F + grad_w P).
+
+    When every present block carries its expression (``expr_block``, as all
+    blocks built by :mod:`hamshoot.presets` and the config do), the field is
+    one straight-line function, compiled through :func:`hamshoot.expr.compile_blocks`
+    once per system and bitwise equal to the generic assembly below.  Systems
+    with a plain-callable block, such as the cutoff-modified ``F_rho`` of
+    :func:`modify_system`, take the generic path.
     """
+    if sys._compiled_field is not None:
+        return VectorField(sys.dim, sys._compiled_field)
     M = sys.M
     dim = sys.dim
     grad_H = sys.grad_H

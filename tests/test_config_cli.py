@@ -299,17 +299,57 @@ def test_cli_config_error_exit_code(tmp_path):
     ("ll", "ll", {"theta_points": "x"}),
     ("check-conditions", "indefinite_twist", {"enabled": True, "center": [0, 0]}),
     ("check-conditions", "twist", {"D": [["a", 8.0]]}),
+    ("solve-periodic", "solver", {"newton_tol": "tight"}),
+    ("solve-periodic", "solver", {"max_iter": "many"}),
+    ("solve-periodic", "solver.multistart", {"x_pts": 3}),
+    ("solve-periodic", "solver.multistart", {"w_radii": [[0.25]]}),
+    ("solve-periodic", "solver.neumann_multistart", {"u_points": "few"}),
 ])
 def test_cli_malformed_conditions_exit_code(tmp_path, subcommand, block, values):
+    # ``block`` is a path below ``conditions``, or one from the top for ``solver``
+    where = block if block.startswith("solver") else f"conditions.{block}"
     raw = yaml.safe_load(DEMO_CONFIG.read_text())
-    raw["conditions"].setdefault(block, {}).update(values)
+    section = raw
+    for key in where.split("."):
+        section = section.setdefault(key, {})
+    section.update(values)
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(raw))
     proc = _run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert proc.returncode == 2, proc.stderr
-    assert f"conditions.{block}.{next(k for k in values if k != 'enabled')} must be" \
-        in proc.stderr
+    assert f"{where}.{next(k for k in values if k != 'enabled')} must be" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key, value", [("hamiltonian", "pendulum"), ("conditions", [1]),
+                                        ("solver", 3), ("coupling", "0.1*sin(x)*sin(u)")])
+def test_top_level_block_must_be_a_mapping(key, value):
+    raw = yaml.safe_load(DEMO_CONFIG.read_text())
+    raw[key] = value
+    with pytest.raises(ValidationError) as ei:
+        loads_config(yaml.safe_dump(raw))
+    assert ei.value.problems == [f"{key} must be a mapping, got {value!r}"]
+
+
+def test_cli_top_level_block_not_a_mapping_exit_code(tmp_path):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(DEMO_CONFIG.read_text().replace("hamiltonian:", "hamiltonian: pendulum\nold:"))
+    proc = _run_cli(["periods", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert "hamiltonian must be a mapping, got 'pendulum'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_solver_block_is_read_at_load():
+    cfg = loads_config(DEMO_CONFIG.read_text())
+    assert (cfg.newton_tol, cfg.max_iter) == (1e-9, 40)
+    assert cfg.multistart.y_ranges == ((-0.6, 0.6),) and cfg.multistart.w_radii == (0.25,)
+    assert cfg.multistart.w_angles == 2 and cfg.neumann_multistart.u_points == 5
+    raw = yaml.safe_load(DEMO_CONFIG.read_text())
+    raw["solver"]["multistart"]["y_ranges"] = [[-1, 1], [0, 1]]
+    with pytest.raises(ValidationError) as ei:
+        loads_config(yaml.safe_dump(raw))
+    assert ei.value.problems == ["solver.multistart.y_ranges must have 1 (shared) or M=1 rows"]
 
 
 def test_cli_missing_file_exit_code(tmp_path):

@@ -1,13 +1,18 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hamshoot.dynamics import (VectorField, flow_jacobian, flow_map, integrate,
-                               variational_field, winding)
+from hamshoot.config import load_config
+from hamshoot.dynamics import (IntegrationStats, VectorField, flow_jacobian, flow_map,
+                               integrate, variational_field, winding)
 from hamshoot.errors import (NonfiniteStateError, OriginTooCloseError,
                              StepUnderflowError)
 from hamshoot.homogeneous import asymmetric
 from hamshoot.systems import CoupledSystem, assemble_field, field_switches
 
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "pendulum_oscillator.yaml"
 CENTER = VectorField(2, lambda t, z: np.array([z[1], -z[0]]))
 PENDULUM = VectorField(2, lambda t, z: np.array([z[1], -np.sin(z[0])]))
 
@@ -179,3 +184,35 @@ def test_switch_splitting_restores_accuracy_at_kinks():
     energies = [float(H.value(tr.query(t))) for t in np.linspace(0, 1.5 * np.pi, 257)]
     assert max(abs(e - 0.5) for e in energies) < 10 * tol
     assert tr.stats.splits >= 2
+
+
+@pytest.mark.parametrize("stage", range(1, 7))
+def test_nonfinite_stage_derivative_rejects_the_step(stage):
+    calls = []
+
+    def f(t, z):
+        if not np.all(np.isfinite(z)):
+            raise AssertionError(f"f called on the non-finite state {z}")
+        calls.append(t)
+        out = np.array([z[1], -z[0]])
+        if len(calls) == 2 + stage:  # calls 1 and 2 choose the first step size
+            out[0] = np.inf
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(f, [1.0, 0.0], 0.0, 2 * np.pi, 1e-8, dense=False)
+    # the clean run takes 63 steps and 380 calls; here the first attempt is
+    # rejected after ``stage`` calls and the quartered step needs one more step
+    assert traj.stats == IntegrationStats(steps=64, rejected=1, nfev=386 + stage, splits=0)
+    assert np.max(np.abs(traj.ys[-1] - [1.0, 0.0])) < 1e-6
+
+
+def test_demo_period_flow_counts():
+    sys_ = load_config(DEMO_CONFIG).system
+    traj = integrate(assemble_field(sys_), [1.0, 0.2, 0.25, 0.0], 0.0, 2 * np.pi, 1e-10,
+                     dense=False, switches=field_switches(sys_))
+    assert traj.stats == IntegrationStats(steps=219, rejected=46, nfev=1610, splits=3)
+    assert traj.ys[-1] == pytest.approx(
+        [0.7822632656787634, 0.47286246172068974, -0.5326905724879536, -0.4836420723482581],
+        abs=1e-9)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from hamshoot.dynamics import integrate
 from hamshoot.errors import (DimensionMismatchError, MissingDecompositionError,
                              RhoTooSmallError)
 from hamshoot.homogeneous import asymmetric, isotropic
+from hamshoot.presets import (asymmetric_field, coupling_from_expr, free_rotator,
+                              hamiltonian_block_from_expr, pendulum_hamiltonian,
+                              planar_field_from_expr)
 from hamshoot.systems import (CoupledSystem, CutoffModification, DecompositionData,
                               assemble_field, build_cutoff, modify_system,
                               validate_decomposition, validate_periodicity)
@@ -66,6 +71,97 @@ def test_energy_conservation_decoupled():
     energy = lambda z: (0.5 * z[1] ** 2 - np.cos(z[0])) + float(iso.value(z[2:]))
     drift = max(abs(energy(y) - energy(z0)) for y in traj.ys)
     assert drift < 100 * tol
+
+
+# ---------------------------------------------------------------------------
+# the compiled field of expression-built systems
+# ---------------------------------------------------------------------------
+
+_PARAMS = {"k": 0.7, "eps": 0.1, "c": 0.5, "mu": 3.0}
+
+_HAMILTONIANS = {
+    "pendulum": lambda M: pendulum_hamiltonian(2.0, "0.3*sin(t)", _PARAMS),
+    "expr": lambda M: hamiltonian_block_from_expr(
+        "0.5*y^2 - k*cos(x) + 0.2*sin(t)*y" if M == 1 else
+        "0.5*y1^2 + 0.5*y2^2 - k*cos(x1 - x2) - cos(x2) + 0.2*sin(t)*y1", M, _PARAMS),
+    "free_rotator": free_rotator,
+    "none": lambda M: None,
+}
+_COUPLINGS = {
+    "none": lambda M: None,
+    "P": lambda M: coupling_from_expr(
+        "eps*sin(x)*sin(u) + 0.1*cos(t)*v" if M == 1 else
+        "eps*sin(x1)*sin(u) + eps*cos(x2)*v*y1", M, _PARAMS),
+}
+_PLANARS = {
+    "asymmetric_kink": lambda: asymmetric_field(1.0, 1.0, 4.0, 4.0, "0.1*sin(t)*atan(u)"),
+    "asymmetric_smooth": lambda: asymmetric_field(2.0, 2.0),
+    "K": lambda: planar_field_from_expr(
+        K_src="0.5*(4*pos(u)^2 + neg(u)^2 + v^2) + c*(u*atan(u) - 0.5*ln(1 + u^2))",
+        params=_PARAMS),
+    "components": lambda: planar_field_from_expr(
+        components=["mu*pos(u) - neg(u) + 0.1*cos(t)", "v"], params=_PARAMS),
+}
+
+
+def _expr_system(ham, coupling, planar, M):
+    F, dec, w_kink = _PLANARS[planar]()
+    return CoupledSystem(M=M, F=F, grad_H=_HAMILTONIANS[ham](M), grad_P=_COUPLINGS[coupling](M),
+                         T=2 * np.pi, decomposition=dec, w_kink=w_kink)
+
+
+def _plain(fn):
+    # the same block as a plain callable, which assemble_field assembles generically
+    return None if fn is None else (lambda *args: fn(*args))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("ham, coupling, planar, M", [
+    (ham, coupling, planar, M) for ham in _HAMILTONIANS for coupling in _COUPLINGS
+    for planar in _PLANARS for M in (1, 2) if not (ham == "pendulum" and M == 2)])
+def test_compiled_field_bitwise_equals_generic_assembly(ham, coupling, planar, M):
+    sys_ = _expr_system(ham, coupling, planar, M)
+    assert sys_._compiled_field is not None
+    generic = replace(sys_, F=_plain(sys_.F), grad_H=_plain(sys_.grad_H),
+                      grad_P=_plain(sys_.grad_P))
+    assert generic._compiled_field is None
+    f, g = assemble_field(sys_), assemble_field(generic)
+    rng = np.random.default_rng(11)
+    states = [rng.standard_normal(sys_.dim) * 10.0 ** rng.uniform(-3, 2) for _ in range(200)]
+    for u in (0.0, -0.0):  # both signs of zero at the kink, and zeros of either sign
+        for v in (0.3, -0.0):
+            states += [np.r_[xy, u, v] for xy in
+                       (rng.standard_normal(2 * M), np.zeros(2 * M), -np.zeros(2 * M))]
+    for z in states:
+        t = rng.uniform(0.0, 7.0)
+        assert np.array_equal(_bits(f(t, z)), _bits(g(t, z))), (t, z)
+
+
+def test_compiled_field_is_compiled_once_per_system():
+    sys_ = _expr_system("pendulum", "P", "asymmetric_kink", 1)
+    assert assemble_field(sys_).f is assemble_field(sys_).f
+
+
+def test_compiled_field_dimension_mismatch():
+    f = assemble_field(_expr_system("expr", "P", "K", 2))
+    for size in (5, 7):
+        with pytest.raises(DimensionMismatchError):
+            f(0.0, np.zeros(size))
+
+
+def test_modified_system_assembles_F_rho():
+    sys_ = _expr_system("pendulum", "none", "asymmetric_kink", 1)
+    mod = modify_system(sys_, 3.0)
+    assert mod._compiled_field is None
+    z = np.array([0.4, -0.2, 30.0, -25.0])  # |w| beyond rho^3 = 27
+    w = z[2:]
+    F_rho = mod.F(0.5, w)
+    out = assemble_field(mod)(0.5, z)
+    assert np.array_equal(out[2:], [F_rho[1], -F_rho[0]])
+    assert not np.array_equal(out[2:], assemble_field(sys_)(0.5, z)[2:])
 
 
 def test_mode_exclusivity():
