@@ -17,7 +17,7 @@ from .errors import (
 )
 from .expr import parse_expr, eval_expr, grad_expr, unparse, free_variables
 from .dynamics import (VectorField, Trajectory, WindingReport,
-                       integrate, flow_map, flow_jacobian, winding, variational_field)
+                       integrate, winding, variational_field)
 from .homogeneous import (PlanarHamiltonian, AsymmetricParams, HalfPeriods,
                           ReferenceOrbit, isotropic, asymmetric,
                           hamiltonian_from_expr, check_homogeneous,

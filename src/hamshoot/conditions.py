@@ -22,6 +22,7 @@ from scipy.integrate import simpson
 
 from .dynamics import VectorField, integrate
 from .errors import (IntegrationError, IntegrationOverflowError, SingularMatrixError)
+from .systems import assemble_field
 
 __all__ = [
     "ResonanceTag", "ResonanceClass", "classify_resonance",
@@ -390,26 +391,17 @@ def fourier_paths(count, amplitude, modes, T, seed=0):
 
 
 def frozen_subsystem(sys, path):
-    """(x, y) subsystem with the planar component frozen to path(t)."""
+    """(x, y) subsystem with the planar component frozen to path(t).
+
+    It is the (x, y) part of the assembled field at (x, y, path(t)).
+    """
     M = sys.M
-    grad_H = sys.grad_H
-    grad_P = sys.grad_P
+    f = assemble_field(sys).f
 
-    def f(t, xy):
-        x, y = xy[:M], xy[M:]
-        out = np.zeros(2 * M)
-        if grad_H is not None:
-            hx, hy = grad_H(t, x, y)
-            out[:M] = hy
-            out[M:] = -np.asarray(hx)
-        if grad_P is not None:
-            w = np.asarray(path(t), dtype=float)
-            px, py, _ = grad_P(t, x, y, w)
-            out[:M] += np.asarray(py)
-            out[M:] -= np.asarray(px)
-        return out
+    def frozen(t, xy):
+        return f(t, np.concatenate([xy, path(t)]))[:2 * M]
 
-    return VectorField(2 * M, f)
+    return VectorField(2 * M, frozen)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 The integrator is a fixed Dormand-Prince 5(4) embedded pair with the standard
 quartic (4th-order) continuous extension and FSAL.  Error control is mixed
 absolute/relative: a step is accepted when ``|err_i| <= tol * (1 + |z_i|)``
-componentwise.  The fields treated here grow at most linearly, so no stiff
+componentwise.  A :func:`variational_field` carries the sensitivity of the
+state along; error control reads the state alone, and the sensitivity rides
+on its steps.  The fields treated here grow at most linearly, so no stiff
 fallback is provided; a collapsing step size raises instead.
 """
 
@@ -20,7 +22,7 @@ from .errors import NonfiniteStateError, OriginTooCloseError, StepUnderflowError
 
 __all__ = [
     "VectorField", "Trajectory", "WindingReport",
-    "integrate", "flow_map", "flow_jacobian", "winding", "variational_field",
+    "integrate", "winding", "variational_field",
 ]
 
 # Dormand-Prince 5(4) tableau
@@ -65,6 +67,13 @@ class VectorField:
 
     def __call__(self, t, z):
         return self.f(t, z)
+
+
+@dataclass(frozen=True)
+class _Variational(VectorField):
+    """A field whose first ``state_n`` components are the state proper."""
+
+    state_n: int
 
 
 @dataclass
@@ -171,6 +180,8 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
 
     stats = IntegrationStats()
     n = z0.size
+    # error control, the step size and the blowup guard read z[:m]
+    m = f.state_n if isinstance(f, _Variational) else n
     rhs = f.f if isinstance(f, VectorField) else f
 
     def feval(t, z):
@@ -179,12 +190,13 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
 
     t = t0
     y = z0.copy()
-    abs_y = np.abs(y)
+    abs_y = np.abs(y[:m])
     K = np.empty((7, n))
     K[0] = feval(t, y)
-    h = _initial_step(feval, t, y, K[0], tol, t1 - t0)
+    h = _initial_step(feval, t, y, K[0], tol, t1 - t0, m)
     # KT[:, :i] is K[:i].T: views of the reused stage buffer
     KT = K.T
+    KT_state = KT[:m]
     stage_sums = [KT[:, :i] for i in range(7)]
 
     ts = [t0]
@@ -194,6 +206,7 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
 
     while t < t1:
         h = min(h, t1 - t)
+        cut = forced_h is not None and forced_h <= h  # the step ends on a switch surface
         if forced_h is not None:
             h = min(h, forced_h)
             forced_h = None
@@ -216,10 +229,10 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
             # turn it into NaN with an invalid-value warning
             if _finite(K[6]):
                 y_new = y + h * KT.dot(_B)
-                err = h * KT.dot(_E)
-                abs_new = np.abs(y_new)
+                err = h * KT_state.dot(_E)
+                abs_new = np.abs(y_new[:m])
                 scale = tol * (1.0 + np.maximum(abs_y, abs_new))
-                ratio = (np.abs(err) / scale).max() if n else 0.0
+                ratio = (np.abs(err) / scale).max() if m else 0.0
 
         if not math.isfinite(ratio):
             stats.rejected += 1
@@ -244,6 +257,11 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
                     f"state magnitude exceeded {_MAX_STATE:.0e} at t={t_new:.6g}; suspected blowup")
             stats.steps += 1
             K[0] = K[6]  # FSAL
+            if cut and m < n:
+                k0 = _beyond_switches(rhs, switches, t_new, y, y_new, K[6], h_min)
+                if k0 is not None:
+                    stats.nfev += 1
+                    K[0, m:] = k0[m:]
             t, y, abs_y = t_new, y_new, abs_new
             ts.append(t)
             ys.append(y)
@@ -299,16 +317,39 @@ def _first_switch_crossing(switches, t, h, y, K, h_min):
     return best
 
 
-def _initial_step(feval, t0, y0, f0, tol, span):
-    """Hairer-style starting step selection."""
-    scale = tol * (1.0 + np.abs(y0))
-    d0 = np.max(np.abs(y0) / scale) if y0.size else 0.0
-    d1 = np.max(np.abs(f0) / scale) if y0.size else 0.0
+def _beyond_switches(rhs, switches, t, y0, y, k, h_min):
+    """The field just past the switch surface that the step from ``y0`` ended on at ``y``.
+
+    The field is continuous across the surface, but its Jacobian is not, so
+    the sensitivity part of the first stage after a crossing comes from the
+    new side: the field at (t + e, y + e k) for the smallest e = 4 h_min 16^j,
+    j < 6, that puts every switch crossed since ``y0`` on its new side; None
+    if there is none.
+    """
+    crossed = []
+    for sw in switches:
+        s0, s1 = sw(y0), sw(y)
+        if s0 != 0.0 and abs(s1) <= 1e-10 * (1.0 + abs(s0)):
+            crossed.append((sw, -math.copysign(1.0, s0)))
+    e = 4 * h_min
+    for _ in range(6):
+        z = y + e * k
+        if crossed and all(sw(z) * side > 0.0 for sw, side in crossed):
+            return rhs(t + e, z)
+        e *= 16.0
+    return None
+
+
+def _initial_step(feval, t0, y0, f0, tol, span, m):
+    """Hairer-style starting step selection, from the components ``[:m]``."""
+    scale = tol * (1.0 + np.abs(y0[:m]))
+    d0 = np.max(np.abs(y0[:m]) / scale) if m else 0.0
+    d1 = np.max(np.abs(f0[:m]) / scale) if m else 0.0
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
     f1 = feval(t0 + h0, y1)
-    d2 = np.max(np.abs(f1 - f0) / scale) / h0
+    d2 = np.max(np.abs(f1[:m] - f0[:m]) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -316,53 +357,28 @@ def _initial_step(feval, t0, y0, f0, tol, span):
     return min(100 * h0, h1, span)
 
 
-def flow_map(f, z0, T, tol, t0=0.0):
-    """State reached at time ``t0 + T`` starting from ``z0`` at ``t0``."""
-    traj = integrate(f, z0, t0, t0 + T, tol, dense=False)
-    return traj.ys[-1]
+def variational_field(f, jac, cols):
+    """Field of the state z and its sensitivity Phi = dz(t)/dz(t0)[:, cols] together.
 
-
-def flow_jacobian(f, z0, T, tol, fd_step=1e-6, t0=0.0, switches=(), cols=None):
-    """Jacobian of the time-T flow map by central finite differences.
-
-    Column ``j`` perturbs ``z0[j]`` by ``fd_step * (1 + |z0[j]|)``.  ``cols``
-    selects the columns to compute (all by default); ``switches`` is passed
-    to :func:`integrate`.
-    """
-    z0 = np.asarray(z0, dtype=float)
-    cols = range(z0.size) if cols is None else cols
-
-    def flow(z):
-        return integrate(f, z, t0, t0 + T, tol, dense=False, switches=switches).ys[-1]
-
-    J = np.empty((z0.size, len(cols)))
-    for k, j in enumerate(cols):
-        d = fd_step * (1.0 + abs(z0[j]))
-        zp = z0.copy()
-        zp[j] += d
-        zm = z0.copy()
-        zm[j] -= d
-        J[:, k] = (flow(zp) - flow(zm)) / (2 * d)
-    return J
-
-
-def variational_field(f, jac, n):
-    """Augmented field integrating z and its variational matrix together.
-
-    ``jac(t, z)`` is the n-by-n Jacobian of f; the state layout is
-    ``(z, vec(M))`` with ``M' = jac(t, z) M``.  Used as an independent oracle
-    for :func:`flow_jacobian`.
+    The augmented state is ``(z, Phi)`` with Phi flattened row-major
+    (n-by-len(cols)); Phi' = D_z f(t, z) Phi, where ``jac(t, z, fz)`` gives
+    D_z f at (t, z) from ``fz = f(t, z)``.  Started from ``(z0, I[:, cols])``,
+    one :func:`integrate` of it gives the flow and the columns ``cols`` of its
+    Jacobian (the monodromy block), error-controlled by z alone.  Switches
+    see z first, so they apply unchanged.
     """
     rhs = f.f if isinstance(f, VectorField) else f
+    n, c = f.n, len(cols)
 
-    def aug(t, zM):
-        z = zM[:n]
-        M = zM[n:].reshape(n, n)
-        dz = np.asarray(rhs(t, z), dtype=float)
-        dM = np.asarray(jac(t, z), dtype=float) @ M
-        return np.concatenate([dz, dM.ravel()])
+    def aug(t, zs):
+        z = zs[:n]
+        fz = rhs(t, z)
+        out = np.empty(n + n * c)
+        out[:n] = fz
+        np.matmul(jac(t, z, fz), zs[n:].reshape(n, c), out=out[n:].reshape(n, c))
+        return out
 
-    return VectorField(n + n * n, aug)
+    return _Variational(n + n * c, aug, n)
 
 
 def winding(traj, component_indices, min_radius):

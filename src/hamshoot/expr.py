@@ -3,8 +3,9 @@
 Systems are written as plain text, e.g. ``"0.5*(mu*pos(u)^2 + nu*neg(u)^2 + v^2)"``,
 parsed once into an immutable AST and compiled once (:func:`compile_expr`) into
 straight-line numpy code returning either the value or the exact forward-mode
-gradient with respect to chosen variables.  The compiled functions accept
-floats or numpy arrays alike.
+gradient with respect to chosen variables; :func:`compile_blocks` also emits
+second derivatives, by the same rules applied forward over forward.  The
+compiled functions accept floats or numpy arrays alike.
 
 Grammar (EBNF), whitespace-insensitive::
 
@@ -21,7 +22,9 @@ Precedence from tightest: ``^``, unary minus, ``* /``, ``+ -``, so
 Functions: sin, cos, exp, ln, abs, sqrt, atan, pos, neg (one argument),
 min, max (two arguments), with ``pos(s) = max(s, 0)`` and ``neg(s) = max(-s, 0)``.
 At the kink of pos/neg/abs the derivative is fixed to 0 (a deterministic
-subgradient choice); min/max follow the second argument's derivative on ties.
+subgradient choice), and the one-sided value holds on either side, so D_u of
+``4*pos(u) - neg(u)`` is 4 for u > 0, 1 for u < 0 and 0 at u = 0; min/max
+follow the second argument's derivative on ties.
 """
 
 from __future__ import annotations
@@ -276,171 +279,291 @@ def _literal(v):
     return text if text[0].isdigit() else f"({text})"
 
 
-def _prod(p, q):
-    # multiplying by the seed partial 1.0 is exact, so it is left out
-    return q if p == "1.0" else p if q == "1.0" else f"{p} * {q}"
+_ADD, _MUL, _NEG, _ATOM = range(4)  # how tightly an emitted text binds, as Python parses it
 
 
-def _product_rule(a, da, b, db):
-    # d(ab) = da b + a db, in that order; a missing list is a passive factor
-    return [None if p is None and q is None else _prod(a, q) if p is None
-            else _prod(p, b) if q is None else f"{_prod(p, b)} + {_prod(a, q)}"
-            for p, q in zip(da or [None] * len(db), db or [None] * len(da))]
+class _T:
+    """An operand of the generated code together with its partials.
+
+    ``text`` is a name, a literal or an inline expression that binds as
+    tightly as ``prec``.  ``d`` holds one partial per seed, each a ``_T`` of
+    one derivative order less or None where structurally zero; ``d`` is None
+    when the operand depends on no seed or no further order is built.
+    """
+
+    __slots__ = ("text", "d", "prec")
+
+    def __init__(self, text, d=None, prec=_ATOM):
+        self.text, self.d, self.prec = text, d, prec
+
+    def at(self, prec):
+        """The text as an operand of an operator that binds as tightly as ``prec``."""
+        return self.text if self.prec >= prec else f"({self.text})"
+
+
+_ZERO, _HALF, _ONE, _TWO = (_T(_literal(c)) for c in (0.0, 0.5, 1.0, 2.0))
+
+_CALL = {"sin": "_sin({})", "cos": "_cos({})", "exp": "_exp({})", "ln": "_log({})",
+         "sqrt": "_sqrt({})", "abs": "_abs({})", "atan": "_arctan({})", "pos": "_pos({})",
+         "neg": "_pos(-{})"}
 
 
 class _Compiler:
     """Emits assignments for the nodes in evaluation order (children first).
 
-    A node becomes its value ``aN`` and, when it depends on a ``wrt``
-    variable, its partials ``dN_i``; ``None`` marks a partial that is
-    structurally zero, which is never computed.  Only generated names,
-    float literals and fixed messages reach the source text.
+    A node becomes a term (:class:`_T`): its value ``aN`` and, when it
+    depends on a seed (a ``wrt`` variable), its partials ``dN_i``; to order 2
+    each partial has partials ``dN_i_j`` of its own.  Every partial is built
+    by the inline operations below, which carry partials in turn, so second
+    derivatives follow from the first-order rules (forward over forward
+    mode).  ``None`` marks a partial that is structurally zero, which is
+    never computed.  Only generated names, float literals and fixed messages
+    reach the source text.
     """
 
     def __init__(self, args, wrt, params):
-        self.args = {name: f"x{i}" for i, name in enumerate(args)}
+        self.lines = []
+        self.block({name: f"x{i}" for i, name in enumerate(args)}, wrt, params, 1)
+
+    def block(self, args, wrt, params, order):
+        """Compile what follows over ``args`` (name -> operand), seeded by ``wrt``."""
+        self.args = args
         self.seeds = {name: i for i, name in enumerate(wrt or ())}
         self.params = params or {}
-        self.lines = []
+        self.order = order if self.seeds else 0
 
-    def value(self, text):
+    # -- emitted lines ------------------------------------------------------
+
+    def emit(self, text):
         name = f"a{len(self.lines)}"
         self.lines.append(f"{name} = {text}")
         return name
 
-    def partials(self, name, texts):
-        out = list(texts)
-        for i, text in enumerate(texts):
-            if not (text is None or text == "1.0" or text.isidentifier()):
-                out[i] = f"d{name[1:]}_{i}"
-                self.lines.append(f"{out[i]} = {text}")
-        return out
+    def attach(self, name, d):
+        """Term ``name`` with partials ``d``, each bound to a line unless a name or 1.0."""
+        if d is None:
+            return _T(name)
+        out = []
+        for i, p in enumerate(d):
+            if not (p is None or p.text == "1.0" or p.text.isidentifier()):
+                pname = f"d{name[1:]}_{i}"
+                self.lines.append(f"{pname} = {p.text}")
+                p = self.attach(pname, p.d)
+            out.append(p)
+        return _T(name, out)
+
+    def bind(self, t):
+        return self.attach(self.emit(t.text), t.d)
 
     def check(self, cond, message):
         self.lines.append(f"if _any({cond}): raise _DomainError({message!r})")
 
+    # -- the rules: partials to order m, for nodes and inline terms alike ---
+
+    def partials(self, m, terms, rule):
+        """``rule`` applied to the operands' partials, seed by seed, or None."""
+        if m == 0 or all(t.d is None for t in terms):
+            return None
+        k = len(self.seeds)
+        return [rule(*ps) for ps in zip(*(t.d or [None] * k for t in terms))]
+
+    def sum_rule(self, m, a, b, op):
+        n = m - 1
+        return self.partials(m, [a, b], lambda p, q: p if q is None else (
+            (q if op == "+" else self.neg(n, q)) if p is None
+            else self.add(n, p, q) if op == "+" else self.sub(n, p, q)))
+
+    def product_rule(self, m, a, b):
+        # d(ab) = da b + a db, in that order
+        n = m - 1
+        return self.partials(m, [a, b], lambda p, q: (
+            None if p is None and q is None else self.mul(n, a, q) if p is None
+            else self.mul(n, p, b) if q is None
+            else self.add(n, self.mul(n, p, b), self.mul(n, a, q))))
+
+    def quotient_rule(self, m, a, b, b2):
+        # ``b2`` is the square of b, read only where b has partials
+        n = m - 1
+        if b.d is None:
+            return self.partials(m, [a], lambda p: p and self.div(n, p, b))
+        return self.partials(m, [a, b], lambda p, q: None if p is None and q is None else self.div(
+            n, self.minus_product(n, a, q) if p is None else self.mul(n, p, b) if q is None
+            else self.sub(n, self.mul(n, p, b), self.mul(n, a, q)), b2))
+
+    def minus_product(self, m, a, b):
+        # -(a b) as (-a) b, which is the same float
+        return self.neg(m, b) if a.text == "1.0" else self.mul(m, self.neg(m, a), b)
+
+    def chain_rule(self, m, a, slope):
+        """Partials ``slope * da``, where ``slope(m - 1)`` is built only if needed."""
+        if m == 0 or a.d is None:
+            return None
+        s = slope(m - 1)
+        return [p and self.mul(m - 1, s, p) for p in a.d]
+
+    def slope(self, m, fn, a):
+        """Derivative of ``fn`` at ``a``; at a kink 0, and 0 for its own derivative."""
+        if fn == "sin":
+            return self.call(m, "cos", a)
+        if fn == "cos":
+            return self.neg(m, self.call(m, "sin", a))
+        return _T({"abs": "_sign({})", "pos": "_where({} > 0.0, 1.0, 0.0)",
+                   "neg": "_where({} < 0.0, -1.0, 0.0)"}[fn].format(a.text))
+
+    def own(self, fn, v, a, m):
+        """Partials to order m of the value ``v`` = exp(a) or sqrt(a), which read ``v``."""
+        if m == 0 or a.d is None:
+            return None
+        n = m - 1
+        vn = _T(v, self.own(fn, v, a, n))
+        return [p and (self.mul(n, vn, p) if fn == "exp"
+                       else self.div(n, self.mul(n, _HALF, p), vn)) for p in a.d]
+
+    # -- inline terms to order m --------------------------------------------
+
+    def neg(self, m, a):
+        return _T(f"-{a.at(_NEG)}", self.partials(m, [a], lambda p: p and self.neg(m - 1, p)),
+                  _NEG)
+
+    def add(self, m, a, b):
+        return _T(f"{a.at(_ADD)} + {b.at(_MUL)}", self.sum_rule(m, a, b, "+"), _ADD)
+
+    def sub(self, m, a, b):
+        return _T(f"{a.at(_ADD)} - {b.at(_MUL)}", self.sum_rule(m, a, b, "-"), _ADD)
+
+    def mul(self, m, a, b, skip_one=True):
+        # multiplying by the seed partial 1.0 is exact, so it is left out
+        if skip_one and "1.0" in (a.text, b.text):
+            return b if a.text == "1.0" else a
+        return _T(f"{a.at(_MUL)} * {b.at(_NEG)}", self.product_rule(m, a, b), _MUL)
+
+    def div(self, m, a, b):
+        b2 = self.square(m - 1, b) if m and b.d is not None else None
+        return _T(f"{a.at(_MUL)} / {b.at(_NEG)}", self.quotient_rule(m, a, b, b2), _MUL)
+
+    def where(self, m, mask, a, b):
+        return _T(f"_where({mask}, {a.text}, {b.text})", self.partials(
+            m, [a, b], lambda p, q: None if p is None and q is None
+            else self.where(m - 1, mask, p or _ZERO, q or _ZERO)))
+
+    def square(self, m, a, var=False):
+        # seeds by a product, intermediates by pow(): numpy's ** 2 on 0-d
+        # array seeds and on scalars, so gradients match a dual-number pass
+        return _T(f"_square({a.text})" if var else f"_pow2({a.text})",
+                  self.chain_rule(m, a, lambda n: self.mul(n, _TWO, a)))
+
+    def power(self, m, a, b):
+        """a^b for an exponent b without partials."""
+        return _T(f"_power({a.text}, {b.text})", self.chain_rule(m, a, lambda n: self.mul(
+            n, b, self.power(n, a, self.sub(n, b, _ONE)), skip_one=False)))
+
+    def call(self, m, fn, a):
+        return _T(_CALL[fn].format(a.text), self.chain_rule(m, a, lambda n: self.slope(n, fn, a)))
+
+    # -- nodes --------------------------------------------------------------
+
     def node(self, e):
-        """(value operand, partials or None) of ``e``."""
+        """The term of ``e``, with partials to the compiler's order."""
         if isinstance(e, Num):
-            return _literal(e.value), None
+            return _T(_literal(e.value))
         if isinstance(e, Var):
             return self.var(e.name)
         if isinstance(e, Neg):
-            a, da = self.node(e.arg)
-            v = self.value(f"-{a}")
-            return v, da and self.partials(v, [d and f"-{d}" for d in da])
+            a = self.node(e.arg)
+            v = self.emit(f"-{a.text}")
+            return self.attach(v, self.partials(self.order, [a],
+                                                lambda p: p and self.neg(self.order - 1, p)))
         if isinstance(e, BinOp):
             return self.binop(e)
         if isinstance(e, Call):
-            return self.call(e.fn, [self.node(a) for a in e.args], e.args)
+            return self.call_node(e.fn, [self.node(a) for a in e.args], e.args)
         raise TypeError(f"not an Expr node: {e!r}")
 
     def var(self, name):
         if name in self.seeds:
-            da = [None] * len(self.seeds)
-            da[self.seeds[name]] = "1.0"
-            return self.args[name], da
+            i = self.seeds[name]
+            return _T(self.args[name], [_ONE if j == i else None for j in range(len(self.seeds))])
         if name in self.args:
-            return self.args[name], None
+            return _T(self.args[name])
         if name in self.params:
-            return _literal(self.params[name]), None
+            return _T(_literal(self.params[name]))
         raise UnboundVariableError(f"variable {name!r} is not bound")
 
-    def square(self, a, node):
-        # seeds by a product, intermediates by pow(): numpy's ** 2 on 0-d
-        # array seeds and on scalars, so gradients match a dual-number pass
-        return self.value(f"_square({a})" if isinstance(node, Var) else f"_pow2({a})")
-
     def binop(self, e):
-        a, da = self.node(e.lhs)
-        b, db = self.node(e.rhs)
-        op = e.op
+        a, b = self.node(e.lhs), self.node(e.rhs)
+        op, m = e.op, self.order
         if op == "^":
-            return self.power(a, da, b, db, e)
+            return self.power_node(a, b, e)
         if op == "/" and not (isinstance(e.rhs, Num) and e.rhs.value != 0.0):
-            self.check(f"{b} == 0.0", "division by zero")
-        v = self.value(f"{a} {op} {b}")
-        if da is None and db is None:
-            return v, None
-        k = len(self.seeds)
-        da = da or [None] * k
-        pairs = zip(da, db or [None] * k)
-        if op == "+":
-            out = [p if q is None else q if p is None else f"{p} + {q}" for p, q in pairs]
-        elif op == "-":
-            out = [p if q is None else f"-{q}" if p is None else f"{p} - {q}" for p, q in pairs]
-        elif op == "*":
-            out = _product_rule(a, da, b, db)
-        elif db is None:
-            out = [p and f"{p} / {b}" for p in da]
-        else:
-            b2 = self.square(b, e.rhs)
-            out = [None if p is None and q is None else f"-{_prod(a, q)} / {b2}" if p is None
-                   else f"{_prod(p, b)} / {b2}" if q is None
-                   else f"({_prod(p, b)} - {_prod(a, q)}) / {b2}" for p, q in pairs]
-        return v, self.partials(v, out)
+            self.check(f"{b.text} == 0.0", "division by zero")
+        v = self.emit(f"{a.text} {op} {b.text}")
+        if op in "+-":
+            return self.attach(v, self.sum_rule(m, a, b, op))
+        if op == "*":
+            return self.attach(v, self.product_rule(m, a, b))
+        b2 = None if b.d is None else self.bind(self.square(m - 1, b, isinstance(e.rhs, Var)))
+        return self.attach(v, self.quotient_rule(m, a, b, b2))
 
-    def power(self, a, da, b, db, e):
-        if db is not None:
+    def power_node(self, a, b, e):
+        if b.d is not None:
             # variable exponent: exp(y ln x), differentiated through ln and exp
-            self.check(f"{a} <= 0.0", "x^y with variable exponent requires x > 0")
-            ln = self.value(f"_log({a})")
-            dln = da and self.partials(ln, [p and f"{p} / {a}" for p in da])
-            y = self.value(f"{b} * {ln}")
-            dy = self.partials(y, _product_rule(b, db, ln, dln))
-            v = self.value(f"_exp({y})")
-            return v, self.partials(v, [p and _prod(v, p) for p in dy])
+            self.check(f"{a.text} <= 0.0", "x^y with variable exponent requires x > 0")
+            ln = self.apply("ln", a)
+            y = self.attach(self.emit(f"{b.text} * {ln.text}"),
+                            self.product_rule(self.order, b, ln))
+            return self.apply("exp", y)
         const = e.rhs.value if isinstance(e.rhs, Num) else None
         if const is None or const != np.round(const):
-            self.check(f"({b} != _round({b})) & ({a} < 0.0)",
+            self.check(f"({b.text} != _round({b.text})) & ({a.text} < 0.0)",
                        "negative base with non-integer exponent")
         if const is None or const < 0:
-            self.check(f"({b} < 0.0) & ({a} == 0.0)", "zero base with negative exponent")
+            self.check(f"({b.text} < 0.0) & ({a.text} == 0.0)", "zero base with negative exponent")
         # numpy squares exactly (power(x, 2.0) == x * x, power(x, 1.0) == x)
         square = const == 2.0
-        v = self.value(f"{a} * {a}" if square else f"_power({a}, {b})")
-        if da is None:
-            return v, None
-        slope = self.value(f"2.0 * {a}" if square else
-                           f"{b} * _power({a}, {b} - 1.0)")
-        return v, self.partials(v, [p and _prod(slope, p) for p in da])
+        v = self.emit(f"{a.text} * {a.text}" if square else f"_power({a.text}, {b.text})")
+        return self.attach(v, self.chain_rule(self.order, a, lambda n: self.bind(
+            self.mul(n, _TWO, a) if square else
+            self.mul(n, b, self.power(n, a, self.sub(n, b, _ONE)), skip_one=False))))
 
-    def call(self, fn, args, nodes):
-        (a, da) = args[0]
+    def call_node(self, fn, args, nodes):
+        a = args[0]
         if fn in ("min", "max"):
-            b, db = args[1]
-            v = self.value(f"_{fn}imum({a}, {b})")
-            if da is None and db is None:
-                return v, None
-            take_a = self.value(f"{a} {'<' if fn == 'min' else '>'} {b}")
-            k = len(self.seeds)
-            return v, self.partials(v, [
-                None if p is None and q is None else f"_where({take_a}, {p or '0.0'}, {q or '0.0'})"
-                for p, q in zip(da or [None] * k, db or [None] * k)])
+            b = args[1]
+            v = self.emit(f"_{fn}imum({a.text}, {b.text})")
+            if a.d is None and b.d is None:
+                return _T(v)
+            take_a = self.emit(f"{a.text} {'<' if fn == 'min' else '>'} {b.text}")
+            n = self.order - 1
+            return self.attach(v, self.partials(self.order, [a, b], lambda p, q: None if (
+                p is None and q is None) else self.where(n, take_a, p or _ZERO, q or _ZERO)))
         if fn == "ln":
-            self.check(f"{a} <= 0.0", "ln of a nonpositive value")
+            self.check(f"{a.text} <= 0.0", "ln of a nonpositive value")
         if fn == "sqrt":
-            self.check(f"{a} < 0.0", "sqrt of a negative value")
-            if da is not None:
-                self.check(f"{a} == 0.0", "sqrt not differentiable at 0")
-        value_text = {"sin": "_sin({})", "cos": "_cos({})", "exp": "_exp({})",
-                      "ln": "_log({})", "sqrt": "_sqrt({})", "abs": "_abs({})",
-                      "atan": "_arctan({})", "pos": "_pos({})", "neg": "_pos(-{})"}[fn]
-        v = self.value(value_text.format(a))
-        if da is None:
-            return v, None
-        if fn == "ln":
-            return v, self.partials(v, [p and f"{p} / {a}" for p in da])
-        if fn == "sqrt":
-            return v, self.partials(v, [p and f"{_prod('0.5', p)} / {v}" for p in da])
-        if fn == "atan":
-            q = self.value(f"1.0 + {self.square(a, nodes[0])}")
-            return v, self.partials(v, [p and f"{p} / {q}" for p in da])
-        slope = v if fn == "exp" else self.value({
-            "sin": "_cos({})", "cos": "-_sin({})", "abs": "_sign({})",
-            "pos": "_where({} > 0.0, 1.0, 0.0)", "neg": "_where({} < 0.0, -1.0, 0.0)",
-        }[fn].format(a))
-        return v, self.partials(v, [p and _prod(slope, p) for p in da])
+            self.check(f"{a.text} < 0.0", "sqrt of a negative value")
+            if a.d is not None:
+                self.check(f"{a.text} == 0.0", "sqrt not differentiable at 0")
+        return self.apply(fn, a, isinstance(nodes[0], Var))
+
+    def apply(self, fn, a, var=False):
+        """The node fn(a): its value line, then its partials (``var``: a is a variable)."""
+        v = self.emit(_CALL[fn].format(a.text))
+        if a.d is None:
+            return _T(v)
+        m, n = self.order, self.order - 1
+        if fn in ("exp", "sqrt"):
+            d = self.own(fn, v, a, m)
+        elif fn == "ln":
+            d = [p and self.div(n, p, a) for p in a.d]
+        elif fn == "atan":
+            q = self.bind(self.add(n, _ONE, self.bind(self.square(n, a, var))))
+            d = [p and self.div(n, p, q) for p in a.d]
+        else:
+            d = self.chain_rule(m, a, lambda k: self.bind(self.slope(k, fn, a)))
+        return self.attach(v, d)
+
+
+def _text(t):
+    return "0.0" if t is None else t.text
 
 
 def compile_expr(e, args, wrt=None, params=None):
@@ -458,18 +581,41 @@ def compile_expr(e, args, wrt=None, params=None):
         if name not in args:
             raise UnboundVariableError(f"variable {name!r} is not bound")
     c = _Compiler(args, wrt, params)
-    v, dv = c.node(e)
-    partials = ", ".join(p or "0.0" for p in dv or [None] * len(wrt or ()))
-    ret = v if wrt is None else f"_gradient({v}, [{partials}])"
+    v = c.node(e)
+    partials = ", ".join(_text(p) for p in v.d or [None] * len(wrt or ()))
+    ret = v.text if wrt is None else f"_gradient({v.text}, [{partials}])"
     return _define(", ".join(f"x{i}" for i in range(len(args))), c.lines, ret)
 
 
+_NAME = re.compile(r"[A-Za-z_]\w*")
+_ASSIGNMENT = re.compile(r"(\w+) = (.*)")
+
+
+def _live(lines, ret):
+    """``lines`` without the assignments that neither ``ret`` nor a kept line reads.
+
+    Every other line (the domain checks, the state unpacking) is kept, and
+    so are the values it reads.
+    """
+    live = set(_NAME.findall(ret))
+    kept = []
+    for line in reversed(lines):
+        m = _ASSIGNMENT.fullmatch(line)
+        if m is not None and m.group(1) not in live:
+            continue
+        live.update(_NAME.findall(line if m is None else m.group(2)))
+        kept.append(line)
+    return kept[::-1]
+
+
 def _define(signature, lines, ret):
-    body = "".join(f"    {line}\n" for line in lines)
+    body = "".join(f"    {line}\n" for line in _live(lines, ret))
     src = f"def compiled({signature}):\n{body}    return {ret}\n"
     namespace = dict(_NAMESPACE)
     exec(compile(src, "<hamshoot.expr>", "exec"), namespace)
-    return namespace["compiled"]
+    fn = namespace["compiled"]
+    fn.source = src
+    return fn
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,7 +633,7 @@ class ExprBlock:
     params: dict = None
 
 
-def compile_blocks(blocks, state, result):
+def compile_blocks(blocks, state, result, jacobian=False):
     """Compile ``blocks`` into one straight-line function ``compiled(t, z)``.
 
     ``z`` is a 1-D array whose entries are named by ``state`` and unpacked to
@@ -496,21 +642,32 @@ def compile_blocks(blocks, state, result):
     of its expressions, or the partials of its gradient, ``0.0`` where
     structurally zero) and returns the source of the returned expression, in
     which ``_array`` is ``np.array``.  Each block emits the operations of its
-    own :func:`compile_expr`, so every output is bitwise what that gives.  A
+    own :func:`compile_expr`, so every output is bitwise what that gives.
+    With ``jacobian`` every output is instead the row of its partials over
+    ``state``: the Hessian rows of a gradient, the gradient of a value.  A
     ``z`` of the wrong size raises :class:`DimensionMismatchError`.
     """
+    index = {name: i for i, name in enumerate(state)}
     names = dict(zip(("t",) + tuple(state), (f"x{i}" for i in range(len(state) + 1))))
     c = _Compiler((), None, None)
     outputs = []
     for b in blocks:
         # one line list for all blocks keeps every generated name unique
-        c.args = {name: names[name] for name in b.args}
-        c.seeds = {name: i for i, name in enumerate(b.wrt or ())}
-        c.params = b.params or {}
+        seeds = b.wrt if b.wrt or not jacobian else [a for a in b.args if a in index]
+        c.block({name: names[name] for name in b.args}, seeds, b.params,
+                2 if jacobian and b.wrt else 1)
         outs = []
         for e in b.exprs:
-            v, dv = c.node(e)
-            outs += [v] if b.wrt is None else [p or "0.0" for p in dv or [None] * len(b.wrt)]
+            v = c.node(e)
+            first = [v] if b.wrt is None else v.d or [None] * len(seeds)
+            if not jacobian:
+                outs += [_text(p) for p in first]
+                continue
+            for g in first:
+                row = ["0.0"] * len(state)
+                for name, p in zip(seeds, g.d if g is not None and g.d else ()):
+                    row[index[name]] = _text(p)
+                outs.append(row)
         outputs.append(outs)
     n = len(state)
     head = [f"if z.shape[-1] != {n}: raise _DimensionMismatchError("

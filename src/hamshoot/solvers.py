@@ -8,14 +8,26 @@ Periodic mode takes the window (0, T) and every component and row; the
 Newton map then lives on the cylinder, so solutions whose x drifts by
 multiples of 2pi over a period count as periodic.  Neumann mode takes the
 window [a, b] and the state (x_a, 0, u_a, 0): x and u are the unknowns and
-the y and v rows of the defect, i.e. (y(b), v(b)), must vanish.  The
-Jacobian is :func:`~hamshoot.dynamics.flow_jacobian` restricted to those
-rows and columns, minus the matching block of the identity.
+the y and v rows of the defect, i.e. (y(b), v(b)), must vanish.
 
-Damped Newton with Armijo backtracking; a Jacobian with condition number
-beyond 1e12 switches the step to Levenberg-Marquardt with fixed damping
-1e-6.  Singular Jacobians are expected at resonance (continua of solutions):
-the LM step then returns a point on the continuum instead of failing.
+Each Newton evaluation is one flow of the variational field
+(:func:`~hamshoot.dynamics.variational_field`): the state and its
+sensitivity Phi to the unknowns, Phi' = D_z f Phi, integrated together at
+the residual tolerance.  It gives the defect and the exact Jacobian
+Phi[rows] - I[rows, cols] along the actual trajectory.  D_z f comes from
+the compiled expressions (:func:`~hamshoot.systems.field_jacobian`), with
+the derivative at a pos/neg/abs kink fixed to 0 and the one-sided value
+elsewhere; systems with a plain-callable block take forward differences of
+the field instead.  The field is continuous across the kink u = 0, so Phi
+needs no jump there, and the one-sided Jacobian makes the iteration a
+semismooth Newton method, which converges superlinearly at kinks too.
+
+Damped Newton with Armijo backtracking; the line search keeps the Jacobian
+of the point it accepts.  A Jacobian with condition number beyond 1e12, or
+a Newton step that needs more than 4 halvings, switches the step to
+Levenberg-Marquardt with fixed damping 1e-6.  Singular Jacobians are
+expected at resonance (continua of solutions): the LM step then returns a
+point on the continuum instead of failing.
 
 Solutions are geometrically distinct when they are not related by shifting
 some x_i by an integer multiple of 2pi; records are compared by their
@@ -31,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import flow_jacobian, integrate, winding
+from .dynamics import integrate, variational_field, winding
 from .errors import (IntegrationError, MaxIterationsError, OriginTooCloseError,
                      SingularJacobianError)
-from .systems import assemble_field, field_switches
+from .systems import assemble_field, field_jacobian, field_switches
 
 __all__ = [
     "PeriodicSolutionRecord", "NeumannSolutionRecord", "DistinctnessPartition",
@@ -48,6 +60,10 @@ _COND_LIMIT = 1e12
 _LM_DAMPING = 1e-6
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 30
+# A Newton step that needs more halvings than this is taken as stalled and
+# replaced by the LM step: near a continuum of solutions the step follows a
+# near-null direction of J and the line search would crawl.
+_NEWTON_BACKTRACKS = 4
 _WINDING_MIN_RADIUS = 1e-8
 
 
@@ -114,27 +130,30 @@ def _lm_step(J, R):
     return np.linalg.solve(A, -J.T @ R)
 
 
-def _line_search(residual_fn, z, delta, R, nR):
+def _line_search(evaluate, z, delta, nR, backtracks=_MAX_BACKTRACKS):
+    """Armijo backtracking along ``delta``; (z, R, J, |R|) of the accepted point."""
     alpha = 1.0
-    for _ in range(_MAX_BACKTRACKS):
+    for _ in range(backtracks):
         z_try = z + alpha * delta
-        R_try = residual_fn(z_try)
+        R_try, J_try = evaluate(z_try)
         n_try = float(np.linalg.norm(R_try))
         if n_try <= (1.0 - _ARMIJO_C * alpha) * nR:
-            return z_try, R_try, n_try
+            return z_try, R_try, J_try, n_try
         alpha *= 0.5
     return None
 
 
-def _newton(residual_fn, jacobian_fn, z0, tol, max_iter):
-    """Damped Newton with LM fallback; returns (z, |R|, iterations)."""
+def _newton(evaluate, z0, tol, max_iter):
+    """Damped Newton with LM fallback; returns (z, |R|, iterations).
+
+    ``evaluate(z)`` returns the residual and its Jacobian at z.
+    """
     z = np.asarray(z0, dtype=float).copy()
-    R = residual_fn(z)
+    R, J = evaluate(z)
     nR = float(np.linalg.norm(R))
     for it in range(max_iter):
         if nR <= tol:
             return z, nR, it
-        J = jacobian_fn(z)
         use_lm = False
         delta = None
         cond = np.linalg.cond(J)
@@ -148,17 +167,18 @@ def _newton(residual_fn, jacobian_fn, z0, tol, max_iter):
         if use_lm:
             delta = _lm_step(J, R)
 
-        step = _line_search(residual_fn, z, delta, R, nR)
+        step = _line_search(evaluate, z, delta, nR,
+                            _MAX_BACKTRACKS if use_lm else _NEWTON_BACKTRACKS)
         if step is None and not use_lm:
             # stalled Newton direction: retry the same iteration with LM
             use_lm = True
-            step = _line_search(residual_fn, z, _lm_step(J, R), R, nR)
+            step = _line_search(evaluate, z, _lm_step(J, R), nR)
         if step is None:
             if use_lm:
                 raise SingularJacobianError(
                     f"LM fallback stalled at residual {nR:.3e} (cond ~ {cond:.3e})")
             raise MaxIterationsError(f"line search stalled at residual {nR:.3e}")
-        z, R, nR = step
+        z, R, J, nR = step
     if nR <= tol:
         return z, nR, max_iter
     raise MaxIterationsError(f"no convergence in {max_iter} iterations; residual {nR:.3e}")
@@ -182,14 +202,12 @@ def _problem(sys):
     return tuple(sys.interval), np.r_[0:M, 2 * M], np.r_[M:2 * M, 2 * M + 1]
 
 
-def _defect(sys, field, switches, z, tol):
-    """Shooting residual: the defect rows of wrap_x(z(t1) - z(t0)) from z."""
-    (t0, t1), _, rows = _problem(sys)
-    zt = integrate(field, z, t0, t1, tol, dense=False, switches=switches).ys[-1]
-    return _wrap_x(zt - z, sys.M)[rows]
+def _defect(sys, z, zt):
+    """Shooting residual: the defect rows of wrap_x(zt - z) for the flow z -> zt."""
+    return _wrap_x(zt - z, sys.M)[_problem(sys)[2]]
 
 
-def _shoot(sys, z_guess, newton_tol, max_iter, integration_tol, jac_tol, fd_step):
+def _shoot(sys, z_guess, newton_tol, max_iter, integration_tol):
     """Newton shooting core shared by both modes.
 
     ``z_guess`` is a full initial state; only its ``cols`` components move.
@@ -198,34 +216,33 @@ def _shoot(sys, z_guess, newton_tol, max_iter, integration_tol, jac_tol, fd_step
     """
     if integration_tol is None:
         integration_tol = 0.1 * newton_tol
-    if jac_tol is None:
-        jac_tol = max(1e-8, 10.0 * integration_tol)
     field = assemble_field(sys)
     switches = field_switches(sys)
     (t0, t1), cols, rows = _problem(sys)
+    n = sys.dim
+    aug = variational_field(field, field_jacobian(sys, field), cols)
     base = np.asarray(z_guess, dtype=float)
-    eye = np.eye(sys.dim)[np.ix_(rows, cols)]
+    eye = np.eye(n)[:, cols]
 
     def state(p):
         z = base.copy()
         z[cols] = p
         return z
 
-    def residual_fn(p):
-        return _defect(sys, field, switches, state(p), integration_tol)
+    def evaluate(p):
+        # one flow of the state and its sensitivity: the defect and its Jacobian
+        z = state(p)
+        end = integrate(aug, np.concatenate([z, eye.ravel()]), t0, t1, integration_tol,
+                        dense=False, switches=switches).ys[-1]
+        return _defect(sys, z, end[:n]), (end[n:].reshape(n, len(cols)) - eye)[rows]
 
-    def jacobian_fn(p):
-        J = flow_jacobian(field, state(p), t1 - t0, jac_tol, fd_step, t0, switches, cols)
-        return J[rows] - eye
-
-    p, res, iters = _newton(residual_fn, jacobian_fn, base[cols], newton_tol, max_iter)
+    p, res, iters = _newton(evaluate, base[cols], newton_tol, max_iter)
     z = state(p)
     return z, res, iters, lambda: integrate(field, z, t0, t1, integration_tol,
                                             switches=switches)
 
 
-def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40,
-                   integration_tol=None, jac_tol=None, fd_step=1e-6):
+def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40, integration_tol=None):
     """Newton shooting for a T-periodic solution from ``z_guess``.
 
     Returns a :class:`PeriodicSolutionRecord`; raises a
@@ -233,8 +250,7 @@ def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40,
     """
     if sys.mode != "periodic":
         raise ValueError("shoot_periodic requires a periodic-mode system")
-    z, res, iters, trajectory = _shoot(sys, z_guess, newton_tol, max_iter,
-                                       integration_tol, jac_tol, fd_step)
+    z, res, iters, trajectory = _shoot(sys, z_guess, newton_tol, max_iter, integration_tol)
     M = sys.M
     try:
         turns = winding(trajectory(), (2 * M, 2 * M + 1), _WINDING_MIN_RADIUS).turns
@@ -245,8 +261,7 @@ def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40,
         x0_normalized=np.mod(z[:M], 2 * np.pi), M=M)
 
 
-def shoot_neumann(sys, guess, newton_tol=1e-9, max_iter=40,
-                  integration_tol=None, jac_tol=None, fd_step=1e-6):
+def shoot_neumann(sys, guess, newton_tol=1e-9, max_iter=40, integration_tol=None):
     """Newton shooting for the Neumann problem from guess (x_a, u_a).
 
     The initial state is (x_a, 0, u_a, 0) by construction; the residual is
@@ -257,8 +272,7 @@ def shoot_neumann(sys, guess, newton_tol=1e-9, max_iter=40,
     M = sys.M
     z = np.zeros(sys.dim)
     z[:M], z[2 * M] = guess
-    z, res, iters, _ = _shoot(sys, z, newton_tol, max_iter,
-                              integration_tol, jac_tol, fd_step)
+    z, res, iters, _ = _shoot(sys, z, newton_tol, max_iter, integration_tol)
     return NeumannSolutionRecord(
         x_a=z[:M], u_a=float(z[2 * M]), residual=res, iterations=iters,
         z0=z, x_a_normalized=np.mod(z[:M], 2 * np.pi))
@@ -266,8 +280,10 @@ def shoot_neumann(sys, guess, newton_tol=1e-9, max_iter=40,
 
 def revalidate(sys, record, integration_tol=1e-12):
     """Residual re-computed by an independent integration at ``integration_tol``."""
-    return float(np.linalg.norm(_defect(sys, assemble_field(sys), field_switches(sys),
-                                        record.z0, integration_tol)))
+    (t0, t1), _, _ = _problem(sys)
+    zt = integrate(assemble_field(sys), record.z0, t0, t1, integration_tol, dense=False,
+                   switches=field_switches(sys)).ys[-1]
+    return float(np.linalg.norm(_defect(sys, record.z0, zt)))
 
 
 # --------------------------------------------------------------------------

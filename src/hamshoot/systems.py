@@ -20,6 +20,7 @@ through a cutoff profile whose derivative obeys
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -31,7 +32,7 @@ from .errors import DimensionMismatchError, MissingDecompositionError, RhoTooSma
 
 __all__ = [
     "CoupledSystem", "DecompositionData", "CutoffProfile", "DecompositionReport",
-    "assemble_field", "validate_decomposition", "build_cutoff", "modify_system",
+    "assemble_field", "field_jacobian", "validate_decomposition", "build_cutoff", "modify_system",
     "CutoffModification", "validate_periodicity", "gamma_least_squares", "xy_names",
 ]
 
@@ -115,14 +116,20 @@ class CoupledSystem:
         # compiled on the first assemble_field, then shared by every flow
         return _compile_field(self)
 
+    @cached_property
+    def _compiled_jacobian(self):
+        # compiled on the first field_jacobian, then shared by every flow
+        return _compile_field(self, jacobian=True)
 
-def _compile_field(sys):
-    """The field as one compiled function of (t, z), or None unless every
-    present block carries its expression.
 
-    It performs the float operations of the generic assembly in its order,
-    ``0.0 + p`` and ``0.0 - p`` included where grad_H is absent, so the two
-    agree bitwise.
+def _compile_field(sys, jacobian=False):
+    """The field, or its Jacobian D_z f, as one compiled function of (t, z),
+    or None unless every present block carries its expression.
+
+    The field performs the float operations of the generic assembly in its
+    order, ``0.0 + p`` and ``0.0 - p`` included where grad_H is absent, so
+    the two agree bitwise.  The Jacobian combines the blocks' rows the same
+    way: Hessian rows of H and P, gradient or Hessian rows of F.
     """
     present = [b for b in (sys.F, sys.grad_H, sys.grad_P) if b is not None]
     if not all(hasattr(b, "expr_block") for b in present):
@@ -130,22 +137,35 @@ def _compile_field(sys):
     M = sys.M
     xn, yn = xy_names(M)
 
+    def lift(op):
+        # with the Jacobian, an output is a row of entries
+        return (lambda *rows: [op(*e) for e in zip(*rows)]) if jacobian else op
+
+    neg = lift(lambda a: f"-{a}")
+    add = lift(lambda a, b: f"{a} + {b}")
+    sub = lift(lambda a, b: f"{a} - {b}")
+    neg_sum = lift(lambda a: f"-({a})")
+    zero = ["0.0"] * sys.dim if jacobian else "0.0"
+
     def result(outputs):
         outputs = iter(outputs)
         w = next(outputs)  # F
-        x, y = ["0.0"] * M, ["0.0"] * M
+        x, y = [zero] * M, [zero] * M
         if sys.grad_H is not None:
             g = next(outputs)
-            x, y = g[M:], [f"-{d}" for d in g[:M]]
+            x, y = g[M:], [neg(d) for d in g[:M]]
         if sys.grad_P is not None:
             g = next(outputs)
-            x = [f"{a} + {d}" for a, d in zip(x, g[M:2 * M])]
-            y = [f"{a} - {d}" for a, d in zip(y, g[:M])]
-            w = [f"{a} + {d}" for a, d in zip(w, g[2 * M:])]
+            x = [add(a, d) for a, d in zip(x, g[M:2 * M])]
+            y = [sub(a, d) for a, d in zip(y, g[:M])]
+            w = [add(a, d) for a, d in zip(w, g[2 * M:])]
         # w' = (-J)(F + grad_w P)
-        return f"_array([{', '.join(x + y + [w[1], f'-({w[0]})'])}])"
+        rows = x + y + [w[1], neg_sum(w[0])]
+        entries = [f"[{', '.join(r)}]" for r in rows] if jacobian else rows
+        return f"_array([{', '.join(entries)}])"
 
-    return xp.compile_blocks([b.expr_block for b in present], xn + yn + ["u", "v"], result)
+    return xp.compile_blocks([b.expr_block for b in present], xn + yn + ["u", "v"], result,
+                             jacobian)
 
 
 def assemble_field(sys):
@@ -191,6 +211,34 @@ def assemble_field(sys):
         return out
 
     return VectorField(dim, f)
+
+
+def field_jacobian(sys, field):
+    """D_z f of the assembled ``field`` (as :func:`assemble_field` returns it).
+
+    Returns ``jac(t, z, fz)``, the n-by-n Jacobian at (t, z) given
+    ``fz = field(t, z)``.  Expression-built systems use their compiled
+    Jacobian, with the kink convention of :mod:`hamshoot.expr` (0 at a kink,
+    the one-sided value elsewhere).  Systems with a plain-callable block take
+    forward differences of ``field``: n more calls, each stepping z_j by
+    1e-7 (1 + |z_j|) away from 0, so that a step never crosses a kink at
+    z_j = 0 and gives the one-sided derivative of z_j's side.
+    """
+    compiled = sys._compiled_jacobian
+    if compiled is not None:
+        return lambda t, z, fz: compiled(t, z)
+    rhs, n = field.f, sys.dim
+
+    def jac(t, z, fz):
+        J = np.empty((n, n))
+        for j in range(n):
+            zj = z.copy()
+            h = math.copysign(1e-7 * (1.0 + abs(z[j])), z[j])
+            zj[j] += h
+            J[:, j] = (np.asarray(rhs(t, zj), dtype=float) - fz) / h
+        return J
+
+    return jac
 
 
 def field_switches(sys):

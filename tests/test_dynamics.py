@@ -5,16 +5,50 @@ import numpy as np
 import pytest
 
 from hamshoot.config import load_config
-from hamshoot.dynamics import (IntegrationStats, VectorField, flow_jacobian, flow_map,
-                               integrate, variational_field, winding)
+from hamshoot.dynamics import (IntegrationStats, VectorField, integrate, variational_field,
+                               winding)
 from hamshoot.errors import (NonfiniteStateError, OriginTooCloseError,
                              StepUnderflowError)
 from hamshoot.homogeneous import asymmetric
-from hamshoot.systems import CoupledSystem, assemble_field, field_switches
+from hamshoot.presets import asymmetric_field
+from hamshoot.systems import CoupledSystem, assemble_field, field_jacobian, field_switches
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "pendulum_oscillator.yaml"
 CENTER = VectorField(2, lambda t, z: np.array([z[1], -z[0]]))
 PENDULUM = VectorField(2, lambda t, z: np.array([z[1], -np.sin(z[0])]))
+CENTER_JAC = lambda t, z, fz: np.array([[0.0, 1.0], [-1.0, 0.0]])
+PENDULUM_JAC = lambda t, z, fz: np.array([[0.0, 1.0], [-np.cos(z[0]), 0.0]])
+
+
+def _variational_flow(field, jac, z0, T, tol, cols=(0, 1), switches=()):
+    """(z(T), Phi(T), stats) of the variational flow from (z0, I[:, cols])."""
+    n, cols = field.n, list(cols)
+    start = np.r_[z0, np.eye(n)[:, cols].ravel()]
+    traj = integrate(variational_field(field, jac, cols), start, 0.0, T, tol, dense=False,
+                     switches=switches)
+    return traj.ys[-1][:n], traj.ys[-1][n:].reshape(n, len(cols)), traj.stats
+
+
+def _central_differences(field, z0, T, tol, switches=()):
+    """Oracle: the flow Jacobian by central differences of flows, step 1e-6 (1 + |z_j|)."""
+    def flow(z):
+        return integrate(field, z, 0.0, T, tol, dense=False, switches=switches).ys[-1]
+
+    J = np.empty((len(z0), len(z0)))
+    for j in range(len(z0)):
+        d = np.zeros(len(z0))
+        d[j] = 1e-6 * (1.0 + abs(z0[j]))
+        J[:, j] = (flow(z0 + d) - flow(z0 - d)) / (2 * d[j])
+    return J
+
+
+def _oscillator(mu=4.0, nu=1.0):
+    """The asymmetric oscillator (mu, nu) as an expression-built M = 0 system."""
+    F, _, w_kink = asymmetric_field(mu, nu)
+    # T is the oscillator's period, the same for every amplitude
+    sys_ = CoupledSystem(M=0, F=F, T=np.pi / np.sqrt(mu) + np.pi / np.sqrt(nu), w_kink=w_kink)
+    field = assemble_field(sys_)
+    return sys_, field, field_jacobian(sys_, field), field_switches(sys_)
 
 
 def test_linear_center_endpoint():
@@ -45,19 +79,25 @@ def test_query_many_matches_query():
         traj.query_many([0.5, 7.5])
 
 
-def test_flow_map_linear_center():
+def test_variational_flow_linear_center():
     for z0 in ([1.0, 0.0], [0.3, -0.7], [-2.0, 1.5]):
-        assert np.max(np.abs(flow_map(CENTER, z0, 2 * np.pi, 1e-10) - z0)) < 1e-8
-        assert np.max(np.abs(flow_map(CENTER, z0, np.pi, 1e-10) + np.asarray(z0))) < 1e-8
+        z, phi, _ = _variational_flow(CENTER, CENTER_JAC, z0, 2 * np.pi, 1e-10)
+        assert np.max(np.abs(z - z0)) < 1e-8 and np.max(np.abs(phi - np.eye(2))) < 1e-8
+        z, phi, _ = _variational_flow(CENTER, CENTER_JAC, z0, np.pi, 1e-10)
+        assert np.max(np.abs(z + np.asarray(z0))) < 1e-8
+        assert np.max(np.abs(phi + np.eye(2))) < 1e-8
 
 
-def test_flow_map_asymmetric_oscillator_closed_orbit():
-    from hamshoot.homogeneous import asymmetric
-    H = asymmetric(4.0, 1.0)
-    f = VectorField(2, lambda t, w: np.array([H.grad(w)[1], -H.grad(w)[0]]))
+def test_variational_flow_closed_orbit_of_asymmetric_oscillator():
+    """One period of the (4, 1) oscillator: the orbit closes, and the monodromy
+    keeps the flow direction and the area."""
+    sys_, field, jac, switches = _oscillator()
     z0 = np.array([0.3, 0.0])
-    traj = integrate(f, z0, 0.0, 1.5 * np.pi, 1e-9, switches=(lambda w: w[0],))
-    assert np.max(np.abs(traj.ys[-1] - z0)) < 1e-7
+    z, phi, _ = _variational_flow(field, jac, z0, sys_.T, 1e-9, switches=switches)
+    assert np.max(np.abs(z - z0)) < 1e-7
+    f0 = field(0.0, z0)
+    assert np.max(np.abs(phi @ f0 - f0)) < 1e-7
+    assert abs(np.linalg.det(phi) - 1.0) < 1e-7
 
 
 def test_query_initial_point_exact():
@@ -73,47 +113,47 @@ def test_dense_output_matches_reintegration():
         assert np.max(np.abs(traj.query(t) - again)) < 10 * tol
 
 
-def test_flow_jacobian_identity_cases():
+def test_monodromy_identity_cases():
     f0 = VectorField(2, lambda t, z: np.zeros(2))
-    assert np.allclose(flow_jacobian(f0, [0.2, -0.4], 1.0, 1e-10), np.eye(2), atol=1e-9)
-    J = flow_jacobian(CENTER, [0.5, 0.1], 2 * np.pi, 1e-12)
-    assert np.max(np.abs(J - np.eye(2))) < 1e-6
+    _, phi, _ = _variational_flow(f0, lambda t, z, fz: np.zeros((2, 2)), [0.2, -0.4], 1.0, 1e-10)
+    assert np.allclose(phi, np.eye(2), atol=1e-9)
+    _, phi, _ = _variational_flow(CENTER, CENTER_JAC, [0.5, 0.1], 2 * np.pi, 1e-12)
+    assert np.max(np.abs(phi - np.eye(2))) < 1e-6
 
 
-def test_flow_jacobian_vs_variational_oracle():
-    """Acceptance criterion: FD Jacobian vs variational equation < 1e-5."""
-    jac = lambda t, z: np.array([[0.0, 1.0], [-np.cos(z[0]), 0.0]])
-    aug = variational_field(PENDULUM, jac, 2)
+def test_monodromy_vs_central_differences():
+    """Acceptance criterion: variational monodromy vs central differences of flows < 1e-5."""
     z0 = np.array([0.7, 0.3])
-    zM0 = np.concatenate([z0, np.eye(2).ravel()])
-    M_oracle = integrate(aug, zM0, 0.0, 2 * np.pi, 1e-12).ys[-1][2:].reshape(2, 2)
-    J_fd = flow_jacobian(PENDULUM, z0, 2 * np.pi, 1e-12, fd_step=1e-6)
-    assert np.max(np.abs(J_fd - M_oracle)) < 1e-5
+    _, phi, _ = _variational_flow(PENDULUM, PENDULUM_JAC, z0, 2 * np.pi, 1e-12)
+    assert np.max(np.abs(phi - _central_differences(PENDULUM, z0, 2 * np.pi, 1e-12))) < 1e-5
 
 
-def test_flow_jacobian_cols_are_columns_of_full_jacobian():
+def test_monodromy_cols_are_columns_of_full_monodromy():
+    """Error control reads the state alone, so every column set takes the same steps."""
     f = VectorField(4, lambda t, z: np.array([z[1], -np.sin(z[0]) + 0.3 * z[2], z[3], -z[2]]))
+
+    def jac(t, z, fz):
+        return np.array([[0.0, 1.0, 0.0, 0.0], [-np.cos(z[0]), 0.0, 0.3, 0.0],
+                         [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+
     z0 = np.array([0.7, 0.3, -0.4, 0.2])
-    full = flow_jacobian(f, z0, 2.0, 1e-10)
+    z_full, full, stats = _variational_flow(f, jac, z0, 2.0, 1e-10, cols=range(4))
+    plain = integrate(f, z0, 0.0, 2.0, 1e-10, dense=False)
+    assert stats == plain.stats and np.max(np.abs(z_full - plain.ys[-1])) < 1e-14
     for cols in ([0, 2], [3], [2, 0, 1]):
-        assert np.array_equal(flow_jacobian(f, z0, 2.0, 1e-10, cols=cols), full[:, cols])
+        z, phi, st = _variational_flow(f, jac, z0, 2.0, 1e-10, cols=cols)
+        assert st == stats and np.max(np.abs(z - z_full)) < 1e-14
+        assert np.allclose(phi, full[:, cols], rtol=1e-13, atol=1e-15)
 
 
-def test_flow_jacobian_with_switches_vs_variational_oracle():
+def test_monodromy_with_switches_vs_central_differences():
     """Across the u = 0 kink of an asymmetric oscillator, to the criterion-08 bound."""
-    mu, nu = 4.0, 1.0
-    osc = asymmetric(mu, nu)
-    sys_ = CoupledSystem(M=0, F=lambda t, w: np.asarray(osc.grad(w), dtype=float),
-                         T=1.5 * np.pi, w_kink=True)
-    field, switches = assemble_field(sys_), field_switches(sys_)
-    jac = lambda t, z: np.array([[0.0, 1.0], [-(mu if z[0] > 0 else nu), 0.0]])
-    aug = variational_field(field, jac, 2)
+    sys_, field, jac, switches = _oscillator()
     for z0 in (np.array([0.4, 0.0]), np.array([-0.3, 0.5])):
-        zM0 = np.concatenate([z0, np.eye(2).ravel()])
-        M_oracle = integrate(aug, zM0, 0.0, sys_.T, 1e-12,
-                             switches=switches).ys[-1][2:].reshape(2, 2)
-        J_fd = flow_jacobian(field, z0, sys_.T, 1e-12, fd_step=1e-6, switches=switches)
-        assert np.max(np.abs(J_fd - M_oracle)) < 1e-5
+        _, phi, stats = _variational_flow(field, jac, z0, sys_.T, 1e-12, switches=switches)
+        assert stats.splits >= 2
+        oracle = _central_differences(field, z0, sys_.T, 1e-12, switches)
+        assert np.max(np.abs(phi - oracle)) < 1e-5
 
 
 def test_winding_clockwise_circle():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamshoot.errors import DomainError, ExprSyntaxError, UnboundVariableError
-from hamshoot.expr import (compile_expr, eval_expr, free_variables, grad_expr,
-                           has_kinks, parse_expr, substitute, unparse)
+from hamshoot.expr import (ExprBlock, compile_blocks, compile_expr, eval_expr, free_variables,
+                           grad_expr, has_kinks, parse_expr, substitute, unparse)
 
 ASYM = "0.5*(mu*pos(u)^2 + nu*neg(u)^2 + v^2)"
 
@@ -154,6 +154,41 @@ def test_gradient_matches_central_differences():
         scale = max(1.0, float(np.max(np.abs(g))))
         assert np.max(np.abs(g - fd)) / scale < 1e-6, src
         checked += 1
+
+
+def test_second_derivatives_match_central_differences():
+    """Hessians from compile_blocks (forward over forward) against central
+    differences of the compiled gradient, 100 random smooth expressions."""
+    rng = np.random.default_rng(7)
+    names = ("a", "b", "c")
+
+    def rows(outputs):
+        return "_array([" + ", ".join(f"[{', '.join(r)}]" for r in outputs[0]) + "])"
+
+    for _ in range(100):
+        src = _random_smooth_expr(rng)
+        block = ExprBlock((parse_expr(src),), ("t",) + names, names)
+        grad = compile_blocks([block], names, lambda o: f"_array([{', '.join(o[0])}])")
+        hess = compile_blocks([block], names, rows, jacobian=True)
+        z = rng.uniform(-1.5, 1.5, 3)
+        fd = np.empty((3, 3))
+        for j in range(3):
+            d = np.zeros(3)
+            d[j] = 1e-6
+            fd[:, j] = (grad(0.3, z + d) - grad(0.3, z - d)) / 2e-6
+        H = hess(0.3, z)
+        assert np.max(np.abs(H - fd)) / max(1.0, float(np.max(np.abs(H)))) < 1e-6, src
+
+
+def test_unread_values_keep_their_domain_checks():
+    """Compiled code drops values no output reads, but not the checks on them."""
+    block = ExprBlock((parse_expr("x + 0*ln(y) + sqrt(y - 1)"),), ("t", "x", "y"), ("x",))
+    fn = compile_blocks([block], ("x", "y"), lambda o: f"_array([{', '.join(o[0])}])")
+    assert "_log" not in fn.source and "_sqrt" not in fn.source
+    assert fn(0.0, np.array([2.0, 3.0])).tolist() == [1.0]
+    for y in (0.0, 0.5):
+        with pytest.raises(DomainError):
+            fn(0.0, np.array([2.0, y]))
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hamshoot import solvers
+from hamshoot.config import load_config
 from hamshoot.homogeneous import asymmetric, isotropic
 from hamshoot.solvers import (MultistartSpec, NeumannSolutionRecord, NeumannStartSpec,
                               PeriodicSolutionRecord, classify_distinct,
@@ -274,3 +277,20 @@ def test_multistart_calls_public_hooks(monkeypatch):
                                         NeumannStartSpec(x_points=2, u_points=2))
     assert result.stats["attempted"] == 4
     assert calls == {"shoot_neumann": 4, "classify_distinct": 1}
+
+
+def test_demo_multistart_converges_with_exact_monodromy():
+    """The demo config's 8 starts: at least 7 converge, and (pi, 0, 0, 0) is found.
+
+    Each Newton evaluation is one variational flow, which gives the exact
+    one-sided monodromy across the u = 0 kink of the asymmetric oscillator.
+    """
+    cfg = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs"
+                      / "pendulum_oscillator.yaml")
+    res = multistart_periodic(cfg.system, cfg.multistart, newton_tol=cfg.newton_tol,
+                              max_iter=cfg.max_iter, seed=cfg.seed)
+    assert res.stats["converged"] >= 7
+    assert any(np.max(np.abs(wrap_angle_diff(r.z0 - [np.pi, 0.0, 0.0, 0.0]))) < 1e-6
+               for r in res.records)
+    for r in res.records:
+        assert revalidate(cfg.system, r) <= cfg.newton_tol

@@ -1,7 +1,11 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from hamshoot.config import load_config
 
 from hamshoot.dynamics import integrate
 from hamshoot.errors import (DimensionMismatchError, MissingDecompositionError,
@@ -11,8 +15,11 @@ from hamshoot.presets import (asymmetric_field, coupling_from_expr, free_rotator
                               hamiltonian_block_from_expr, pendulum_hamiltonian,
                               planar_field_from_expr)
 from hamshoot.systems import (CoupledSystem, CutoffModification, DecompositionData,
-                              assemble_field, build_cutoff, modify_system,
+                              assemble_field, build_cutoff, field_jacobian, modify_system,
                               validate_decomposition, validate_periodicity)
+
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "pendulum_oscillator.yaml"
 
 
 def _grad_pendulum(A=1.0):
@@ -162,6 +169,86 @@ def test_modified_system_assembles_F_rho():
     out = assemble_field(mod)(0.5, z)
     assert np.array_equal(out[2:], [F_rho[1], -F_rho[0]])
     assert not np.array_equal(out[2:], assemble_field(sys_)(0.5, z)[2:])
+
+
+_GRID = [(ham, coupling, planar, M) for ham in _HAMILTONIANS for coupling in _COUPLINGS
+         for planar in _PLANARS for M in (1, 2) if not (ham == "pendulum" and M == 2)]
+
+
+@pytest.mark.parametrize("ham, coupling, planar, M", _GRID)
+def test_compiled_jacobian_matches_central_differences(ham, coupling, planar, M):
+    """D_z f from the compiler against central differences of the compiled field, off the kink."""
+    sys_ = _expr_system(ham, coupling, planar, M)
+    f = assemble_field(sys_)
+    jac = field_jacobian(sys_, f)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        z = rng.standard_normal(sys_.dim) * 2.0
+        z[2 * M] = np.copysign(rng.uniform(0.1, 2.0), z[2 * M])  # |u| well off the kink
+        t = rng.uniform(0.0, 7.0)
+        J = jac(t, z, f(t, z))
+        C = np.empty_like(J)
+        for j in range(sys_.dim):
+            d = np.zeros(sys_.dim)
+            d[j] = 1e-6 * (1.0 + abs(z[j]))
+            C[:, j] = (f(t, z + d) - f(t, z - d)) / (2 * d[j])
+        assert np.allclose(J, C, rtol=1e-6, atol=1e-8), (t, z, J - C)
+
+
+@pytest.mark.parametrize("planar", ["components", "K"])
+def test_jacobian_kink_convention(planar):
+    """D_u F_u of 4 pos(u) - neg(u): 4 for u > 0, 1 for u < 0, 0 at u = 0 of either sign."""
+    if planar == "components":
+        F, _, _ = planar_field_from_expr(components=["4*pos(u) - neg(u)", "v"])
+    else:
+        F, _, _ = planar_field_from_expr(K_src="0.5*(4*pos(u)^2 + neg(u)^2 + v^2)")
+    sys_ = CoupledSystem(M=0, F=F, T=1.0)
+    f = assemble_field(sys_)
+    jac = field_jacobian(sys_, f)
+    for u, expected in ((0.0, 0.0), (-0.0, 0.0), (1e-12, 4.0), (-1e-12, 1.0), (0.5, 4.0)):
+        z = np.array([u, 0.3])
+        # v' = -F_u, so the (v, u) entry is -D_u F_u
+        assert jac(0.0, z, f(0.0, z))[1, 0] == -expected
+        assert jac(0.0, z, f(0.0, z))[0].tolist() == [0.0, 1.0]
+
+
+def test_plain_callable_jacobian_agrees_with_compiled():
+    """Forward differences of the generic field against the compiled Jacobian (demo system)."""
+    sys_ = load_config(DEMO_CONFIG).system
+    plain = replace(sys_, F=_plain(sys_.F), grad_H=_plain(sys_.grad_H), grad_P=_plain(sys_.grad_P))
+    assert plain._compiled_jacobian is None
+    f, g = assemble_field(sys_), assemble_field(plain)
+    jac, fd = field_jacobian(sys_, f), field_jacobian(plain, g)
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        z = rng.standard_normal(4)
+        z[2] = np.copysign(rng.uniform(0.05, 1.0), z[2])
+        t = rng.uniform(0.0, 7.0)
+        assert np.allclose(fd(t, z, g(t, z)), jac(t, z, f(t, z)), rtol=1e-5, atol=1e-6)
+
+
+def test_plain_callable_jacobian_is_one_sided_at_the_kink():
+    """Forward differences step away from u = 0, so they never straddle the kink."""
+    osc = asymmetric(4.0, 1.0)
+    sys_ = CoupledSystem(M=0, F=lambda t, w: np.asarray(osc.grad(w), dtype=float), T=1.0,
+                         w_kink=True)
+    f = assemble_field(sys_)
+    jac = field_jacobian(sys_, f)
+    for u, expected in ((1e-12, -4.0), (-1e-12, -1.0), (1e-9, -4.0), (-1e-9, -1.0)):
+        z = np.array([u, 0.3])
+        assert jac(0.0, z, f(0.0, z))[1, 0] == pytest.approx(expected, rel=1e-6)
+
+
+def test_demo_field_source_reads_every_assignment():
+    """The compiled field and Jacobian keep no assignment that nothing reads."""
+    sys_ = load_config(DEMO_CONFIG).system
+    for fn in (sys_._compiled_field, sys_._compiled_jacobian):
+        lines = fn.source.splitlines()
+        for k, line in enumerate(lines):
+            m = re.fullmatch(r"\s*(\w+) = .*", line)
+            if m is not None:
+                later = "\n".join(lines[k + 1:])
+                assert re.search(rf"\b{m.group(1)}\b", later), (m.group(1), fn.source)
 
 
 def test_mode_exclusivity():
