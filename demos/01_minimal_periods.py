@@ -51,7 +51,7 @@ def main():
         print(f"    phi({t:6.3f}) = ({p[0]:+.6f}, {p[1]:+.6f})   "
               f"H = {float(orb.H.value(p)):.12f}")
 
-    print("\n=== the angle -> orbit-time table inverts the polar angle ===")
+    print("\n=== the arc integral of 1/(2H) inverts the polar angle ===")
     for ang_deg in (0, -45, -90, -180, -270):
         s = angle_to_orbit_time(orb, np.deg2rad(ang_deg))
         p = orb.point(s)

@@ -38,7 +38,7 @@ from .errors import (ConfigError, IntegrationError, SingularMatrixError,
                      ValidationError)
 from .homogeneous import asym_period, half_periods, minimal_period, reference_orbit
 from .solvers import multistart_neumann, multistart_periodic
-from .systems import assemble_field, field_switches, validate_periodicity
+from .systems import assemble_field, validate_periodicity
 from .dynamics import integrate
 
 EXIT_OK = 0
@@ -266,17 +266,15 @@ def _solve_stage(cfg, out_dir, seed, dump_trajectories=False):
         traj_dir = out_dir / "trajectories"
         traj_dir.mkdir(exist_ok=True)
         field = assemble_field(sys_)
-        switches = field_switches(sys_)
-        stride = float((cfg.output or {}).get("trajectory_stride",
-                                              sys_.span / 1000.0))
+        stride = cfg.trajectory_stride
         for cls, rec in enumerate(result.records):
             traj = integrate(field, rec.z0, sys_.t0, sys_.t0 + sys_.span,
-                             cfg.newton_tol, switches=switches)
+                             cfg.newton_tol, switch=sys_.switch)
             ts = np.arange(sys_.t0, sys_.t0 + sys_.span + 0.5 * stride, stride)
             ts[-1] = min(ts[-1], sys_.t0 + sys_.span)
             _write_csv(traj_dir / f"class_{cls}.csv",
                        ["t"] + [f"z_{i + 1}" for i in range(sys_.dim)],
-                       [[t] + list(traj.query(t)) for t in ts])
+                       [[t, *z] for t, z in zip(ts, traj.query_many(ts))])
 
     section = {
         "n_classes": result.partition.n_classes,

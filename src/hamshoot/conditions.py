@@ -14,7 +14,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -170,8 +171,7 @@ class LLReport:
         return float(np.min(self.margins))
 
 
-def _default_lambda_schedule():
-    return tuple(np.logspace(2.0, 6.0, 9))
+_LAMBDAS = tuple(np.logspace(2.0, 6.0, 9))  # default amplitude schedule
 
 
 def _tail(schedule):
@@ -196,8 +196,7 @@ def ll_margin(sys, which, orbit, theta_grid=None, lambda_schedule=None,
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
     t0, span = sys.t0, sys.span
-    lam_all = np.asarray(lambda_schedule if lambda_schedule is not None
-                         else _default_lambda_schedule())
+    lam_all = np.asarray(lambda_schedule if lambda_schedule is not None else _LAMBDAS)
     lam = _tail(lam_all)
     if theta_grid is None:
         theta_grid = t0 + np.linspace(0.0, span, 64, endpoint=False)
@@ -323,8 +322,7 @@ def scalar_ll(g, mu, nu, T, amplitude=1.0, phase=0.0, asymptotes=None,
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
     phi = AsymmetricEigenfunction(mu, nu, amplitude, phase)
-    lam_all = np.asarray(lambda_schedule if lambda_schedule is not None
-                         else _default_lambda_schedule())
+    lam_all = np.asarray(lambda_schedule if lambda_schedule is not None else _LAMBDAS)
     lam = _tail(lam_all)
 
     cuts = [0.0] + [z for z in phi.zeros(0.0, T) if 0.0 < z < T] + [T]
@@ -409,7 +407,6 @@ class TwistReport:
     condition: str
     samples: tuple            # (description, tested value, ok)
     violations: tuple
-    n_paths: int
 
     @property
     def passed(self):
@@ -417,9 +414,39 @@ class TwistReport:
 
 
 def _x_grid(M, points):
-    import itertools
     axis = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
     return [np.array(c) for c in itertools.product(*([axis] * M))]
+
+
+def _drift_check(sys, name, pairs, ensemble, x_points, tol, judge):
+    """Run every frozen path from every (label, y0, outward normal nu) of
+    ``pairs`` and every x0 of the grid, and judge the drift x(T) - x(0).
+
+    ``judge(drift, nu)`` returns (tested value, ok, what a violation reads).
+    Integration failures count as violations of the solutions being defined
+    on [0, T].
+    """
+    if sys.mode != "periodic":
+        raise ValueError(f"{name} check applies to periodic mode")
+    M = sys.M
+    samples = []
+    violations = []
+    for p_idx, path in enumerate(ensemble):
+        f = frozen_subsystem(sys, path)
+        for label, y0, nu in pairs:
+            for x0 in _x_grid(M, x_points):
+                desc = f"path{p_idx} {label} x0={np.round(x0, 3)}"
+                try:
+                    traj = integrate(f, np.concatenate([x0, y0]), 0.0, sys.T, tol, dense=False)
+                except IntegrationError as exc:
+                    samples.append((desc, np.nan, False))
+                    violations.append(f"{desc}: not defined on [0,T] ({exc})")
+                    continue
+                val, ok, why = judge(traj.ys[-1][:M] - x0, nu)
+                samples.append((desc, val, bool(ok)))
+                if not ok:
+                    violations.append(f"{desc}: {why}")
+    return TwistReport(name, tuple(samples), tuple(violations))
 
 
 def twist_check(sys, D, sigma, ensemble, x_points=3, y_points=3, tol=1e-8):
@@ -427,44 +454,31 @@ def twist_check(sys, D, sigma, ensemble, x_points=3, y_points=3, tol=1e-8):
 
     For every frozen path and every face sample (y_i(0) on a face of D, the
     other coordinates gridded), the drift x_i(T) - x_i(0) of the frozen
-    subsystem must satisfy sigma_i * drift < 0 on the a_i face and > 0 on the
-    b_i face.  Integration failures count as violations of the solutions
-    being defined on [0, T].
+    subsystem must satisfy sigma_i * drift_i < 0 on the a_i face and > 0 on
+    the b_i face, i.e. sigma_i * drift_i * nu_i > 0 for the outward normal
+    nu = -e_i on the a_i face and +e_i on the b_i face.
     """
-    if sys.mode != "periodic":
-        raise ValueError("twist_check applies to periodic mode")
     M = sys.M
     D = [tuple(map(float, r)) for r in D]
     sigma = np.asarray(sigma, dtype=int)
     if len(D) != M or sigma.size != M:
         raise ValueError("D and sigma must have length M")
-    samples = []
-    violations = []
-    import itertools
-    for p_idx, path in enumerate(ensemble):
-        f = frozen_subsystem(sys, path)
-        for i in range(M):
-            for side, yi in (("a", D[i][0]), ("b", D[i][1])):
-                other_axes = [np.linspace(D[j][0], D[j][1], y_points) if j != i
-                              else np.array([yi]) for j in range(M)]
-                for x0 in _x_grid(M, x_points):
-                    for y_combo in itertools.product(*other_axes):
-                        y0 = np.array(y_combo)
-                        z0 = np.concatenate([x0, y0])
-                        desc = f"path{p_idx} face y{i + 1}={side} x0={np.round(x0, 3)} y0={np.round(y0, 3)}"
-                        try:
-                            traj = integrate(f, z0, 0.0, sys.T, tol, dense=False)
-                        except IntegrationError as exc:
-                            samples.append((desc, np.nan, False))
-                            violations.append(f"{desc}: not defined on [0,T] ({exc})")
-                            continue
-                        drift = traj.ys[-1][:M] - x0
-                        val = sigma[i] * drift[i]
-                        ok = (val < 0.0) if side == "a" else (val > 0.0)
-                        samples.append((desc, float(val), bool(ok)))
-                        if not ok:
-                            violations.append(f"{desc}: sigma*drift = {val:+.3e}")
-    return TwistReport("twist", tuple(samples), tuple(violations), len(ensemble))
+    pairs = []
+    for i in range(M):
+        for side, yi, sign in (("a", D[i][0], -1.0), ("b", D[i][1], 1.0)):
+            other_axes = [np.linspace(D[j][0], D[j][1], y_points) if j != i
+                          else np.array([yi]) for j in range(M)]
+            for y_combo in itertools.product(*other_axes):
+                y0 = np.array(y_combo)
+                pairs.append((f"face y{i + 1}={side} y0={np.round(y0, 3)}", y0,
+                              sign * np.eye(M)[i]))
+
+    def judge(drift, nu):
+        i = int(np.flatnonzero(nu)[0])
+        val = float(sigma[i] * drift[i])
+        return val, val * nu[i] > 0.0, f"sigma*drift = {val:+.3e}"
+
+    return _drift_check(sys, "twist", pairs, ensemble, x_points, tol, judge)
 
 
 @dataclass(frozen=True)
@@ -490,22 +504,10 @@ class Ball:
         return points, normals
 
 
-def _boundary_drifts(sys, body, ensemble, boundary_grid, x_points, tol):
-    """Yield (description, drift vector, normal) over boundary samples."""
-    M = sys.M
+def _boundary_pairs(body, boundary_grid):
+    """(label, y0, outward normal) at the boundary samples of ``body``."""
     points, normals = body.boundary(boundary_grid)
-    for p_idx, path in enumerate(ensemble):
-        f = frozen_subsystem(sys, path)
-        for b_idx, (y0, nu) in enumerate(zip(points, normals)):
-            for x0 in _x_grid(M, x_points):
-                desc = f"path{p_idx} boundary{b_idx} x0={np.round(x0, 3)}"
-                z0 = np.concatenate([x0, y0])
-                try:
-                    traj = integrate(f, z0, 0.0, sys.T, tol, dense=False)
-                except IntegrationError as exc:
-                    yield desc, None, nu, str(exc)
-                    continue
-                yield desc, traj.ys[-1][:M] - x0, nu, None
+    return [(f"boundary{b}", y0, nu) for b, (y0, nu) in enumerate(zip(points, normals))]
 
 
 def avoiding_rays_check(sys, body, sigma, ensemble, boundary_grid=16,
@@ -515,36 +517,23 @@ def avoiding_rays_check(sys, body, sigma, ensemble, boundary_grid=16,
     Violation when the drift vanishes (lam = 0 membership) or its angle to
     sigma * nu is below ``angle_tol``.
     """
-    if sys.mode != "periodic":
-        raise ValueError("avoiding_rays_check applies to periodic mode")
-    samples = []
-    violations = []
-    for desc, drift, nu, err in _boundary_drifts(sys, body, ensemble, boundary_grid,
-                                                 x_points, tol):
-        if err is not None:
-            samples.append((desc, np.nan, False))
-            violations.append(f"{desc}: not defined on [0,T] ({err})")
-            continue
+
+    def judge(drift, nu):
         nd = float(np.linalg.norm(drift))
         if nd <= zero_tol:
-            samples.append((desc, 0.0, False))
-            violations.append(f"{desc}: zero drift lies on every ray")
-            continue
+            return 0.0, False, "zero drift lies on every ray"
         ray = sigma * nu / np.linalg.norm(nu)
         cosang = float(np.dot(drift, ray)) / nd
         angle = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        ok = angle >= angle_tol
-        samples.append((desc, angle, bool(ok)))
-        if not ok:
-            violations.append(f"{desc}: drift within {angle:.2e} rad of the ray")
-    return TwistReport("avoiding-rays", tuple(samples), tuple(violations), len(ensemble))
+        return angle, angle >= angle_tol, f"drift within {angle:.2e} rad of the ray"
+
+    return _drift_check(sys, "avoiding-rays", _boundary_pairs(body, boundary_grid), ensemble,
+                        x_points, tol, judge)
 
 
 def indefinite_twist_check(sys, body, A_matrix, ensemble, boundary_grid=16,
                            x_points=3, tol=1e-8):
     """A3'' falsifier: <x(T) - x(0), A nu(y0)> > 0 on the boundary of D."""
-    if sys.mode != "periodic":
-        raise ValueError("indefinite_twist_check applies to periodic mode")
     A = np.asarray(A_matrix, dtype=float)
     if A.shape != (sys.M, sys.M):
         raise SingularMatrixError(f"A must be {sys.M}x{sys.M}")
@@ -552,17 +541,10 @@ def indefinite_twist_check(sys, body, A_matrix, ensemble, boundary_grid=16,
         raise SingularMatrixError("A must be symmetric")
     if abs(np.linalg.det(A)) < 1e-12:
         raise SingularMatrixError("A must be regular (nonzero determinant)")
-    samples = []
-    violations = []
-    for desc, drift, nu, err in _boundary_drifts(sys, body, ensemble, boundary_grid,
-                                                 x_points, tol):
-        if err is not None:
-            samples.append((desc, np.nan, False))
-            violations.append(f"{desc}: not defined on [0,T] ({err})")
-            continue
+
+    def judge(drift, nu):
         val = float(np.dot(drift, A @ nu))
-        ok = val > 0.0
-        samples.append((desc, val, bool(ok)))
-        if not ok:
-            violations.append(f"{desc}: inner product {val:+.3e} <= 0")
-    return TwistReport("indefinite-twist", tuple(samples), tuple(violations), len(ensemble))
+        return val, val > 0.0, f"inner product {val:+.3e} <= 0"
+
+    return _drift_check(sys, "indefinite-twist", _boundary_pairs(body, boundary_grid),
+                        ensemble, x_points, tol, judge)

@@ -45,6 +45,9 @@ Top-level keys::
       avoiding_rays: {enabled, center, radius, sigma, boundary_points, x_points, ensemble}
       indefinite_twist: {enabled, center, radius, A, boundary_points, x_points, ensemble}
 
+    output:
+      trajectory_stride: <float>  # row spacing of --dump-trajectories (default span/1000)
+
 Loading builds the system.  Everything that fails to read or to build is
 collected, under its YAML path, into one :class:`ValidationError`.
 """
@@ -73,7 +76,6 @@ _ALLOWED_TOP = {"mode", "M", "T", "interval", "seed", "params", "hamiltonian",
 
 @dataclass
 class ExperimentConfig:
-    raw: dict
     path: str
     config_hash: str
     mode: str
@@ -87,7 +89,7 @@ class ExperimentConfig:
     multistart: MultistartSpec
     neumann_multistart: NeumannStartSpec
     conditions: dict
-    output: dict
+    trajectory_stride: float  # time between rows of dumped trajectories
     system: CoupledSystem = field(default=None, repr=False)
     # (mu1, nu1, mu2, nu2) of the asymmetric planar preset, None for other blocks
     _stiffness: tuple = field(default=None, repr=False)
@@ -256,17 +258,25 @@ def loads_config(text, path="<string>"):
         max_iter = _number(solver, "max_iter", 40, int)
     starts = {key: _start_spec(solver, key, M, problems) for key in _START_KEYS}
 
+    stride = None
+    if "trajectory_stride" in blocks["output"]:
+        with _reading("output", problems):
+            stride = _number(blocks["output"], "trajectory_stride", None)
+            if not 0.0 < stride < np.inf:
+                raise ValidationError([f"trajectory_stride must be positive, got {stride!r}"])
+
     system, stiffness = _build_system(blocks, M, params, T, interval, problems)
 
     if problems:
         raise ValidationError(problems)
 
     return ExperimentConfig(
-        raw=raw, path=path, config_hash=cfg_hash, mode=mode, M=M,
+        path=path, config_hash=cfg_hash, mode=mode, M=M,
         T=system.T, interval=system.interval,
         seed=seed, params=dict(params),
         newton_tol=newton_tol, max_iter=max_iter, **starts,
-        conditions=blocks["conditions"], output=blocks["output"],
+        conditions=blocks["conditions"],
+        trajectory_stride=system.span / 1000.0 if stride is None else stride,
         system=system, _stiffness=stiffness,
     )
 

@@ -7,11 +7,14 @@ componentwise.  A :func:`variational_field` carries the sensitivity of the
 state along; error control reads the state alone, and the sensitivity rides
 on its steps.  The fields treated here grow at most linearly, so no stiff
 fallback is provided; a collapsing step size raises instead.
+
+Kinked fields split steps where one state component changes sign (u = 0 for
+the planar blocks); a stored trajectory is read through one evaluator of the
+dense output, :meth:`Trajectory.query_many`.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -56,6 +59,7 @@ _MAX_STATE = 1e8  # blowup guard: beyond this the trajectory is treated as escap
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_MAX_STEPS = 1_000_000  # accepted, rejected and split steps of one integration
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,9 @@ class IntegrationStats:
 class Trajectory:
     """Dense-output solution on [t0, t1].
 
-    ``query(t)`` evaluates the quartic interpolant of the step containing
-    ``t``; ``query(t0)`` returns the initial state exactly.
+    ``query_many(ts)`` evaluates the quartic interpolant of the step
+    containing each time; the end points return the stored end states
+    exactly.
     """
 
     def __init__(self, ts, ys, interpolants, stats):
@@ -97,27 +102,9 @@ class Trajectory:
         self._interp = interpolants  # per step: (t_left, h, y_left, Q) or None
         self.stats = stats
 
-    @property
-    def t0(self):
-        return self.ts[0]
-
-    @property
-    def t1(self):
-        return self.ts[-1]
-
     def query(self, t):
-        if not (self.ts[0] <= t <= self.ts[-1]):
-            raise ValueError(f"t={t} outside [{self.ts[0]}, {self.ts[-1]}]")
-        if t == self.ts[0]:
-            return self.ys[0].copy()
-        if t == self.ts[-1]:
-            return self.ys[-1].copy()
-        k = bisect.bisect_right(self.ts, t) - 1
-        k = min(k, len(self._interp) - 1)
-        t_left, h, y_left, Q = self._interp[k]
-        s = (t - t_left) / h
-        p = np.array([s, s * s, s ** 3, s ** 4])
-        return y_left + h * (Q @ p)
+        """The state at the single time ``t``."""
+        return self.query_many([t])[0]
 
     @cached_property
     def _steps(self):
@@ -125,7 +112,7 @@ class Trajectory:
         return tuple(np.array(c) for c in zip(*self._interp))
 
     def query_many(self, ts):
-        """``query`` at every time of ``ts`` at once; shape ``(len(ts), n)``."""
+        """The state at every time of ``ts``; shape ``(len(ts), n)``."""
         ts = np.asarray(ts, dtype=float)
         if ts.size and not (self.ts[0] <= ts.min() and ts.max() <= self.ts[-1]):
             raise ValueError(f"times outside [{self.ts[0]}, {self.ts[-1]}]")
@@ -153,12 +140,13 @@ class WindingReport:
     min_radius: float
 
 
-def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
+def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
     """Adaptive DOPRI5(4) integration of ``f`` from ``z0`` over [t0, t1].
 
-    ``switches`` is a tuple of scalar functions of the state; accepted steps
-    across which a switch changes sign are cut at the crossing, so piecewise
-    smooth fields (kinks on a switch's zero set) keep full accuracy.
+    ``switch`` is the index of a state component, or None; accepted steps
+    across which that component changes sign are cut at the crossing, so a
+    piecewise smooth field with its kink on the component's zero set keeps
+    full accuracy.
 
     Finiteness contract: ``f`` is only ever called on finite states.  A stage
     state that is not finite rejects the step (the step size is quartered)
@@ -214,8 +202,8 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
         if h < h_min:
             raise StepUnderflowError(
                 f"step size {h:.3e} underflowed at t={t:.6g}; suspected blowup or stiffness")
-        if stats.steps + stats.rejected + stats.splits > max_steps:
-            raise StepUnderflowError(f"exceeded {max_steps} steps")
+        if stats.steps + stats.rejected + stats.splits > _MAX_STEPS:
+            raise StepUnderflowError(f"exceeded {_MAX_STEPS} steps")
 
         ratio = math.inf  # stays so, rejecting the step, if a stage is not finite
         for i in range(1, 7):
@@ -240,8 +228,8 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
             continue
 
         if ratio <= 1.0:
-            if switches:
-                t_cross = _first_switch_crossing(switches, t, h, y, K, h_min)
+            if switch is not None:
+                t_cross = _first_switch_crossing(switch, t, h, y, y_new, K, h_min)
                 if t_cross is not None:
                     stats.splits += 1
                     forced_h = t_cross - t
@@ -258,7 +246,7 @@ def integrate(f, z0, t0, t1, tol, max_steps=1_000_000, dense=True, switches=()):
             stats.steps += 1
             K[0] = K[6]  # FSAL
             if cut and m < n:
-                k0 = _beyond_switches(rhs, switches, t_new, y, y_new, K[6], h_min)
+                k0 = _beyond_switch(rhs, switch, t_new, y, y_new, K[6], h_min)
                 if k0 is not None:
                     stats.nfev += 1
                     K[0, m:] = k0[m:]
@@ -282,59 +270,52 @@ def _finite(a):
     return math.isfinite(sum(a.tolist())) or bool(np.isfinite(a).all())
 
 
-def _first_switch_crossing(switches, t, h, y, K, h_min):
-    """Earliest strict sign change of any switch inside the step, or None.
+def _first_switch_crossing(i, t, h, y, y_new, K, h_min):
+    """Time of a strict sign change of component ``i`` inside the step, or None.
 
     The crossing is located on the step's own interpolant; truncating the
     step there keeps each accepted step on one smooth side of the switch
     surface.  Crossings closer to ``t`` than a few ``h_min`` are ignored
     (the step already starts at the surface).
     """
+    s0, s1 = y[i], y_new[i]
+    if s0 == 0.0 or s1 == 0.0 or np.sign(s0) == np.sign(s1):
+        return None
+    # dead band: steps that start or end (numerically) on the surface are
+    # the product of an earlier truncation; re-splitting them would recurse
+    # forever
+    if abs(s0) <= 1e-10 * (1.0 + abs(s1)) or abs(s1) <= 1e-10 * (1.0 + abs(s0)):
+        return None
     from scipy.optimize import brentq
 
     Q = K.T @ _P
 
-    def state(tt):
+    def component(tt):
         s = (tt - t) / h
         p = np.array([s, s * s, s ** 3, s ** 4])
-        return y + h * (Q @ p)
+        return (y + h * (Q @ p))[i]
 
-    best = None
-    y_end = state(t + h)
-    for sw in switches:
-        s0 = sw(y)
-        s1 = sw(y_end)
-        if s0 == 0.0 or s1 == 0.0 or np.sign(s0) == np.sign(s1):
-            continue
-        # dead band: steps that start or end (numerically) on the surface are
-        # the product of an earlier truncation; re-splitting them would
-        # recurse forever
-        if abs(s0) <= 1e-10 * (1.0 + abs(s1)) or abs(s1) <= 1e-10 * (1.0 + abs(s0)):
-            continue
-        tc = brentq(lambda tt: sw(state(tt)), t, t + h, xtol=max(h_min, 1e-15))
-        if tc - t > 4 * h_min and (best is None or tc < best):
-            best = tc
-    return best
+    tc = brentq(component, t, t + h, xtol=max(h_min, 1e-15))
+    return tc if tc - t > 4 * h_min else None
 
 
-def _beyond_switches(rhs, switches, t, y0, y, k, h_min):
+def _beyond_switch(rhs, i, t, y0, y, k, h_min):
     """The field just past the switch surface that the step from ``y0`` ended on at ``y``.
 
-    The field is continuous across the surface, but its Jacobian is not, so
-    the sensitivity part of the first stage after a crossing comes from the
-    new side: the field at (t + e, y + e k) for the smallest e = 4 h_min 16^j,
-    j < 6, that puts every switch crossed since ``y0`` on its new side; None
-    if there is none.
+    The field is continuous across the surface z_i = 0, but its Jacobian is
+    not, so the sensitivity part of the first stage after a crossing comes
+    from the new side: the field at (t + e, y + e k) for the smallest
+    e = 4 h_min 16^j, j < 6, that puts z_i on its new side; None if there is
+    none or the step did not end on the surface.
     """
-    crossed = []
-    for sw in switches:
-        s0, s1 = sw(y0), sw(y)
-        if s0 != 0.0 and abs(s1) <= 1e-10 * (1.0 + abs(s0)):
-            crossed.append((sw, -math.copysign(1.0, s0)))
+    s0 = y0[i]
+    if s0 == 0.0 or abs(y[i]) > 1e-10 * (1.0 + abs(s0)):
+        return None
+    side = -math.copysign(1.0, s0)
     e = 4 * h_min
     for _ in range(6):
         z = y + e * k
-        if crossed and all(sw(z) * side > 0.0 for sw, side in crossed):
+        if z[i] * side > 0.0:
             return rhs(t + e, z)
         e *= 16.0
     return None
@@ -364,8 +345,8 @@ def variational_field(f, jac, cols):
     (n-by-len(cols)); Phi' = D_z f(t, z) Phi, where ``jac(t, z, fz)`` gives
     D_z f at (t, z) from ``fz = f(t, z)``.  Started from ``(z0, I[:, cols])``,
     one :func:`integrate` of it gives the flow and the columns ``cols`` of its
-    Jacobian (the monodromy block), error-controlled by z alone.  Switches
-    see z first, so they apply unchanged.
+    Jacobian (the monodromy block), error-controlled by z alone.  z comes
+    first, so a switch component index applies unchanged.
     """
     rhs = f.f if isinstance(f, VectorField) else f
     n, c = f.n, len(cols)
@@ -390,16 +371,9 @@ def winding(traj, component_indices, min_radius):
     :class:`OriginTooCloseError` if the component approaches the origin closer
     than ``min_radius`` at any refined sample.
     """
-    i, j = component_indices
-
-    def planar(t):
-        z = traj.query(t)
-        return np.array([z[i], z[j]])
-
-    ts = list(traj.ts)
-    if len(ts) < 2:
-        ts = [traj.t0, traj.t1]
-    pts = [planar(t) for t in ts]
+    ij = list(component_indices)
+    ts = traj.ts
+    pts = list(traj.ys[:, ij])
 
     total = 0.0
     min_r = min(float(np.hypot(*p)) for p in pts)
@@ -423,7 +397,7 @@ def winding(traj, component_indices, min_radius):
             raise OriginTooCloseError(
                 "winding refinement exhausted; path too close to the origin")
         tm = 0.5 * (ta + tb)
-        pm = planar(tm)
+        pm = traj.query(tm)[ij]
         stack.append((tm, tb, pm, pb, depth + 1))
         stack.append((ta, tm, pa, pm, depth + 1))
 

@@ -8,19 +8,21 @@ every nontrivial orbit is periodic with one common minimal period
 and the times between consecutive zeros of the v component are the two
 half-periods obtained by integrating over the upper and lower semicircle.
 A reference orbit phi with H(phi) = 1/2 parametrizes the generalized polar
-coordinates used elsewhere; the flow rotates clockwise (theta' = -2H < 0),
-and rotation counts are reported as positive clockwise turns.
+coordinates used elsewhere; the flow rotates clockwise, with polar angle
+theta' = -2 H(cos theta, sin theta) < 0, and rotation counts are reported as
+positive clockwise turns.  The same integrand as the period, taken over an
+arc, gives the orbit time at which phi points in a given direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
 from . import expr as xp
-from .dynamics import VectorField, integrate
+from .dynamics import Trajectory, VectorField, integrate
 from .errors import IntegrationError, NonpositiveHamiltonianError
 
 __all__ = [
@@ -38,13 +40,12 @@ class PlanarHamiltonian:
     """Planar Hamiltonian with gradient access.
 
     ``value`` maps w of shape (2,) or (2, n) to a scalar / array; ``grad``
-    returns the same leading shape.  ``claims_positive`` is sample-checked by
+    returns the same leading shape.  Positivity is sample-checked by
     :func:`check_homogeneous`, not enforced at construction.
     """
 
     value: callable
     grad: callable
-    claims_positive: bool = True
     # gradient has a kink across the u = 0 axis (e.g. asymmetric stiffness);
     # flows then split integration steps at u-axis crossings
     kink_on_u_axis: bool = False
@@ -93,15 +94,14 @@ def asymmetric(mu, nu):
                              label=f"asymmetric(mu={mu} nu={nu})")
 
 
-def hamiltonian_from_expr(src, params=None, u_name="u", v_name="v", claims_positive=True):
+def hamiltonian_from_expr(src, params=None):
     """Build a PlanarHamiltonian from an expression in (u, v)."""
     ast = src if isinstance(src, xp.Expr) else xp.parse_expr(str(src))
-    names = (u_name, v_name)
+    names = ("u", "v")
     value_uv = xp.compile_expr(ast, names, params=params)
     grad_uv = xp.compile_expr(ast, names, names, params)
     # w of shape (2,) or (2, n) unpacks to its two components
     return PlanarHamiltonian(lambda w: value_uv(*w), lambda w: grad_uv(*w),
-                             claims_positive=claims_positive,
                              kink_on_u_axis=xp.has_kinks(ast), label=str(src))
 
 
@@ -146,7 +146,7 @@ def check_homogeneous(H, n_samples, tol, seed=0):
         h_scaled = np.asarray(H.value(lam * w), dtype=float)
         homo = max(homo, float(np.max(np.abs(h_scaled - lam ** 2 * h))))
 
-    violations = int(np.count_nonzero(h <= 0.0)) if H.claims_positive else 0
+    violations = int(np.count_nonzero(h <= 0.0))
     return HomogeneityReport(euler, homo, violations, n_samples, tol)
 
 
@@ -164,17 +164,23 @@ def _unit_circle_integrand(H):
     return f
 
 
-def minimal_period(H, quad_tol=1e-12):
-    """Minimal period of J w' = grad H(w) for positive 2-homogeneous H.
+def _arc_time(H, a, b, quad_tol=1e-12):
+    """Time the flow takes to turn through the polar angles [a, b].
 
-    Adaptive quadrature of 1/(2 H) over the unit circle, split at the
-    quadrant boundaries where piecewise-defined Hamiltonians have kinks.
+    Adaptive quadrature of 1/(2 H) over the arc, split at the quadrant
+    boundaries inside it, where piecewise-defined Hamiltonians have kinks.
     Requests below 1e-12 are floored there (the quadrature is at roundoff).
     """
-    f = _unit_circle_integrand(H)
-    val, _ = quad(f, 0.0, 2 * np.pi, points=list(_QUADRANT_SPLITS),
+    points = [p for p in _QUADRANT_SPLITS if a < p < b]
+    val, _ = quad(_unit_circle_integrand(H), a, b, points=points or None,
                   epsabs=max(quad_tol, 1e-12), epsrel=0.0, limit=200)
     return val
+
+
+def minimal_period(H, quad_tol=1e-12):
+    """Minimal period of J w' = grad H(w) for positive 2-homogeneous H:
+    the time of one full turn."""
+    return _arc_time(H, 0.0, 2 * np.pi, quad_tol)
 
 
 def half_periods(H, quad_tol=1e-12):
@@ -183,12 +189,8 @@ def half_periods(H, quad_tol=1e-12):
     tau_plus integrates over the v > 0 semicircle (the half-turn taken by an
     orbit leaving the negative u-axis), tau_minus over v < 0.
     """
-    f = _unit_circle_integrand(H)
-    eps = max(quad_tol, 1e-12)
-    plus, _ = quad(f, 0.0, np.pi, points=[np.pi / 2], epsabs=eps, epsrel=0.0, limit=200)
-    minus, _ = quad(f, np.pi, 2 * np.pi, points=[3 * np.pi / 2], epsabs=eps, epsrel=0.0,
-                    limit=200)
-    return HalfPeriods(tau_plus=plus, tau_minus=minus)
+    return HalfPeriods(tau_plus=_arc_time(H, 0.0, np.pi, quad_tol),
+                       tau_minus=_arc_time(H, np.pi, 2 * np.pi, quad_tol))
 
 
 @dataclass(frozen=True)
@@ -212,20 +214,18 @@ def asym_period(p):
 # reference orbit and generalized polar coordinates
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class ReferenceOrbit:
     """One full clockwise turn of the energy-1/2 orbit of H.
 
     Normalization: phi(0) sits on the positive u-axis (the phase gauge is
-    free, so we fix it).  ``point(s)`` wraps s modulo the period; the
-    monotone angle table inverts polar angle -> orbit time.
+    free, so we fix it).  ``point(s)`` and ``points(ss)`` wrap s modulo the
+    period.
     """
 
-    def __init__(self, H, tau, trajectory, table_ts, table_thetas):
-        self.H = H
-        self.tau = tau
-        self.trajectory = trajectory
-        self.table_ts = table_ts
-        self.table_thetas = table_thetas
+    H: PlanarHamiltonian
+    tau: float
+    trajectory: Trajectory
 
     def point(self, s):
         return self.trajectory.query(float(np.mod(s, self.tau)))
@@ -242,7 +242,7 @@ def _planar_flow_field(H):
     return VectorField(2, f)
 
 
-def reference_orbit(H, tol=1e-10, quad_tol=None, table_size=2048):
+def reference_orbit(H, tol=1e-10, quad_tol=None):
     """Integrate one period of the energy-1/2 orbit starting at e/sqrt(2H(e)).
 
     Verifies energy drift |H(phi) - 1/2| <= tol along the orbit and closure
@@ -257,71 +257,25 @@ def reference_orbit(H, tol=1e-10, quad_tol=None, table_size=2048):
     w0 = e / np.sqrt(2.0 * h_e)
     tau = minimal_period(H, quad_tol)
 
-    switches = ((lambda w: w[0]),) if H.kink_on_u_axis else ()
-    traj = integrate(_planar_flow_field(H), w0, 0.0, tau, 0.05 * tol, switches=switches)
+    traj = integrate(_planar_flow_field(H), w0, 0.0, tau, 0.05 * tol,
+                     switch=0 if H.kink_on_u_axis else None)
 
     ts_check = np.linspace(0.0, tau, 257)
-    energies = np.array([float(H.value(traj.query(t))) for t in ts_check])
+    energies = np.asarray(H.value(traj.query_many(ts_check).T), dtype=float)
     drift = float(np.max(np.abs(energies - 0.5)))
     if drift > tol:
         raise IntegrationError(f"energy drift {drift:.3e} exceeds tol {tol:.3e}")
     closure = float(np.max(np.abs(traj.ys[-1] - w0)))
     if closure > tol:
         raise IntegrationError(f"orbit closure gap {closure:.3e} exceeds tol {tol:.3e}")
-
-    ts, thetas = _angle_table(traj, tau, table_size)
-    return ReferenceOrbit(H, tau, traj, ts, thetas)
-
-
-def _angle_table(traj, tau, table_size):
-    """Unwrapped polar angle on a uniform time grid; strictly decreasing."""
-    n = table_size
-    while True:
-        ts = np.linspace(0.0, tau, n + 1)
-        pts = np.array([traj.query(t) for t in ts]).T
-        raw = np.arctan2(
-            pts[0, :-1] * pts[1, 1:] - pts[1, :-1] * pts[0, 1:],
-            pts[0, :-1] * pts[0, 1:] + pts[1, :-1] * pts[1, 1:])
-        if np.all(np.abs(raw) < np.pi / 2) or n >= 1 << 16:
-            break
-        n *= 2
-    thetas = np.concatenate([[0.0], np.cumsum(raw)])
-    if not np.all(np.diff(thetas) < 0.0):
-        raise IntegrationError("polar angle along the reference orbit is not strictly decreasing")
-    return ts, thetas
+    return ReferenceOrbit(H, tau, traj)
 
 
 def angle_to_orbit_time(orbit, angle):
     """The unique s in [0, tau) with phi(s) pointing in direction ``angle``.
 
-    Inverts the monotone angle table, then refines with a bracketed root
-    solve on the dense output.
+    phi starts on the positive u-axis and turns clockwise at the rate
+    2 H(cos theta, sin theta), so s is the time of the arc [angle mod 2pi, 2pi].
     """
-    r = float(np.mod(angle, 2 * np.pi))
-    target = 0.0 if r == 0.0 else r - 2 * np.pi
-    thetas = orbit.table_thetas
-    ts = orbit.table_ts
-    if target >= thetas[0]:
-        return 0.0
-    if target <= thetas[-1]:
-        target = thetas[-1]
-    # thetas decreasing: locate cell with thetas[k] >= target >= thetas[k+1]
-    k = int(np.searchsorted(-thetas, -target, side="right")) - 1
-    k = min(max(k, 0), len(ts) - 2)
-    pk = orbit.trajectory.query(ts[k])
-
-    def g(s):
-        p = orbit.trajectory.query(s)
-        inc = np.arctan2(pk[0] * p[1] - pk[1] * p[0], pk[0] * p[0] + pk[1] * p[1])
-        return thetas[k] + inc - target
-
-    from scipy.optimize import brentq
-    a, b = ts[k], ts[k + 1]
-    ga, gb = g(a), g(b)
-    if ga == 0.0:
-        s = a
-    elif gb == 0.0:
-        s = b
-    else:
-        s = brentq(g, a, b, xtol=1e-13)
-    return float(np.mod(s, orbit.tau))
+    a = float(np.mod(angle, 2 * np.pi))
+    return 0.0 if a == 0.0 else _arc_time(orbit.H, a, 2 * np.pi)

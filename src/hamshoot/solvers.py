@@ -46,7 +46,7 @@ import numpy as np
 from .dynamics import integrate, variational_field, winding
 from .errors import (IntegrationError, MaxIterationsError, OriginTooCloseError,
                      SingularJacobianError)
-from .systems import assemble_field, field_jacobian, field_switches
+from .systems import assemble_field, field_jacobian
 
 __all__ = [
     "PeriodicSolutionRecord", "NeumannSolutionRecord", "DistinctnessPartition",
@@ -217,7 +217,6 @@ def _shoot(sys, z_guess, newton_tol, max_iter, integration_tol):
     if integration_tol is None:
         integration_tol = 0.1 * newton_tol
     field = assemble_field(sys)
-    switches = field_switches(sys)
     (t0, t1), cols, rows = _problem(sys)
     n = sys.dim
     aug = variational_field(field, field_jacobian(sys, field), cols)
@@ -233,13 +232,13 @@ def _shoot(sys, z_guess, newton_tol, max_iter, integration_tol):
         # one flow of the state and its sensitivity: the defect and its Jacobian
         z = state(p)
         end = integrate(aug, np.concatenate([z, eye.ravel()]), t0, t1, integration_tol,
-                        dense=False, switches=switches).ys[-1]
+                        dense=False, switch=sys.switch).ys[-1]
         return _defect(sys, z, end[:n]), (end[n:].reshape(n, len(cols)) - eye)[rows]
 
     p, res, iters = _newton(evaluate, base[cols], newton_tol, max_iter)
     z = state(p)
     return z, res, iters, lambda: integrate(field, z, t0, t1, integration_tol,
-                                            switches=switches)
+                                            switch=sys.switch)
 
 
 def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40, integration_tol=None):
@@ -282,7 +281,7 @@ def revalidate(sys, record, integration_tol=1e-12):
     """Residual re-computed by an independent integration at ``integration_tol``."""
     (t0, t1), _, _ = _problem(sys)
     zt = integrate(assemble_field(sys), record.z0, t0, t1, integration_tol, dense=False,
-                   switches=field_switches(sys)).ys[-1]
+                   switch=sys.switch).ys[-1]
     return float(np.linalg.norm(_defect(sys, record.z0, zt)))
 
 
@@ -316,7 +315,13 @@ def _union_find_partition(n, same):
     return labels, classes
 
 
-def _classify(records, tol):
+def classify_distinct(records, tol=1e-6):
+    """Partition solution records into geometrically distinct classes.
+
+    Two records coincide when their initial states agree within ``tol``
+    componentwise, every x_i modulo 2pi.  Union-find makes the relation a
+    true equivalence regardless of input order.
+    """
     records = list(records)
     M = records[0].z0.size // 2 - 1 if records else 0
 
@@ -335,24 +340,33 @@ def _canon_key(rec):
     return tuple(np.round(np.concatenate([np.mod(rec.z0[:M], 2 * np.pi), rec.z0[M:]]), 9))
 
 
-def classify_distinct(records, tol=1e-6):
-    """Partition solution records into geometrically distinct classes.
-
-    Two records coincide when their initial states agree within ``tol``
-    componentwise, every x_i modulo 2pi.  Union-find makes the relation a
-    true equivalence regardless of input order.
-    """
-    return _classify(records, tol)
-
-
 def classify_distinct_neumann(records, tol=1e-6):
     """Neumann distinctness: x_a modulo 2pi, u_a compared directly."""
-    return _classify(records, tol)
+    return classify_distinct(records, tol)
 
 
 # --------------------------------------------------------------------------
 # multistart
 # --------------------------------------------------------------------------
+
+def _grid(axes, budget, jitter, seed):
+    """The first ``budget`` points of the product of ``axes``, in order.
+
+    Each point concatenates one entry (a number or an array) per axis; with
+    ``jitter`` > 0 it gets ``jitter`` times standard normals, drawn per point
+    from one generator seeded by ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    for combo in itertools.islice(itertools.product(*axes), max(budget, 0)):
+        z = np.hstack(combo)
+        if jitter > 0.0:
+            z = z + jitter * rng.standard_normal(z.size)
+        yield z
+
+
+def _x_axes(x_points, M):
+    return [np.linspace(0.0, 2 * np.pi, x_points, endpoint=False)] * M
+
 
 @dataclass(frozen=True)
 class MultistartSpec:
@@ -369,8 +383,6 @@ class MultistartSpec:
     def starts(self, M, seed=0):
         if len(self.y_ranges) not in (1, M) and M > 0:
             raise ValueError("y_ranges must have length 1 (shared) or M")
-        rng = np.random.default_rng(seed)
-        xs = np.linspace(0.0, 2 * np.pi, self.x_points, endpoint=False) if M else [()]
         y_axes = []
         for i in range(M):
             lo, hi = self.y_ranges[i] if len(self.y_ranges) == M else self.y_ranges[0]
@@ -386,18 +398,7 @@ class MultistartSpec:
                 ws.append(np.array([r * np.cos(a), r * np.sin(a)]))
         if not ws:
             ws = [np.zeros(2)]
-
-        x_grid = itertools.product(*([xs] * M)) if M else [()]
-        combos = itertools.product(x_grid, itertools.product(*y_axes) if M else [()], ws)
-        count = 0
-        for xg, yg, w in combos:
-            if count >= self.budget:
-                break
-            z = np.concatenate([np.array(xg, dtype=float), np.array(yg, dtype=float), w])
-            if self.jitter > 0.0:
-                z = z + self.jitter * rng.standard_normal(z.size)
-            count += 1
-            yield z
+        return _grid(_x_axes(self.x_points, M) + y_axes + [ws], self.budget, self.jitter, seed)
 
 
 @dataclass(frozen=True)
@@ -411,22 +412,9 @@ class NeumannStartSpec:
     jitter: float = 0.0
 
     def starts(self, M, seed=0):
-        rng = np.random.default_rng(seed)
-        xs = np.linspace(0.0, 2 * np.pi, self.x_points, endpoint=False) if M else [()]
         us = np.linspace(self.u_range[0], self.u_range[1], self.u_points)
-        combos = itertools.product(
-            itertools.product(*([xs] * M)) if M else [()], us)
-        count = 0
-        for xg, u in combos:
-            if count >= self.budget:
-                break
-            xa = np.array(xg, dtype=float)
-            ua = float(u)
-            if self.jitter > 0.0:
-                xa = xa + self.jitter * rng.standard_normal(M)
-                ua += self.jitter * rng.standard_normal()
-            count += 1
-            yield xa, ua
+        grid = _grid(_x_axes(self.x_points, M) + [us], self.budget, self.jitter, seed)
+        return ((z[:M], float(z[M])) for z in grid)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,8 @@ class CoupledSystem:
     ``grad_H(t, x, y) -> (dx array, dy array)`` and
     ``grad_P(t, x, y, w) -> (dx, dy, dw)`` may be None for absent blocks.
     ``w_kink`` marks a planar field with a gradient kink across u = 0
-    (asymmetric stiffness); flows then split steps at u-axis crossings.
+    (asymmetric stiffness); flows then split steps where the state component
+    ``switch``, u, changes sign.
     A block built from an expression carries it as ``expr_block``
     (:class:`hamshoot.expr.ExprBlock`), in the variables (t, x1.., y1..) for
     grad_H, (t, x1.., y1.., u, v) for grad_P and (t, u, v) for F.
@@ -107,9 +108,10 @@ class CoupledSystem:
     def t0(self):
         return 0.0 if self.T is not None else self.interval[0]
 
-    def split(self, z):
-        M = self.M
-        return z[:M], z[M:2 * M], z[2 * M:2 * M + 2]
+    @property
+    def switch(self):
+        """Index of the state component u that splits steps, or None."""
+        return 2 * self.M if self.w_kink else None
 
     @cached_property
     def _compiled_field(self):
@@ -241,14 +243,6 @@ def field_jacobian(sys, field):
     return jac
 
 
-def field_switches(sys):
-    """Step-splitting switch functions for the assembled field."""
-    if sys.w_kink:
-        iu = 2 * sys.M
-        return ((lambda z: z[iu]),)
-    return ()
-
-
 # --------------------------------------------------------------------------
 # decomposition validation
 # --------------------------------------------------------------------------
@@ -284,13 +278,13 @@ class DecompositionReport:
         return self.max_residual <= self.tol and self.range_violations == 0
 
 
-def validate_decomposition(sys, n_samples=256, tol=1e-9, seed=0, radius_range=(0.1, 50.0)):
+def validate_decomposition(sys, n_samples=256, tol=1e-9, seed=0):
     """Sample the convex-combination structure of F against the declared data.
 
-    For each sampled (t, w) the scalar least-squares gamma* is computed; the
-    report records the worst residual and whether gamma* stays in
-    [-tol, 1+tol].  In quadrant mode samples avoid the axes (the open
-    quadrants are the decomposition's domain).
+    For each sampled (t, w), |w| log-uniform in [0.1, 50], the scalar
+    least-squares gamma* is computed; the report records the worst residual
+    and whether gamma* stays in [-tol, 1+tol].  In quadrant mode samples
+    avoid the axes (the open quadrants are the decomposition's domain).
     """
     dec = sys.decomposition
     if dec is None:
@@ -304,7 +298,7 @@ def validate_decomposition(sys, n_samples=256, tol=1e-9, seed=0, radius_range=(0
         # keep a safe sector away from both axes
         quadrant = rng.integers(0, 4, n_samples)
         ang = quadrant * (np.pi / 2) + rng.uniform(0.05, np.pi / 2 - 0.05, n_samples)
-    rad = np.exp(rng.uniform(np.log(radius_range[0]), np.log(radius_range[1]), n_samples))
+    rad = np.exp(rng.uniform(np.log(0.1), np.log(50.0), n_samples))
     w = np.stack([rad * np.cos(ang), rad * np.sin(ang)])
 
     Fv = np.stack([np.asarray(sys.F(t, w[:, k]), dtype=float) for k, t in enumerate(ts)], axis=1)
@@ -403,27 +397,23 @@ class CutoffProfile:
         return float(out[0]) if scalar else out
 
 
-def build_cutoff(rho, margin=0.01):
+def build_cutoff(rho):
     """Cutoff profile for the large-amplitude modification.
 
     Requires rho > e so that ln ln is defined on [rho, rho^3] and the budget
     inequality  integral_rho^{rho^3} dxi/(xi ln xi) = ln 3 > 1  leaves room
-    for a constant decline rate below the admissible slope.
+    for a constant decline rate below the admissible slope.  With the 1%
+    margins and rho > e, m1 + m2 <= 0.014 < ln 3 and kappa <= 0.92 < 1.
     """
     if not rho > np.e:
         raise RhoTooSmallError(f"rho must exceed e = {np.e:.6f}, got {rho}")
     sigma0 = np.log(np.log(rho))
     L = np.log(3.0)
-    # sigma-widths of the relative margins [rho, (1+margin) rho] and
-    # [rho^3/(1+margin), rho^3]
-    m1 = np.log(np.log((1.0 + margin) * rho)) - sigma0
-    m2 = np.log(np.log(rho ** 3)) - np.log(np.log(rho ** 3 / (1.0 + margin)))
-    if m1 + m2 >= L:
-        raise RhoTooSmallError("cutoff margins overlap; decrease margin")
+    # sigma-widths of the relative margins [rho, 1.01 rho] and
+    # [rho^3/1.01, rho^3]
+    m1 = np.log(np.log(1.01 * rho)) - sigma0
+    m2 = np.log(np.log(rho ** 3)) - np.log(np.log(rho ** 3 / 1.01))
     kappa = 1.0 / (L - 0.5 * (m1 + m2))
-    if kappa >= 1.0:
-        raise RhoTooSmallError(
-            f"decline rate {kappa:.6f} >= 1 violates the derivative bound; decrease margin")
     return CutoffProfile(rho=float(rho), kappa=float(kappa), sigma0=float(sigma0),
                          m1=float(m1), m2=float(m2))
 
@@ -517,11 +507,6 @@ def modify_system(sys, rho):
 # periodicity certificates
 # --------------------------------------------------------------------------
 
-def _halton(n, dim, seed=0):
-    from scipy.stats import qmc
-    return qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
-
-
 @dataclass(frozen=True)
 class PeriodicityReport:
     max_t_residual: float
@@ -539,11 +524,12 @@ def validate_periodicity(sys, n_samples=32, tol=1e-8, seed=0, scale=3.0):
     Compares the assembled field at (t, z) with (t+T, z) and with x shifted by
     2pi in each coordinate.  A certificate, not a proof.
     """
+    from scipy.stats import qmc
     if sys.mode != "periodic":
         raise ValueError("periodicity validation applies to periodic mode")
     f = assemble_field(sys)
     M, dim = sys.M, sys.dim
-    pts = _halton(n_samples, dim + 1, seed)
+    pts = qmc.Halton(d=dim + 1, scramble=True, seed=seed).random(n_samples)
     t_res = 0.0
     x_res = 0.0
     for row in pts:

@@ -260,6 +260,32 @@ def test_twist_free_rotator():
     assert len(rep.violations) == len(rep.samples)
 
 
+def test_twist_free_rotator_two_axes():
+    # drift_i = T y_i(0): sigma = (1, -1) fails on exactly the axis-2 faces
+    sys_ = _free_rotator(2)
+    ens = [constant_path([0.0, 0.0])]
+    D = [(-1.0, 1.0), (-0.5, 2.0)]
+    rep = twist_check(sys_, D, [1, 1], ens, x_points=2, y_points=3)
+    assert rep.passed
+    # 2 axes x 2 faces x 3 points of the other axis x 2^2 grid points of x
+    assert len(rep.samples) == 2 * 2 * 3 * 4
+    rep = twist_check(sys_, D, [1, -1], ens, x_points=2, y_points=3)
+    failed = [desc for desc, _, ok in rep.samples if not ok]
+    assert failed == [desc for desc, _, _ in rep.samples if " face y2=" in desc]
+    assert len(failed) == len(rep.violations) == 2 * 3 * 4
+
+
+def test_avoiding_rays_runs_every_path():
+    sys_ = _free_rotator(2)
+    ens = [constant_path([0.0, 0.0]), constant_path([0.3, -0.2])]
+    rep = avoiding_rays_check(sys_, Ball(np.zeros(2), 1.0), -1, ens, boundary_grid=5,
+                              x_points=3)
+    # paths x boundary points x 3^2 grid points of x
+    assert len(rep.samples) == 2 * 5 * 9
+    assert sum(desc.startswith("path1 ") for desc, _, _ in rep.samples) == 5 * 9
+    assert rep.passed
+
+
 def test_twist_invariant_under_2pi_x_shift():
     # drift of the frozen subsystem is 2pi-periodic in x(0): grid offset by
     # 2pi gives identical verdicts

@@ -352,6 +352,19 @@ def test_solver_block_is_read_at_load():
     assert ei.value.problems == ["solver.multistart.y_ranges must have 1 (shared) or M=1 rows"]
 
 
+@pytest.mark.parametrize("value", ["abc", 0, -0.1, [1]])
+def test_trajectory_stride_is_read_at_load(value):
+    with pytest.raises(ValidationError) as ei:
+        loads_config(MINIMAL + yaml.safe_dump({"output": {"trajectory_stride": value}}))
+    assert len(ei.value.problems) == 1
+    assert ei.value.problems[0].startswith("output.trajectory_stride must be")
+
+
+def test_trajectory_stride_default_and_value():
+    assert loads_config(MINIMAL).trajectory_stride == 6.283185307179586 / 1000.0
+    assert loads_config(MINIMAL + "output: {trajectory_stride: 0.5}\n").trajectory_stride == 0.5
+
+
 def test_cli_missing_file_exit_code(tmp_path):
     proc = _run_cli(["periods", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "o")])

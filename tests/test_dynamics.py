@@ -1,3 +1,4 @@
+import bisect
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hamshoot.errors import (NonfiniteStateError, OriginTooCloseError,
                              StepUnderflowError)
 from hamshoot.homogeneous import asymmetric
 from hamshoot.presets import asymmetric_field
-from hamshoot.systems import CoupledSystem, assemble_field, field_jacobian, field_switches
+from hamshoot.systems import CoupledSystem, assemble_field, field_jacobian
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "pendulum_oscillator.yaml"
 CENTER = VectorField(2, lambda t, z: np.array([z[1], -z[0]]))
@@ -20,19 +21,19 @@ CENTER_JAC = lambda t, z, fz: np.array([[0.0, 1.0], [-1.0, 0.0]])
 PENDULUM_JAC = lambda t, z, fz: np.array([[0.0, 1.0], [-np.cos(z[0]), 0.0]])
 
 
-def _variational_flow(field, jac, z0, T, tol, cols=(0, 1), switches=()):
+def _variational_flow(field, jac, z0, T, tol, cols=(0, 1), switch=None):
     """(z(T), Phi(T), stats) of the variational flow from (z0, I[:, cols])."""
     n, cols = field.n, list(cols)
     start = np.r_[z0, np.eye(n)[:, cols].ravel()]
     traj = integrate(variational_field(field, jac, cols), start, 0.0, T, tol, dense=False,
-                     switches=switches)
+                     switch=switch)
     return traj.ys[-1][:n], traj.ys[-1][n:].reshape(n, len(cols)), traj.stats
 
 
-def _central_differences(field, z0, T, tol, switches=()):
+def _central_differences(field, z0, T, tol, switch=None):
     """Oracle: the flow Jacobian by central differences of flows, step 1e-6 (1 + |z_j|)."""
     def flow(z):
-        return integrate(field, z, 0.0, T, tol, dense=False, switches=switches).ys[-1]
+        return integrate(field, z, 0.0, T, tol, dense=False, switch=switch).ys[-1]
 
     J = np.empty((len(z0), len(z0)))
     for j in range(len(z0)):
@@ -48,7 +49,7 @@ def _oscillator(mu=4.0, nu=1.0):
     # T is the oscillator's period, the same for every amplitude
     sys_ = CoupledSystem(M=0, F=F, T=np.pi / np.sqrt(mu) + np.pi / np.sqrt(nu), w_kink=w_kink)
     field = assemble_field(sys_)
-    return sys_, field, field_jacobian(sys_, field), field_switches(sys_)
+    return sys_, field, field_jacobian(sys_, field), sys_.switch
 
 
 def test_linear_center_endpoint():
@@ -67,14 +68,25 @@ def test_pendulum_equilibrium():
     assert np.max(np.abs(traj.ys[-1] - [np.pi, 0.0])) < 1e-12
 
 
+def _quartic_at(traj, t):
+    """Reference evaluation of the dense output at one time: the quartic of
+    the step holding t, y_left + h (Q @ (s, s^2, s^3, s^4))."""
+    k = min(bisect.bisect_right(traj.ts, t) - 1, len(traj.ts) - 2)
+    t_left, h, y_left, Q = traj._interp[k]
+    s = (t - t_left) / h
+    return y_left + h * (Q @ np.array([s, s * s, s ** 3, s ** 4]))
+
+
 def test_query_many_matches_query():
     traj = integrate(PENDULUM, [1.0, 0.5], 0.0, 7.0, 1e-10)
     ts = np.concatenate([np.linspace(0.0, 7.0, 301), traj.ts])
     many = traj.query_many(ts)
     assert many.shape == (len(ts), 2)
-    assert np.max(np.abs(many - np.array([traj.query(t) for t in ts]))) <= 1e-14
-    # the ends are the stored states exactly
+    assert np.max(np.abs(many - np.array([_quartic_at(traj, t) for t in ts]))) <= 1e-14
+    assert np.max(np.abs(np.array([traj.query(t) for t in ts]) - many)) <= 1e-14
+    # the ends are the stored states exactly, and so is every step end
     assert np.array_equal(many[0], traj.ys[0]) and np.array_equal(many[300], traj.ys[-1])
+    assert np.array_equal(traj.query_many(traj.ts), traj.ys)
     with pytest.raises(ValueError):
         traj.query_many([0.5, 7.5])
 
@@ -91,9 +103,9 @@ def test_variational_flow_linear_center():
 def test_variational_flow_closed_orbit_of_asymmetric_oscillator():
     """One period of the (4, 1) oscillator: the orbit closes, and the monodromy
     keeps the flow direction and the area."""
-    sys_, field, jac, switches = _oscillator()
+    sys_, field, jac, switch = _oscillator()
     z0 = np.array([0.3, 0.0])
-    z, phi, _ = _variational_flow(field, jac, z0, sys_.T, 1e-9, switches=switches)
+    z, phi, _ = _variational_flow(field, jac, z0, sys_.T, 1e-9, switch=switch)
     assert np.max(np.abs(z - z0)) < 1e-7
     f0 = field(0.0, z0)
     assert np.max(np.abs(phi @ f0 - f0)) < 1e-7
@@ -148,11 +160,11 @@ def test_monodromy_cols_are_columns_of_full_monodromy():
 
 def test_monodromy_with_switches_vs_central_differences():
     """Across the u = 0 kink of an asymmetric oscillator, to the criterion-08 bound."""
-    sys_, field, jac, switches = _oscillator()
+    sys_, field, jac, switch = _oscillator()
     for z0 in (np.array([0.4, 0.0]), np.array([-0.3, 0.5])):
-        _, phi, stats = _variational_flow(field, jac, z0, sys_.T, 1e-12, switches=switches)
+        _, phi, stats = _variational_flow(field, jac, z0, sys_.T, 1e-12, switch=switch)
         assert stats.splits >= 2
-        oracle = _central_differences(field, z0, sys_.T, 1e-12, switches)
+        oracle = _central_differences(field, z0, sys_.T, 1e-12, switch)
         assert np.max(np.abs(phi - oracle)) < 1e-5
 
 
@@ -173,7 +185,7 @@ def test_winding_two_periods_of_asymmetric_orbit():
     from hamshoot.homogeneous import asymmetric
     H = asymmetric(4.0, 1.0)
     f = VectorField(2, lambda t, w: np.array([H.grad(w)[1], -H.grad(w)[0]]))
-    traj = integrate(f, [0.5, 0.0], 0.0, 3 * np.pi, 1e-10, switches=(lambda w: w[0],))
+    traj = integrate(f, [0.5, 0.0], 0.0, 3 * np.pi, 1e-10, switch=0)
     assert winding(traj, (0, 1), 1e-8).turns == 2
 
 
@@ -220,10 +232,23 @@ def test_switch_splitting_restores_accuracy_at_kinks():
     H = asymmetric(4.0, 1.0)
     f = VectorField(2, lambda t, w: np.array([H.grad(w)[1], -H.grad(w)[0]]))
     tol = 1e-10
-    tr = integrate(f, [0.5, 0.0], 0.0, 1.5 * np.pi, tol, switches=(lambda w: w[0],))
+    tr = integrate(f, [0.5, 0.0], 0.0, 1.5 * np.pi, tol, switch=0)
     energies = [float(H.value(tr.query(t))) for t in np.linspace(0, 1.5 * np.pi, 257)]
     assert max(abs(e - 0.5) for e in energies) < 10 * tol
     assert tr.stats.splits >= 2
+
+
+def test_switch_without_sign_change_changes_nothing():
+    """A kinked flow whose u stays positive has no splits and the steps of a
+    flow without the switch, bit for bit."""
+    H = asymmetric(4.0, 1.0)
+    f = VectorField(2, lambda t, w: np.array([H.grad(w)[1], -H.grad(w)[0]]))
+    # from (0.5, 0) the orbit reaches u = 0 at t = pi/4
+    free = integrate(f, [0.5, 0.0], 0.0, 0.7, 1e-10)
+    split = integrate(f, [0.5, 0.0], 0.0, 0.7, 1e-10, switch=0)
+    assert split.stats.splits == 0 and split.stats == free.stats
+    assert np.min(split.ys[:, 0]) > 0.0
+    assert np.array_equal(split.ts, free.ts) and np.array_equal(split.ys, free.ys)
 
 
 @pytest.mark.parametrize("stage", range(1, 7))
@@ -251,7 +276,7 @@ def test_nonfinite_stage_derivative_rejects_the_step(stage):
 def test_demo_period_flow_counts():
     sys_ = load_config(DEMO_CONFIG).system
     traj = integrate(assemble_field(sys_), [1.0, 0.2, 0.25, 0.0], 0.0, 2 * np.pi, 1e-10,
-                     dense=False, switches=field_switches(sys_))
+                     dense=False, switch=sys_.switch)
     assert traj.stats == IntegrationStats(steps=219, rejected=46, nfev=1610, splits=3)
     assert traj.ys[-1] == pytest.approx(
         [0.7822632656787634, 0.47286246172068974, -0.5326905724879536, -0.4836420723482581],

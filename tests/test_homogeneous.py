@@ -106,9 +106,15 @@ def test_reference_orbit_one_clockwise_turn():
         assert winding(orb.trajectory, (0, 1), 1e-8).turns == 1
 
 
-def test_angle_table_monotone():
+def test_angle_to_orbit_time_at_quadrant_boundaries():
+    """The arc quadrature inverts the direction of the integrated orbit at the
+    kinks of asymmetric(9, 4), and just below a full turn."""
     orb = reference_orbit(asymmetric(9, 4), tol=1e-10)
-    assert np.all(np.diff(orb.table_thetas) < 0)
+    for angle in (0.0, -np.pi / 2, -np.pi, -3 * np.pi / 2, np.nextafter(2 * np.pi, 0.0)):
+        s = angle_to_orbit_time(orb, angle)
+        assert 0.0 <= s < orb.tau
+        p = orb.point(s)
+        assert np.max(np.abs(p / np.hypot(*p) - [np.cos(angle), np.sin(angle)])) < 1e-9
 
 
 def test_angle_to_orbit_time_circle():

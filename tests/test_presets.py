@@ -6,7 +6,7 @@ from hamshoot.errors import ValidationError
 from hamshoot.presets import (asymmetric_field, coupling_from_expr, free_rotator,
                               hamiltonian_block_from_expr, pendulum_hamiltonian,
                               planar_field_from_expr)
-from hamshoot.systems import CoupledSystem, assemble_field, field_switches
+from hamshoot.systems import CoupledSystem, assemble_field
 
 
 def _bits(values):
@@ -79,10 +79,10 @@ def test_asymmetric_field_kink_flag_follows_the_force():
     assert not asymmetric_field(1.0, 1.0, 1.0, 1.0)[2]
     # with the kink flagged the flow splits its steps at u = 0
     sys_ = CoupledSystem(M=0, F=F, T=6.0, w_kink=w_kink)
-    f, switches = assemble_field(sys_), field_switches(sys_)
+    f = assemble_field(sys_)
     z0 = np.array([0.3, 0.0])
-    ref = integrate(f, z0, 0.0, 6.0, 1e-13, switches=switches).ys[-1]
-    got = integrate(f, z0, 0.0, 6.0, 1e-8, switches=switches).ys[-1]
+    ref = integrate(f, z0, 0.0, 6.0, 1e-13, switch=sys_.switch).ys[-1]
+    got = integrate(f, z0, 0.0, 6.0, 1e-8, switch=sys_.switch).ys[-1]
     assert np.max(np.abs(got - ref)) < 1e-7
 
 
