@@ -34,12 +34,10 @@ from .conditions import (Ball, avoiding_rays_check, classify_resonance,
                          constant_path, estimate_mbar, fourier_paths,
                          indefinite_twist_check, ll_margin, twist_check, SampleBox)
 from .config import _number, _reading, load_config
-from .errors import (ConfigError, IntegrationError, SingularMatrixError,
-                     ValidationError)
+from .errors import ConfigError, IntegrationError, SingularMatrixError, ValidationError
 from .homogeneous import asym_period, half_periods, minimal_period, reference_orbit
-from .solvers import multistart_neumann, multistart_periodic
-from .systems import assemble_field, validate_periodicity
-from .dynamics import integrate
+from .solvers import multistart_neumann, multistart_periodic, solution_flow
+from .systems import validate_periodicity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -265,13 +263,10 @@ def _solve_stage(cfg, out_dir, seed, dump_trajectories=False):
     if dump_trajectories and result.records:
         traj_dir = out_dir / "trajectories"
         traj_dir.mkdir(exist_ok=True)
-        field = assemble_field(sys_)
         stride = cfg.trajectory_stride
         for cls, rec in enumerate(result.records):
-            traj = integrate(field, rec.z0, sys_.t0, sys_.t0 + sys_.span,
-                             cfg.newton_tol, switch=sys_.switch)
-            ts = np.arange(sys_.t0, sys_.t0 + sys_.span + 0.5 * stride, stride)
-            ts[-1] = min(ts[-1], sys_.t0 + sys_.span)
+            traj = solution_flow(sys_, rec.z0, cfg.newton_tol)
+            ts = np.minimum(np.arange(traj.ts[0], traj.ts[-1] + 0.5 * stride, stride), traj.ts[-1])
             _write_csv(traj_dir / f"class_{cls}.csv",
                        ["t"] + [f"z_{i + 1}" for i in range(sys_.dim)],
                        [[t, *z] for t, z in zip(ts, traj.query_many(ts))])

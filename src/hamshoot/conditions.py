@@ -22,7 +22,8 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .dynamics import VectorField, integrate
-from .errors import (IntegrationError, IntegrationOverflowError, SingularMatrixError)
+from .errors import (DimensionMismatchError, IntegrationError, IntegrationOverflowError,
+                     SingularMatrixError)
 from .systems import assemble_field
 
 __all__ = [
@@ -50,9 +51,6 @@ class ResonanceTag(Enum):
 class ResonanceClass:
     tag: ResonanceTag
     N: int | None
-    tau1: float
-    tau2: float
-    T: float
 
     def __str__(self):
         if self.N is None:
@@ -76,7 +74,7 @@ def classify_resonance(tau1, tau2, T, tol=1e-9):
         raise ValueError("tau1, tau2, T must be positive")
     band = tol * T
     if tau2 > tau1 + band:
-        return ResonanceClass(ResonanceTag.NOT_APPLICABLE, None, tau1, tau2, T)
+        return ResonanceClass(ResonanceTag.NOT_APPLICABLE, None)
     n_max = int(np.ceil(T / min(tau1, tau2))) + 1
     for N in range(1, n_max + 1):
         lo = T / (N + 1)
@@ -86,14 +84,14 @@ def classify_resonance(tau1, tau2, T, tol=1e-9):
         t2_eq = abs(tau2 - lo) <= band
         t2_gt = tau2 > lo + band
         if t1_eq and t2_eq:
-            return ResonanceClass(ResonanceTag.DOUBLE, N, tau1, tau2, T)
+            return ResonanceClass(ResonanceTag.DOUBLE, N)
         if t1_eq and t2_gt:
-            return ResonanceClass(ResonanceTag.SIMPLE_BELOW, N, tau1, tau2, T)
+            return ResonanceClass(ResonanceTag.SIMPLE_BELOW, N)
         if t2_eq and t1_lt:
-            return ResonanceClass(ResonanceTag.SIMPLE_ABOVE, N, tau1, tau2, T)
+            return ResonanceClass(ResonanceTag.SIMPLE_ABOVE, N)
         if t2_gt and t1_lt:
-            return ResonanceClass(ResonanceTag.NONRESONANT, N, tau1, tau2, T)
-    return ResonanceClass(ResonanceTag.NOT_APPLICABLE, None, tau1, tau2, T)
+            return ResonanceClass(ResonanceTag.NONRESONANT, N)
+    return ResonanceClass(ResonanceTag.NOT_APPLICABLE, None)
 
 
 # --------------------------------------------------------------------------
@@ -153,9 +151,7 @@ class LLReport:
     The inequality holds (numerically) iff every margin is positive.
     """
 
-    which: str
     rows: tuple
-    lambda_schedule: tuple
     mbar: float
 
     @property
@@ -196,8 +192,7 @@ def ll_margin(sys, which, orbit, theta_grid=None, lambda_schedule=None,
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
     t0, span = sys.t0, sys.span
-    lam_all = np.asarray(lambda_schedule if lambda_schedule is not None else _LAMBDAS)
-    lam = _tail(lam_all)
+    lam = _tail(lambda_schedule if lambda_schedule is not None else _LAMBDAS)
     if theta_grid is None:
         theta_grid = t0 + np.linspace(0.0, span, 64, endpoint=False)
     delta = s_halfwidth if s_halfwidth is not None else orbit.tau / 64.0
@@ -239,22 +234,18 @@ def ll_margin(sys, which, orbit, theta_grid=None, lambda_schedule=None,
         spread = per_t_by_lambda.max(axis=0) - per_t_by_lambda.min(axis=0)
         dispersion = float(np.trapezoid(spread, ts))
         rows.append((float(theta), lhs, rhs, lhs - rhs, dispersion))
-    return LLReport(which=which, rows=tuple(rows),
-                    lambda_schedule=tuple(lam_all), mbar=mbar)
+    return LLReport(rows=tuple(rows), mbar=mbar)
 
 
 def _vectorized_field(F):
-    """Call F(t, w) with arrays; fall back to a loop for scalar-only fields."""
+    """F(t, w) on (2, n) points, one t each; another result shape raises."""
 
     def call(ts, w):
-        try:
-            out = np.asarray(F(ts, w), dtype=float)
-            if out.shape == w.shape:
-                return out
-        except (TypeError, ValueError):  # scalar-only field
-            pass
-        return np.stack([np.asarray(F(float(t), w[:, k]), dtype=float)
-                         for k, t in enumerate(ts)], axis=1)
+        out = np.asarray(F(ts, w), dtype=float)
+        if out.shape != w.shape:
+            raise DimensionMismatchError(
+                f"F(t, w) returned shape {out.shape} for points of shape {w.shape}")
+        return out
 
     return call
 
@@ -305,7 +296,7 @@ class AsymmetricEigenfunction:
 
 
 def scalar_ll(g, mu, nu, T, amplitude=1.0, phase=0.0, asymptotes=None,
-              mbar=0.0, side="lower", lambda_schedule=None, nodes_per_arc=512):
+              mbar=0.0, side="lower", lambda_schedule=None):
     """Landesman-Lazer margin for the scalar equation u'' + g(t, u) = 0.
 
     With ``side="lower"`` tests, along phi solving phi'' + mu phi+ - nu phi- = 0,
@@ -322,8 +313,7 @@ def scalar_ll(g, mu, nu, T, amplitude=1.0, phase=0.0, asymptotes=None,
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
     phi = AsymmetricEigenfunction(mu, nu, amplitude, phase)
-    lam_all = np.asarray(lambda_schedule if lambda_schedule is not None else _LAMBDAS)
-    lam = _tail(lam_all)
+    lam = _tail(lambda_schedule if lambda_schedule is not None else _LAMBDAS)
 
     cuts = [0.0] + [z for z in phi.zeros(0.0, T) if 0.0 < z < T] + [T]
     lhs = 0.0
@@ -332,7 +322,7 @@ def scalar_ll(g, mu, nu, T, amplitude=1.0, phase=0.0, asymptotes=None,
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a <= 1e-14:
             continue
-        ts = np.linspace(a, b, nodes_per_arc + 1)
+        ts = np.linspace(a, b, 513)  # 512 Simpson intervals per arc
         ph = phi.value(ts)
         positive_arc = phi.value(0.5 * (a + b)) > 0.0
         weight = ph if positive_arc else np.abs(ph)
@@ -358,8 +348,7 @@ def scalar_ll(g, mu, nu, T, amplitude=1.0, phase=0.0, asymptotes=None,
         total_abs += float(simpson(np.abs(ph), x=ts))
     rhs = mbar * total_abs
     rows = ((0.0, lhs, rhs, lhs - rhs, dispersion),)
-    return LLReport(which=f"scalar-{side}", rows=rows,
-                    lambda_schedule=tuple(lam_all), mbar=mbar)
+    return LLReport(rows=rows, mbar=mbar)
 
 
 # --------------------------------------------------------------------------
@@ -404,7 +393,6 @@ def frozen_subsystem(sys, path):
 
 @dataclass(frozen=True)
 class TwistReport:
-    condition: str
     samples: tuple            # (description, tested value, ok)
     violations: tuple
 
@@ -418,13 +406,13 @@ def _x_grid(M, points):
     return [np.array(c) for c in itertools.product(*([axis] * M))]
 
 
-def _drift_check(sys, name, pairs, ensemble, x_points, tol, judge):
+def _drift_check(sys, name, pairs, ensemble, x_points, judge):
     """Run every frozen path from every (label, y0, outward normal nu) of
     ``pairs`` and every x0 of the grid, and judge the drift x(T) - x(0).
 
     ``judge(drift, nu)`` returns (tested value, ok, what a violation reads).
-    Integration failures count as violations of the solutions being defined
-    on [0, T].
+    The flows run at tolerance 1e-8; integration failures count as
+    violations of the solutions being defined on [0, T].
     """
     if sys.mode != "periodic":
         raise ValueError(f"{name} check applies to periodic mode")
@@ -437,7 +425,7 @@ def _drift_check(sys, name, pairs, ensemble, x_points, tol, judge):
             for x0 in _x_grid(M, x_points):
                 desc = f"path{p_idx} {label} x0={np.round(x0, 3)}"
                 try:
-                    traj = integrate(f, np.concatenate([x0, y0]), 0.0, sys.T, tol, dense=False)
+                    traj = integrate(f, np.concatenate([x0, y0]), 0.0, sys.T, 1e-8, dense=False)
                 except IntegrationError as exc:
                     samples.append((desc, np.nan, False))
                     violations.append(f"{desc}: not defined on [0,T] ({exc})")
@@ -446,10 +434,10 @@ def _drift_check(sys, name, pairs, ensemble, x_points, tol, judge):
                 samples.append((desc, val, bool(ok)))
                 if not ok:
                     violations.append(f"{desc}: {why}")
-    return TwistReport(name, tuple(samples), tuple(violations))
+    return TwistReport(tuple(samples), tuple(violations))
 
 
-def twist_check(sys, D, sigma, ensemble, x_points=3, y_points=3, tol=1e-8):
+def twist_check(sys, D, sigma, ensemble, x_points=3, y_points=3):
     """Sign condition on the angular drift over the faces of the rectangle D.
 
     For every frozen path and every face sample (y_i(0) on a face of D, the
@@ -478,7 +466,7 @@ def twist_check(sys, D, sigma, ensemble, x_points=3, y_points=3, tol=1e-8):
         val = float(sigma[i] * drift[i])
         return val, val * nu[i] > 0.0, f"sigma*drift = {val:+.3e}"
 
-    return _drift_check(sys, "twist", pairs, ensemble, x_points, tol, judge)
+    return _drift_check(sys, "twist", pairs, ensemble, x_points, judge)
 
 
 @dataclass(frozen=True)
@@ -510,29 +498,28 @@ def _boundary_pairs(body, boundary_grid):
     return [(f"boundary{b}", y0, nu) for b, (y0, nu) in enumerate(zip(points, normals))]
 
 
-def avoiding_rays_check(sys, body, sigma, ensemble, boundary_grid=16,
-                        x_points=3, angle_tol=1e-3, zero_tol=1e-9, tol=1e-8):
+def avoiding_rays_check(sys, body, sigma, ensemble, boundary_grid=16, x_points=3):
     """A3' falsifier: x(T) - x(0) must avoid the ray {sigma lam nu(y0), lam >= 0}.
 
-    Violation when the drift vanishes (lam = 0 membership) or its angle to
-    sigma * nu is below ``angle_tol``.
+    Violation when the drift vanishes (norm at most 1e-9: lam = 0 membership)
+    or its angle to sigma * nu is below 1e-3 rad.
     """
 
     def judge(drift, nu):
         nd = float(np.linalg.norm(drift))
-        if nd <= zero_tol:
+        if nd <= 1e-9:
             return 0.0, False, "zero drift lies on every ray"
         ray = sigma * nu / np.linalg.norm(nu)
         cosang = float(np.dot(drift, ray)) / nd
         angle = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return angle, angle >= angle_tol, f"drift within {angle:.2e} rad of the ray"
+        return angle, angle >= 1e-3, f"drift within {angle:.2e} rad of the ray"
 
     return _drift_check(sys, "avoiding-rays", _boundary_pairs(body, boundary_grid), ensemble,
-                        x_points, tol, judge)
+                        x_points, judge)
 
 
 def indefinite_twist_check(sys, body, A_matrix, ensemble, boundary_grid=16,
-                           x_points=3, tol=1e-8):
+                           x_points=3):
     """A3'' falsifier: <x(T) - x(0), A nu(y0)> > 0 on the boundary of D."""
     A = np.asarray(A_matrix, dtype=float)
     if A.shape != (sys.M, sys.M):
@@ -547,4 +534,4 @@ def indefinite_twist_check(sys, body, A_matrix, ensemble, boundary_grid=16,
         return val, val > 0.0, f"inner product {val:+.3e} <= 0"
 
     return _drift_check(sys, "indefinite-twist", _boundary_pairs(body, boundary_grid),
-                        ensemble, x_points, tol, judge)
+                        ensemble, x_points, judge)

@@ -83,7 +83,6 @@ class ExperimentConfig:
     T: float | None
     interval: tuple | None
     seed: int
-    params: dict
     newton_tol: float
     max_iter: int
     multistart: MultistartSpec
@@ -136,6 +135,25 @@ def _known(section, keys, where, problems):
     """Add every key of ``section`` that is not in ``keys`` to ``problems``."""
     problems.extend(f"{where}.{k} must be one of the keys {', '.join(keys)}"
                     for k in section if k not in keys)
+
+
+# the keys each block besides solver reads, by YAML path, parents first
+_BLOCK_KEYS = {
+    "hamiltonian": "preset A E expr",
+    "coupling": "expr",
+    "planar": "preset mu1 nu1 mu2 nu2 h K components H1 H2 Q",
+    "output": "trajectory_stride",
+    "conditions": "resonance_tol mbar ll twist avoiding_rays indefinite_twist",
+    "conditions.mbar": "n_samples y_box w_box",
+    "conditions.ll": "enabled theta_points lambda_min lambda_max lambda_points s_points "
+                     "t_nodes mbar",
+    "conditions.twist": "enabled D sigma x_points y_points ensemble",
+    "conditions.avoiding_rays": "enabled center radius sigma boundary_points x_points ensemble",
+    "conditions.indefinite_twist": "enabled center radius A boundary_points x_points ensemble",
+}
+for _check in ("twist", "avoiding_rays", "indefinite_twist"):
+    _BLOCK_KEYS[f"conditions.{_check}.ensemble"] = "constants fourier"
+    _BLOCK_KEYS[f"conditions.{_check}.ensemble.fourier"] = "count amplitude modes"
 
 
 def _start_spec(solver, key, M, problems):
@@ -197,6 +215,12 @@ def loads_config(text, path="<string>"):
         problems.append(f"unknown top-level keys: {sorted(unknown)}")
     blocks = {key: _mapping(raw, key, problems) for key in
               ("hamiltonian", "coupling", "planar", "solver", "conditions", "output")}
+    for where, keys in _BLOCK_KEYS.items():
+        *parents, key = where.split(".")
+        section = blocks
+        for name in parents:  # a parent that is not a mapping is reported at its own path
+            section = section[name] if isinstance(section.get(name), dict) else {}
+        _known(_mapping(section, key, problems, where[:-len(key)]), keys.split(), where, problems)
 
     mode = raw.get("mode", "periodic")
     if mode not in ("periodic", "neumann"):
@@ -240,8 +264,8 @@ def loads_config(text, path="<string>"):
             problems.append(f"params.{k} must be a number, got {v!r}")
     params = {k: v for k, v in params.items() if isinstance(v, (int, float))}
 
-    twist = _mapping(blocks["conditions"], "twist", problems, "conditions.")
-    if twist.get("enabled", False):
+    twist = blocks["conditions"].get("twist")
+    if isinstance(twist, dict) and twist.get("enabled", False):
         with _reading("conditions.twist", problems):
             D = _number(twist, "D", None, (M, 2))
             if not np.all(D[:, 0] < D[:, 1]):
@@ -273,7 +297,7 @@ def loads_config(text, path="<string>"):
     return ExperimentConfig(
         path=path, config_hash=cfg_hash, mode=mode, M=M,
         T=system.T, interval=system.interval,
-        seed=seed, params=dict(params),
+        seed=seed,
         newton_tol=newton_tol, max_iter=max_iter, **starts,
         conditions=blocks["conditions"],
         trajectory_stride=system.span / 1000.0 if stride is None else stride,
@@ -330,5 +354,4 @@ def _build_system(blocks, M, params, T, interval, problems):
     return CoupledSystem(M=M, F=F, grad_H=grad_H, grad_P=grad_P,
                          T=None if T is None else float(T),
                          interval=None if interval is None else tuple(map(float, interval)),
-                         decomposition=dec, w_kink=w_kink,
-                         label=f"{hpreset}+{ppreset}"), stiffness
+                         decomposition=dec, w_kink=w_kink), stiffness

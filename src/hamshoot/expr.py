@@ -147,25 +147,21 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected trailing token {text!r}", off)
         return e
 
-    def expression(self):
-        e = self.term()
+    def left_assoc(self, ops, operand):
+        """``operand { op operand }`` for the operators ``ops``, left-associative."""
+        e = operand()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                e = BinOp(text, e, self.term())
-            else:
+            if kind != "op" or text not in ops:
                 return e
+            self.advance()
+            e = BinOp(text, e, operand())
+
+    def expression(self):
+        return self.left_assoc("+-", self.term)
 
     def term(self):
-        e = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                e = BinOp(text, e, self.factor())
-            else:
-                return e
+        return self.left_assoc("*/", self.factor)
 
     def factor(self):
         kind, text, _ = self.peek()
@@ -251,6 +247,14 @@ def _pow2(x):
     return x ** 2 if isinstance(x, np.ndarray) else np.float64(x) ** 2
 
 
+def _power(x, y):
+    # np.power's array loop is not always correctly rounded for an array
+    # exponent, the scalar call is: such an exponent takes it per element
+    if isinstance(y, np.ndarray) and y.ndim:
+        return np.vectorize(np.power, otypes=[float])(x, y)
+    return np.power(x, y)
+
+
 def _gradient(value, partials):
     shape = getattr(value, "shape", ())
     if not shape:
@@ -264,7 +268,7 @@ def _gradient(value, partials):
 
 _NAMESPACE = {
     "_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt,
-    "_abs": np.abs, "_sign": np.sign, "_arctan": np.arctan, "_power": np.power,
+    "_abs": np.abs, "_sign": np.sign, "_arctan": np.arctan, "_power": _power,
     "_round": np.round, "_maximum": np.maximum, "_minimum": np.minimum,
     "_square": np.square, "_pow2": _pow2, "_any": _any, "_where": _where, "_pos": _pos,
     "_gradient": _gradient, "_float": float, "_DomainError": DomainError,
@@ -698,51 +702,43 @@ def grad_expr(e, var_names, binding):
                 for name, val in binding.items()))
 
 
+def _children(e):
+    """The operands of the node ``e``."""
+    if isinstance(e, (Num, Var)):
+        return ()
+    if isinstance(e, Neg):
+        return (e.arg,)
+    if isinstance(e, BinOp):
+        return (e.lhs, e.rhs)
+    if isinstance(e, Call):
+        return e.args
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
 def substitute(e, mapping):
     """Replace variables: ``mapping`` maps a name to a new name or to an Expr, kept as is."""
-    if isinstance(e, Num):
-        return e
     if isinstance(e, Var):
         new = mapping.get(e.name, e.name)
         return new if isinstance(new, Expr) else Var(new)
+    args = tuple(substitute(a, mapping) for a in _children(e))
     if isinstance(e, Neg):
-        return Neg(substitute(e.arg, mapping))
+        return Neg(*args)
     if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.lhs, mapping), substitute(e.rhs, mapping))
-    if isinstance(e, Call):
-        return Call(e.fn, tuple(substitute(a, mapping) for a in e.args))
-    raise TypeError(f"not an Expr node: {e!r}")
+        return BinOp(e.op, *args)
+    return Call(e.fn, args) if isinstance(e, Call) else e
 
 
 def has_kinks(e):
     """True if ``e`` contains a non-smooth node (pos, neg, abs, min, max)."""
-    if isinstance(e, (Num, Var)):
-        return False
-    if isinstance(e, Neg):
-        return has_kinks(e.arg)
-    if isinstance(e, BinOp):
-        return has_kinks(e.lhs) or has_kinks(e.rhs)
-    if isinstance(e, Call):
-        return e.fn in ("pos", "neg", "abs", "min", "max") or any(has_kinks(a) for a in e.args)
-    raise TypeError(f"not an Expr node: {e!r}")
+    return (isinstance(e, Call) and e.fn in ("pos", "neg", "abs", "min", "max")
+            or any(has_kinks(a) for a in _children(e)))
 
 
 def free_variables(e):
     """Set of variable names appearing in ``e``."""
-    if isinstance(e, Num):
-        return set()
     if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, Neg):
-        return free_variables(e.arg)
-    if isinstance(e, BinOp):
-        return free_variables(e.lhs) | free_variables(e.rhs)
-    if isinstance(e, Call):
-        out = set()
-        for a in e.args:
-            out |= free_variables(a)
-        return out
-    raise TypeError(f"not an Expr node: {e!r}")
+    return set().union(*(free_variables(a) for a in _children(e)))
 
 
 # --------------------------------------------------------------------------

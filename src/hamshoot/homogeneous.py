@@ -39,8 +39,8 @@ _QUADRANT_SPLITS = (np.pi / 2, np.pi, 3 * np.pi / 2)
 class PlanarHamiltonian:
     """Planar Hamiltonian with gradient access.
 
-    ``value`` maps w of shape (2,) or (2, n) to a scalar / array; ``grad``
-    returns the same leading shape.  Positivity is sample-checked by
+    ``value`` maps w of shape (2,) or (2, n) to a scalar or shape (n,),
+    ``grad`` to shape (2,) or (2, n).  Positivity is sample-checked by
     :func:`check_homogeneous`, not enforced at construction.
     """
 
@@ -114,7 +114,6 @@ class HomogeneityReport:
     max_euler_residual: float
     max_homogeneity_residual: float
     positivity_violations: int
-    n_samples: int
     tol: float
 
     @property
@@ -147,7 +146,7 @@ def check_homogeneous(H, n_samples, tol, seed=0):
         homo = max(homo, float(np.max(np.abs(h_scaled - lam ** 2 * h))))
 
     violations = int(np.count_nonzero(h <= 0.0))
-    return HomogeneityReport(euler, homo, violations, n_samples, tol)
+    return HomogeneityReport(euler, homo, violations, tol)
 
 
 # --------------------------------------------------------------------------
@@ -164,33 +163,33 @@ def _unit_circle_integrand(H):
     return f
 
 
-def _arc_time(H, a, b, quad_tol=1e-12):
+def _arc_time(H, a, b):
     """Time the flow takes to turn through the polar angles [a, b].
 
-    Adaptive quadrature of 1/(2 H) over the arc, split at the quadrant
-    boundaries inside it, where piecewise-defined Hamiltonians have kinks.
-    Requests below 1e-12 are floored there (the quadrature is at roundoff).
+    Adaptive quadrature of 1/(2 H) over the arc to absolute error 1e-12 (at
+    roundoff), split at the quadrant boundaries inside it, where
+    piecewise-defined Hamiltonians have kinks.
     """
     points = [p for p in _QUADRANT_SPLITS if a < p < b]
     val, _ = quad(_unit_circle_integrand(H), a, b, points=points or None,
-                  epsabs=max(quad_tol, 1e-12), epsrel=0.0, limit=200)
+                  epsabs=1e-12, epsrel=0.0, limit=200)
     return val
 
 
-def minimal_period(H, quad_tol=1e-12):
+def minimal_period(H):
     """Minimal period of J w' = grad H(w) for positive 2-homogeneous H:
     the time of one full turn."""
-    return _arc_time(H, 0.0, 2 * np.pi, quad_tol)
+    return _arc_time(H, 0.0, 2 * np.pi)
 
 
-def half_periods(H, quad_tol=1e-12):
+def half_periods(H):
     """Times between consecutive zeros of v along any orbit.
 
     tau_plus integrates over the v > 0 semicircle (the half-turn taken by an
     orbit leaving the negative u-axis), tau_minus over v < 0.
     """
-    return HalfPeriods(tau_plus=_arc_time(H, 0.0, np.pi, quad_tol),
-                       tau_minus=_arc_time(H, np.pi, 2 * np.pi, quad_tol))
+    return HalfPeriods(tau_plus=_arc_time(H, 0.0, np.pi),
+                       tau_minus=_arc_time(H, np.pi, 2 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -242,20 +241,18 @@ def _planar_flow_field(H):
     return VectorField(2, f)
 
 
-def reference_orbit(H, tol=1e-10, quad_tol=None):
+def reference_orbit(H, tol=1e-10):
     """Integrate one period of the energy-1/2 orbit starting at e/sqrt(2H(e)).
 
     Verifies energy drift |H(phi) - 1/2| <= tol along the orbit and closure
     |phi(tau) - phi(0)| <= tol; raises :class:`IntegrationError` otherwise.
     """
-    if quad_tol is None:
-        quad_tol = min(tol, 1e-12)
     e = np.array([1.0, 0.0])
     h_e = float(H.value(e))
     if h_e <= 0.0:
         raise NonpositiveHamiltonianError(f"H(1, 0) = {h_e:.3e} <= 0")
     w0 = e / np.sqrt(2.0 * h_e)
-    tau = minimal_period(H, quad_tol)
+    tau = minimal_period(H)
 
     traj = integrate(_planar_flow_field(H), w0, 0.0, tau, 0.05 * tol,
                      switch=0 if H.kink_on_u_axis else None)

@@ -36,8 +36,13 @@ def _uv(w):
 
 
 def _on_w(fn):
-    # fn(t, u, v) as a function of (t, w)
-    return lambda t, w: fn(t, *_uv(w))
+    # fn(t, u, v) as a function of (t, w), with a column per point also where
+    # fn does not depend on the points (the gradient of a constant)
+    def on_w(t, w):
+        g = fn(t, *_uv(w))
+        return g if g.shape == w.shape else np.broadcast_to(g[:, None], w.shape)
+
+    return on_w
 
 
 def _part(name, src, allowed, params):

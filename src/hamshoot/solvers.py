@@ -53,7 +53,7 @@ __all__ = [
     "MultistartSpec", "NeumannStartSpec", "MultistartResult",
     "shoot_periodic", "multistart_periodic", "classify_distinct",
     "shoot_neumann", "multistart_neumann", "classify_distinct_neumann",
-    "wrap_angle_diff",
+    "wrap_angle_diff", "solution_flow",
 ]
 
 _COND_LIMIT = 1e12
@@ -65,6 +65,7 @@ _MAX_BACKTRACKS = 30
 # near-null direction of J and the line search would crawl.
 _NEWTON_BACKTRACKS = 4
 _WINDING_MIN_RADIUS = 1e-8
+_FLOW_TOL_RATIO = 0.1  # shooting flows run at 0.1 newton_tol, below the residual goal
 
 
 def wrap_angle_diff(d):
@@ -207,15 +208,20 @@ def _defect(sys, z, zt):
     return _wrap_x(zt - z, sys.M)[_problem(sys)[2]]
 
 
-def _shoot(sys, z_guess, newton_tol, max_iter, integration_tol):
+def solution_flow(sys, z0, newton_tol):
+    """Dense flow from ``z0`` over the shooting window at the tolerance of the
+    shooting flows for ``newton_tol``: the orbit a solution record reports."""
+    (t0, t1), _, _ = _problem(sys)
+    return integrate(assemble_field(sys), z0, t0, t1, _FLOW_TOL_RATIO * newton_tol,
+                     switch=sys.switch)
+
+
+def _shoot(sys, z_guess, newton_tol, max_iter):
     """Newton shooting core shared by both modes.
 
     ``z_guess`` is a full initial state; only its ``cols`` components move.
-    Returns (z0, |R|, iterations, trajectory), where ``trajectory()`` is the
-    dense flow from z0 at the residual tolerance.
+    Returns (z0, |R|, iterations).
     """
-    if integration_tol is None:
-        integration_tol = 0.1 * newton_tol
     field = assemble_field(sys)
     (t0, t1), cols, rows = _problem(sys)
     n = sys.dim
@@ -231,17 +237,15 @@ def _shoot(sys, z_guess, newton_tol, max_iter, integration_tol):
     def evaluate(p):
         # one flow of the state and its sensitivity: the defect and its Jacobian
         z = state(p)
-        end = integrate(aug, np.concatenate([z, eye.ravel()]), t0, t1, integration_tol,
-                        dense=False, switch=sys.switch).ys[-1]
+        end = integrate(aug, np.concatenate([z, eye.ravel()]), t0, t1,
+                        _FLOW_TOL_RATIO * newton_tol, dense=False, switch=sys.switch).ys[-1]
         return _defect(sys, z, end[:n]), (end[n:].reshape(n, len(cols)) - eye)[rows]
 
     p, res, iters = _newton(evaluate, base[cols], newton_tol, max_iter)
-    z = state(p)
-    return z, res, iters, lambda: integrate(field, z, t0, t1, integration_tol,
-                                            switch=sys.switch)
+    return state(p), res, iters
 
 
-def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40, integration_tol=None):
+def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40):
     """Newton shooting for a T-periodic solution from ``z_guess``.
 
     Returns a :class:`PeriodicSolutionRecord`; raises a
@@ -249,10 +253,11 @@ def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40, integration_tol=N
     """
     if sys.mode != "periodic":
         raise ValueError("shoot_periodic requires a periodic-mode system")
-    z, res, iters, trajectory = _shoot(sys, z_guess, newton_tol, max_iter, integration_tol)
+    z, res, iters = _shoot(sys, z_guess, newton_tol, max_iter)
     M = sys.M
     try:
-        turns = winding(trajectory(), (2 * M, 2 * M + 1), _WINDING_MIN_RADIUS).turns
+        turns = winding(solution_flow(sys, z, newton_tol), (2 * M, 2 * M + 1),
+                        _WINDING_MIN_RADIUS).turns
     except OriginTooCloseError:
         turns = None
     return PeriodicSolutionRecord(
@@ -260,7 +265,7 @@ def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40, integration_tol=N
         x0_normalized=np.mod(z[:M], 2 * np.pi), M=M)
 
 
-def shoot_neumann(sys, guess, newton_tol=1e-9, max_iter=40, integration_tol=None):
+def shoot_neumann(sys, guess, newton_tol=1e-9, max_iter=40):
     """Newton shooting for the Neumann problem from guess (x_a, u_a).
 
     The initial state is (x_a, 0, u_a, 0) by construction; the residual is
@@ -271,16 +276,16 @@ def shoot_neumann(sys, guess, newton_tol=1e-9, max_iter=40, integration_tol=None
     M = sys.M
     z = np.zeros(sys.dim)
     z[:M], z[2 * M] = guess
-    z, res, iters, _ = _shoot(sys, z, newton_tol, max_iter, integration_tol)
+    z, res, iters = _shoot(sys, z, newton_tol, max_iter)
     return NeumannSolutionRecord(
         x_a=z[:M], u_a=float(z[2 * M]), residual=res, iterations=iters,
         z0=z, x_a_normalized=np.mod(z[:M], 2 * np.pi))
 
 
-def revalidate(sys, record, integration_tol=1e-12):
-    """Residual re-computed by an independent integration at ``integration_tol``."""
+def revalidate(sys, record):
+    """Residual re-computed by an independent integration at tolerance 1e-12."""
     (t0, t1), _, _ = _problem(sys)
-    zt = integrate(assemble_field(sys), record.z0, t0, t1, integration_tol, dense=False,
+    zt = integrate(assemble_field(sys), record.z0, t0, t1, 1e-12, dense=False,
                    switch=sys.switch).ys[-1]
     return float(np.linalg.norm(_defect(sys, record.z0, zt)))
 
@@ -425,11 +430,6 @@ class MultistartResult:
     stats: dict
 
 
-def _dedup_tol(records, base=1e-6):
-    scale = max((float(np.max(np.abs(r.z0))) for r in records), default=0.0)
-    return base * (1.0 + scale)
-
-
 def _multistart(sys, starts, shoot, **kw):
     """Run ``shoot`` from every start and deduplicate.
 
@@ -451,7 +451,8 @@ def _multistart(sys, starts, shoot, **kw):
         except IntegrationError:
             stats["integration_failure"] += 1
     successes.sort(key=_canon_key)
-    partition = classify_distinct(successes, tol=_dedup_tol(successes))
+    scale = max((float(np.max(np.abs(r.z0))) for r in successes), default=0.0)
+    partition = classify_distinct(successes, tol=1e-6 * (1.0 + scale))
     return MultistartResult(records=partition.representatives, partition=partition,
                             all_records=tuple(successes), stats=stats)
 

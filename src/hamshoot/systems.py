@@ -36,8 +36,6 @@ __all__ = [
     "CutoffModification", "validate_periodicity", "gamma_least_squares", "xy_names",
 ]
 
-_J = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 def xy_names(M):
     """Expression names of the angular variables: (x1..xM), (y1..yM)."""
@@ -48,6 +46,8 @@ def xy_names(M):
 class DecompositionData:
     """Structural data of the convex-combination decomposition of F.
 
+    ``H1``, ``H2`` are :class:`~hamshoot.homogeneous.PlanarHamiltonian`;
+    ``grad_Q(t, w)`` takes and returns points as F does (see CoupledSystem).
     ``mode`` is "global" (one gamma on all of R^2) or "quadrant" (a separate
     gamma on each open quadrant).
     """
@@ -66,6 +66,8 @@ class DecompositionData:
 class CoupledSystem:
     """Coupled system in periodic (period T) or Neumann (interval [a,b]) mode.
 
+    ``F(t, w)`` takes w of shape (2,) or (2, n), t a scalar or one per point,
+    and returns the field at each point, shape (2,) or (2, n).
     ``grad_H(t, x, y) -> (dx array, dy array)`` and
     ``grad_P(t, x, y, w) -> (dx, dy, dw)`` may be None for absent blocks.
     ``w_kink`` marks a planar field with a gradient kink across u = 0
@@ -84,7 +86,6 @@ class CoupledSystem:
     interval: tuple = None
     decomposition: DecompositionData = None
     w_kink: bool = False
-    label: str = ""
 
     def __post_init__(self):
         if (self.T is None) == (self.interval is None):
@@ -290,9 +291,7 @@ def validate_decomposition(sys, n_samples=256, tol=1e-9, seed=0):
     if dec is None:
         raise MissingDecompositionError("system has no DecompositionData")
     rng = np.random.default_rng(seed)
-    span = sys.span
-    t0 = sys.t0
-    ts = t0 + rng.uniform(0.0, 1.0, n_samples) * span
+    ts = sys.t0 + rng.uniform(0.0, 1.0, n_samples) * sys.span
     ang = rng.uniform(0.0, 2 * np.pi, n_samples)
     if dec.mode == "quadrant":
         # keep a safe sector away from both axes
@@ -301,28 +300,19 @@ def validate_decomposition(sys, n_samples=256, tol=1e-9, seed=0):
     rad = np.exp(rng.uniform(np.log(0.1), np.log(50.0), n_samples))
     w = np.stack([rad * np.cos(ang), rad * np.sin(ang)])
 
-    Fv = np.stack([np.asarray(sys.F(t, w[:, k]), dtype=float) for k, t in enumerate(ts)], axis=1)
-    gQ = np.stack([np.asarray(dec.grad_Q(t, w[:, k]), dtype=float) for k, t in enumerate(ts)],
-                  axis=1)
-    g1 = np.asarray(dec.H1.grad(w), dtype=float)
-    g2 = np.asarray(dec.H2.grad(w), dtype=float)
-
-    gamma, resid = gamma_least_squares(Fv, g1, g2, gQ)
+    gamma, resid = gamma_least_squares(sys.F(ts, w), dec.H1.grad(w), dec.H2.grad(w),
+                                       dec.grad_Q(ts, w))
     violations = int(np.count_nonzero((gamma < -tol) | (gamma > 1.0 + tol)))
-    samples = np.column_stack([ts, w[0], w[1], gamma, resid])
-    return DecompositionReport(
-        max_residual=float(np.max(resid)),
-        gamma_min=float(np.min(gamma)),
-        gamma_max=float(np.max(gamma)),
-        range_violations=violations,
-        gamma_samples=samples,
-        tol=tol,
-    )
+    return DecompositionReport(float(np.max(resid)), float(np.min(gamma)), float(np.max(gamma)),
+                               violations, np.column_stack([ts, w[0], w[1], gamma, resid]), tol)
 
 
 # --------------------------------------------------------------------------
 # cutoff profile
 # --------------------------------------------------------------------------
+
+_LN3 = np.log(3.0)  # ln ln xi grows by ln 3 over [rho, rho^3]
+
 
 @dataclass(frozen=True)
 class CutoffProfile:
@@ -342,59 +332,37 @@ class CutoffProfile:
     m1: float
     m2: float
 
-    @property
-    def length(self):
-        return np.log(3.0)
-
     def _ramp_area(self, u):
         # integral of smoothstep 3u^2-2u^3 from 0 to u
         return u ** 3 - 0.5 * u ** 4
 
     def _weight(self, sigma):
         s = sigma - self.sigma0
-        L = self.length
         up = np.clip(s / self.m1, 0.0, 1.0)
-        down = np.clip((L - s) / self.m2, 0.0, 1.0)
+        down = np.clip((_LN3 - s) / self.m2, 0.0, 1.0)
         return (3 * up ** 2 - 2 * up ** 3) * (3 * down ** 2 - 2 * down ** 3)
 
     def _area(self, sigma):
         # integral of the weight from sigma0 to sigma (ramps never overlap)
-        s = sigma - self.sigma0
-        L = self.length
-        s = np.clip(s, 0.0, L)
+        s = np.clip(sigma - self.sigma0, 0.0, _LN3)
         up = np.clip(s / self.m1, 0.0, 1.0)
-        a = self.m1 * self._ramp_area(up)
-        a = a + np.clip(s - self.m1, 0.0, L - self.m1 - self.m2)
-        vd = np.clip((L - s) / self.m2, 0.0, 1.0)
-        a = a + self.m2 * (self._ramp_area(1.0) - self._ramp_area(vd))
-        return a
+        vd = np.clip((_LN3 - s) / self.m2, 0.0, 1.0)
+        return (self.m1 * self._ramp_area(up) + np.clip(s - self.m1, 0.0, _LN3 - self.m1 - self.m2)
+                + self.m2 * (self._ramp_area(1.0) - self._ramp_area(vd)))
+
+    # eta and eta' take a scalar or an array; the band formulas run on xi
+    # clipped to [rho, rho^3], where ln ln xi is defined (rho > e)
 
     def eta(self, xi):
         xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        out = np.empty_like(xi)
-        lo = xi <= self.rho
-        hi = xi >= self.rho ** 3
-        mid = ~(lo | hi)
-        out[lo] = 1.0
-        out[hi] = 0.0
-        if np.any(mid):
-            sigma = np.log(np.log(xi[mid]))
-            out[mid] = 1.0 - self.kappa * self._area(sigma)
-        return float(out[0]) if scalar else out
+        band = 1.0 - self.kappa * self._area(np.log(np.log(np.clip(xi, self.rho, self.rho ** 3))))
+        return np.where(xi <= self.rho, 1.0, np.where(xi >= self.rho ** 3, 0.0, band))[()]
 
     def eta_prime(self, xi):
         xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        out = np.zeros_like(xi)
-        mid = (xi > self.rho) & (xi < self.rho ** 3)
-        if np.any(mid):
-            x = xi[mid]
-            sigma = np.log(np.log(x))
-            out[mid] = -self.kappa * self._weight(sigma) / (x * np.log(x))
-        return float(out[0]) if scalar else out
+        x = np.clip(xi, self.rho, self.rho ** 3)
+        band = -self.kappa * self._weight(np.log(np.log(x))) / (x * np.log(x))
+        return np.where((xi > self.rho) & (xi < self.rho ** 3), band, 0.0)[()]
 
 
 def build_cutoff(rho):
@@ -408,12 +376,11 @@ def build_cutoff(rho):
     if not rho > np.e:
         raise RhoTooSmallError(f"rho must exceed e = {np.e:.6f}, got {rho}")
     sigma0 = np.log(np.log(rho))
-    L = np.log(3.0)
     # sigma-widths of the relative margins [rho, 1.01 rho] and
     # [rho^3/1.01, rho^3]
     m1 = np.log(np.log(1.01 * rho)) - sigma0
     m2 = np.log(np.log(rho ** 3)) - np.log(np.log(rho ** 3 / 1.01))
-    kappa = 1.0 / (L - 0.5 * (m1 + m2))
+    kappa = 1.0 / (_LN3 - 0.5 * (m1 + m2))
     return CutoffProfile(rho=float(rho), kappa=float(kappa), sigma0=float(sigma0),
                          m1=float(m1), m2=float(m2))
 
@@ -429,69 +396,73 @@ class CutoffModification:
     reconstructed Phi(t,w) = (1-gamma) H1 + gamma H2 (gamma by pointwise
     least squares, clamped to [0,1]) and the average (H1+H2)/2; the gradient
     picks up the radial correction eta'(|w|) (Phi - avg) w/|w| in the band.
+    ``F_rho`` and ``phi`` take w of shape (2,) or (2, n), t a scalar or one
+    per point, and evaluate F and gamma only where |w| < rho^3.
     """
 
     def __init__(self, sys, rho):
-        dec = sys.decomposition
-        if dec is None:
+        if sys.decomposition is None:
             raise MissingDecompositionError("modify_system needs DecompositionData")
         self.sys = sys
         self.profile = build_cutoff(rho)
-        self.rho = float(rho)
-        self.dec = dec
+        self.dec = sys.decomposition
 
-    def _gamma_hat(self, t, w):
+    def _piecewise(self, t, w, piece):
+        """Combine ``piece(region, t, w, |w|)`` over the points of w in each
+        region: 0 for |w| <= rho, 1 for the band, 2 for |w| >= rho^3.  A region
+        holding every point, as a single w of shape (2,) does, gets (t, w) whole."""
+        w = np.asarray(w, dtype=float)
+        r = np.hypot(w[0], w[1])
+        inside, outside = r <= self.profile.rho, r >= self.profile.rho ** 3
+        out = None
+        for region, mask in enumerate((inside, ~(inside | outside), outside)):
+            if np.all(mask):
+                return piece(region, t, w, r)
+            if np.any(mask):
+                value = piece(region, t if np.ndim(t) == 0 else t[mask], w[:, mask], r[mask])
+                out = np.empty(value.shape[:-1] + r.shape) if out is None else out
+                out[..., mask] = value
+        return out
+
+    def _grads(self, t, w):
+        """grad Q, grad H1 and grad H2 at (t, w)."""
         dec = self.dec
-        Fv = np.asarray(self.sys.F(t, w), dtype=float)
-        gQ = np.asarray(dec.grad_Q(t, w), dtype=float)
-        g1 = np.asarray(dec.H1.grad(w), dtype=float)
-        g2 = np.asarray(dec.H2.grad(w), dtype=float)
-        gamma, _ = gamma_least_squares(Fv, g1, g2, gQ)
-        return np.clip(gamma, 0.0, 1.0), Fv, gQ, g1, g2
+        return [np.asarray(g, dtype=float) for g in (dec.grad_Q(t, w), dec.H1.grad(w),
+                                                     dec.H2.grad(w))]
+
+    def _phi(self, w, Fv, grads):
+        """The reconstructed Phi at w from F and the gradients there, and (H1 + H2)/2."""
+        gQ, g1, g2 = grads
+        gamma = np.clip(gamma_least_squares(Fv, g1, g2, gQ)[0], 0.0, 1.0)
+        h1, h2 = self.dec.H1.value(w), self.dec.H2.value(w)
+        return (1.0 - gamma) * h1 + gamma * h2, 0.5 * (h1 + h2)
 
     def phi(self, t, w):
         """Interpolated planar potential Phi_rho(t, w)."""
-        w = np.asarray(w, dtype=float)
-        r = float(np.hypot(w[0], w[1]))
-        dec = self.dec
-        h1 = float(dec.H1.value(w))
-        h2 = float(dec.H2.value(w))
-        avg = 0.5 * (h1 + h2)
-        if r >= self.rho ** 3:
-            return avg
-        gamma, _, _, _, _ = self._gamma_hat(t, w)
-        phi_val = (1.0 - float(gamma)) * h1 + float(gamma) * h2
-        if r <= self.rho:
-            return phi_val
-        eta = self.profile.eta(r)
-        return eta * phi_val + (1.0 - eta) * avg
+        def piece(region, t, w, r):
+            if region == 2:
+                return 0.5 * (self.dec.H1.value(w) + self.dec.H2.value(w))
+            phi_val, avg = self._phi(w, self.sys.F(t, w), self._grads(t, w))
+            eta = self.profile.eta(r)
+            return phi_val if region == 0 else eta * phi_val + (1.0 - eta) * avg
+
+        return self._piecewise(t, w, piece)
 
     def F_rho(self, t, w):
-        w = np.asarray(w, dtype=float)
-        r = float(np.hypot(w[0], w[1]))
-        if r <= self.rho:
-            return np.asarray(self.sys.F(t, w), dtype=float)
-        dec = self.dec
-        g1 = np.asarray(dec.H1.grad(w), dtype=float)
-        g2 = np.asarray(dec.H2.grad(w), dtype=float)
-        gQ = np.asarray(dec.grad_Q(t, w), dtype=float)
-        avg_grad = 0.5 * (g1 + g2)
-        if r >= self.rho ** 3:
-            return avg_grad + gQ
-        gamma, Fv, gQ, g1, g2 = self._gamma_hat(t, w)
-        eta = self.profile.eta(r)
-        etap = self.profile.eta_prime(r)
-        h1 = float(dec.H1.value(w))
-        h2 = float(dec.H2.value(w))
-        phi_val = (1.0 - float(gamma)) * h1 + float(gamma) * h2
-        avg = 0.5 * (h1 + h2)
-        grad_phi = Fv - gQ  # the declared structure's gradient part
-        radial = etap * (phi_val - avg) / r * w
-        return eta * grad_phi + (1.0 - eta) * avg_grad + radial + gQ
+        def piece(region, t, w, r):
+            if region == 0:
+                return np.asarray(self.sys.F(t, w), dtype=float)
+            gQ, g1, g2 = grads = self._grads(t, w)
+            if region == 2:
+                return 0.5 * (g1 + g2) + gQ
+            Fv = np.asarray(self.sys.F(t, w), dtype=float)
+            phi_val, avg = self._phi(w, Fv, grads)
+            eta, etap = self.profile.eta(r), self.profile.eta_prime(r)
+            radial = etap * (phi_val - avg) / r * w
+            # Fv - gQ is the declared structure's gradient part
+            return eta * (Fv - gQ) + (1.0 - eta) * (0.5 * (g1 + g2)) + radial + gQ
 
-    def system(self):
-        return replace(self.sys, F=self.F_rho,
-                       label=(self.sys.label + f" [cutoff rho={self.rho:g}]").strip())
+        return self._piecewise(t, w, piece)
 
 
 def modify_system(sys, rho):
@@ -500,7 +471,7 @@ def modify_system(sys, rho):
     Identical to ``sys`` for |w| <= rho; equal to the averaged homogeneous
     field plus grad Q for |w| >= rho^3.
     """
-    return CutoffModification(sys, rho).system()
+    return replace(sys, F=CutoffModification(sys, rho).F_rho)
 
 
 # --------------------------------------------------------------------------

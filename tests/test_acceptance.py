@@ -42,7 +42,7 @@ def test_criterion_01_period_formula():
     worst = 0.0
     for mu in GRID:
         for nu in GRID:
-            tau_q = minimal_period(asymmetric(mu, nu), quad_tol=1e-13)
+            tau_q = minimal_period(asymmetric(mu, nu))
             tau_cf = asym_period(AsymmetricParams(mu, nu))
             worst = max(worst, abs(tau_q - tau_cf) / tau_cf)
     elapsed = time.time() - t0
@@ -57,8 +57,8 @@ def test_criterion_02_half_period_identity():
     for mu in GRID:
         for nu in GRID:
             H = asymmetric(mu, nu)
-            hp = half_periods(H, quad_tol=1e-13)
-            tau = minimal_period(H, quad_tol=1e-13)
+            hp = half_periods(H)
+            tau = minimal_period(H)
             worst_sum = max(worst_sum, abs(hp.total - tau))
             worst_sym = max(worst_sym, abs(hp.tau_plus - hp.tau_minus))
     assert worst_sum < 1e-10

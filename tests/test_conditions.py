@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from hamshoot.conditions import (AsymmetricEigenfunction, Ball, ResonanceTag,
-                                 SampleBox, _vectorized_field, avoiding_rays_check,
+                                 SampleBox, avoiding_rays_check,
                                  classify_resonance, constant_path, estimate_mbar,
                                  fourier_paths, indefinite_twist_check, ll_margin,
                                  scalar_ll, twist_check)
-from hamshoot.errors import SingularMatrixError
+from hamshoot.errors import DimensionMismatchError, SingularMatrixError
 from hamshoot.homogeneous import isotropic, reference_orbit
 from hamshoot.systems import CoupledSystem
 
@@ -361,19 +361,20 @@ def test_indefinite_twist_matrix_validation():
         indefinite_twist_check(sys_, ball, np.array([[1.0, 2.0], [0.0, 1.0]]), ens)
 
 
-def test_vectorized_field_falls_back_only_for_scalar_only_fields():
-    ts, w = np.linspace(0.0, 1.0, 3), np.arange(6.0).reshape(2, 3)
-    scalar_only = lambda t, w: np.array([float(w[1]) * t, -float(w[0])])
-    assert np.array_equal(_vectorized_field(scalar_only)(ts, w),
-                          np.stack([w[1] * ts, -w[0]]))
+@pytest.mark.parametrize("F, error", [
+    # scalar-only: float() of an array of points raises
+    (lambda t, w: np.array([float(w[1]), -float(w[0])]), TypeError),
+    # one point's shape for every input
+    (lambda t, w: np.array([1.0, 0.0]), DimensionMismatchError),
+])
+def test_ll_margin_takes_planar_fields_on_point_arrays_only(circle_orbit, F, error):
     calls = []
 
-    def broken(t, w):
-        calls.append(np.ndim(w))
-        if np.ndim(w) > 1:
-            raise RuntimeError("array input")
-        return w
+    def counted(t, w):
+        calls.append(np.shape(w))
+        return F(t, w)
 
-    with pytest.raises(RuntimeError, match="array input"):
-        _vectorized_field(broken)(ts, w)
-    assert calls == [2]
+    sys_ = CoupledSystem(M=0, F=counted, T=2 * np.pi)
+    with pytest.raises(error):
+        ll_margin(sys_, "lower", circle_orbit, theta_grid=[0.0], t_nodes=8)
+    assert calls == [(2, 9)]

@@ -170,9 +170,10 @@ def test_planar_expr_block_problems():
 
 
 def test_seed_and_params():
-    cfg = loads_config(MINIMAL + "seed: 7\nparams: {eps: 0.25}\n")
+    cfg = loads_config(MINIMAL.replace("0.1*sin", "eps*sin") + "seed: 7\nparams: {eps: 0.25}\n")
     assert cfg.seed == 7
-    assert cfg.params["eps"] == 0.25
+    # grad_u P = eps cos(u) sin(x) at x = pi/2, u = 0
+    assert cfg.system.grad_P(0.0, np.array([np.pi / 2]), np.zeros(1), np.zeros(2))[2][0] == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +364,55 @@ def test_trajectory_stride_is_read_at_load(value):
 def test_trajectory_stride_default_and_value():
     assert loads_config(MINIMAL).trajectory_stride == 6.283185307179586 / 1000.0
     assert loads_config(MINIMAL + "output: {trajectory_stride: 0.5}\n").trajectory_stride == 0.5
+
+
+@pytest.mark.parametrize("where", [
+    "hamiltonian", "coupling", "planar", "output", "conditions", "conditions.mbar",
+    "conditions.ll", "conditions.twist", "conditions.avoiding_rays",
+    "conditions.indefinite_twist", "conditions.twist.ensemble",
+    "conditions.twist.ensemble.fourier"])
+def test_unknown_keys_are_named_by_yaml_path(where):
+    raw = yaml.safe_load(DEMO_CONFIG.read_text())
+    section = raw
+    for key in where.split("."):
+        section = section.setdefault(key, {})
+    section["typo"] = 1
+    with pytest.raises(ValidationError) as ei:
+        loads_config(yaml.safe_dump(raw))
+    assert len(ei.value.problems) == 1
+    assert ei.value.problems[0].startswith(f"{where}.typo must be one of the keys ")
+
+
+@pytest.mark.parametrize("where, values", [
+    ("planar", {"mu_1": 4.0}), ("conditions.mbar", {"n_sample": 10}),
+    ("conditions.twist", {"x_point": 7}), ("conditions", {"lll": {"enabled": True}})])
+def test_cli_unknown_key_exit_code(tmp_path, where, values):
+    raw = yaml.safe_load(DEMO_CONFIG.read_text())
+    section = raw
+    for key in where.split("."):
+        section = section.setdefault(key, {})
+    section.update(values)
+    cfg = tmp_path / "typo.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    proc = _run_cli(["periods", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert f"{where}.{next(iter(values))} must be one of the keys" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_dumped_orbits_close_to_the_newton_tolerance(tmp_path):
+    from hamshoot import cli
+    cfg = loads_config(DEMO_CONFIG.read_text())
+    out = tmp_path / "dump"
+    assert cli.main(["solve-periodic", "--config", str(DEMO_CONFIG), "--out", str(out),
+                     "--dump-trajectories"]) == cli.EXIT_OK
+    dumps = sorted((out / "trajectories").glob("class_*.csv"))
+    assert len(dumps) == len((out / "solutions.csv").read_text().splitlines()) - 1 >= 2
+    for path in dumps:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        gap = rows[-1, 1:] - rows[0, 1:]
+        gap[:cfg.M] = hamshoot.solvers.wrap_angle_diff(gap[:cfg.M])
+        assert np.max(np.abs(gap)) <= cfg.newton_tol, path.name
 
 
 def test_cli_missing_file_exit_code(tmp_path):

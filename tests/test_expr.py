@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hamshoot.errors import DomainError, ExprSyntaxError, UnboundVariableError
 from hamshoot.expr import (ExprBlock, compile_blocks, compile_expr, eval_expr, free_variables,
@@ -311,6 +311,8 @@ def _call_or_raise(fn, *args):
 
 
 @given(_expr_sources(), st.lists(st.tuples(_POINT, _POINT, _POINT), min_size=1, max_size=5))
+# np.power with an array exponent is not always correctly rounded
+@example("(4.416015625) ^ (-((a) ^ (a)))", [(0.0, 0.0, 0.0)])
 @settings(max_examples=300, deadline=None)
 def test_array_evaluation_matches_scalar_evaluation(src, points):
     """Arrays evaluate like their elements one by one, or both raise."""

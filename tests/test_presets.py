@@ -6,7 +6,7 @@ from hamshoot.errors import ValidationError
 from hamshoot.presets import (asymmetric_field, coupling_from_expr, free_rotator,
                               hamiltonian_block_from_expr, pendulum_hamiltonian,
                               planar_field_from_expr)
-from hamshoot.systems import CoupledSystem, assemble_field
+from hamshoot.systems import CoupledSystem, assemble_field, validate_decomposition
 
 
 def _bits(values):
@@ -156,6 +156,18 @@ def test_planar_field_from_K_expr():
 def test_planar_field_from_components():
     F, _, _ = planar_field_from_expr(components=("u + v", "v - u"))
     assert np.allclose(F(0.0, np.array([1.0, 2.0])), [3.0, 1.0])
+
+
+def test_planar_callables_give_a_column_per_point():
+    # Q absent is Q = 0, whose compiled gradient does not depend on the points
+    F, dec, _ = planar_field_from_expr(K_src="0.5*(u^2+v^2)", H1_src="0.5*(u^2+v^2)",
+                                       H2_src="u^2+v^2")
+    ts, w = np.linspace(0.0, 1.0, 3), np.arange(6.0).reshape(2, 3)
+    assert np.array_equal(dec.grad_Q(ts, w), np.zeros((2, 3)))
+    assert np.array_equal(dec.grad_Q(0.0, w[:, 0]), np.zeros(2))
+    assert np.array_equal(F(ts, w), w)
+    sys_ = CoupledSystem(M=0, F=F, T=1.0, decomposition=dec)
+    assert validate_decomposition(sys_).passed
 
 
 def test_planar_field_needs_exactly_one_source():

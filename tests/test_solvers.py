@@ -91,7 +91,7 @@ def test_record_revalidates_at_tighter_tolerance(mode):
                              interval=(0.0, 1.0))
         rec = shoot_neumann(sys_, (np.array([np.pi - 0.08]), 0.3), newton_tol=newton_tol)
     assert rec.iterations > 0
-    res_tight = revalidate(sys_, rec, integration_tol=1e-12)
+    res_tight = revalidate(sys_, rec)
     assert abs(res_tight - rec.residual) < 10 * newton_tol
 
 

@@ -265,7 +265,7 @@ def test_mode_exclusivity():
 def _dec_system(F, H1, H2, mode="global"):
     return CoupledSystem(M=0, F=F, T=2 * np.pi,
                          decomposition=DecompositionData(
-                             H1, H2, lambda t, w: np.zeros(2), mode=mode))
+                             H1, H2, lambda t, w: np.zeros_like(w), mode=mode))
 
 
 def test_decomposition_pure_h1():
@@ -294,7 +294,7 @@ def test_decomposition_quadrantwise_interpolated_stiffness():
         u = w[0]
         z1 = 0.5 * (mu1 + mu2) + 0.5 * (mu2 - mu1) * np.cos(u)
         z2 = 0.5 * (nu1 + nu2) + 0.5 * (nu2 - nu1) * np.sin(u ** 3)
-        return np.array([z1 * max(u, 0.0) - z2 * max(-u, 0.0), w[1]])
+        return np.array([z1 * np.maximum(u, 0.0) - z2 * np.maximum(-u, 0.0), w[1]])
 
     rep = validate_decomposition(
         _dec_system(F, asymmetric(mu1, nu1), asymmetric(mu2, nu2), mode="quadrant"),
@@ -447,6 +447,62 @@ def test_phi_rho_between_h1_and_h2():
         w = np.array([r * np.cos(ang), r * np.sin(ang)])
         phi = mod.phi(0.0, w)
         assert float(H1.value(w)) - 1e-9 <= phi <= float(H2.value(w)) + 1e-9
+
+
+def _points_in_every_region(rho, n=60, seed=4):
+    """Points with |w| inside rho, in the band and beyond rho^3, interleaved."""
+    rng = np.random.default_rng(seed)
+    r = np.exp(rng.uniform(np.log(0.1), np.log(2 * rho ** 3), n))
+    r[:3] = rho, rho ** 3, 0.0
+    ang = rng.uniform(0, 2 * np.pi, n)
+    return rng.uniform(0, 2 * np.pi, n), np.stack([r * np.cos(ang), r * np.sin(ang)])
+
+
+def test_F_rho_and_phi_on_arrays_equal_their_columns():
+    sys_, H1, H2 = _modifiable_system()
+    sys_ = replace(sys_, F=lambda t, w: np.asarray(H1.grad(w), dtype=float)
+                   + 0.1 * np.cos(t) * np.asarray(w, dtype=float) / (1.0 + np.hypot(*w)))
+    mod = CutoffModification(sys_, 5.0)
+    ts, w = _points_in_every_region(5.0)
+    r = np.hypot(*w)
+    assert np.any(r <= 5.0) and np.any((r > 5.0) & (r < 125.0)) and np.any(r >= 125.0)
+    for t in (ts, 0.7):
+        tk = np.broadcast_to(t, ts.shape)
+        F_cols = np.stack([mod.F_rho(tk[k], w[:, k]) for k in range(w.shape[1])], axis=1)
+        phi_cols = np.array([mod.phi(tk[k], w[:, k]) for k in range(w.shape[1])])
+        assert np.array_equal(mod.F_rho(t, w), F_cols)
+        assert np.array_equal(mod.phi(t, w), phi_cols)
+    # a single region takes the array whole
+    inner = w[:, r <= 5.0]
+    assert np.array_equal(mod.F_rho(0.3, inner), sys_.F(0.3, inner))
+
+
+def test_F_rho_never_evaluates_F_beyond_rho_cubed():
+    from hamshoot.errors import DomainError
+    sys_, H1, H2 = _modifiable_system()
+
+    def F(t, w):
+        if np.any(np.hypot(*w) >= 125.0):
+            raise DomainError("F is not defined this far out")
+        return np.asarray(H1.grad(w), dtype=float)
+
+    mod = CutoffModification(replace(sys_, F=F), 5.0)
+    _, w = _points_in_every_region(5.0)
+    far = np.hypot(*w) >= 125.0
+    avg = 0.5 * (np.asarray(H1.grad(w), dtype=float) + np.asarray(H2.grad(w), dtype=float))
+    assert np.array_equal(mod.F_rho(0.0, w)[:, far], avg[:, far])
+    assert np.array_equal(mod.F_rho(0.0, w[:, 1]), avg[:, 1])
+    assert mod.phi(0.0, w[:, 1]) == 0.5 * (H1.value(w[:, 1]) + H2.value(w[:, 1]))
+
+
+@pytest.mark.parametrize("rho", [3.0, 10.0])
+def test_cutoff_profile_on_arrays_equals_scalar_calls(rho):
+    xi = np.concatenate([[0.0, rho, rho ** 3, np.nextafter(rho, 0.0)],
+                         np.exp(np.linspace(0.0, 4 * np.log(rho), 97))])
+    prof = build_cutoff(rho)
+    for fn in (prof.eta, prof.eta_prime):
+        assert np.array_equal(fn(xi), [fn(float(x)) for x in xi])
+        assert np.ndim(fn(rho ** 2)) == 0
 
 
 def test_periodicity_certificate():
