@@ -338,25 +338,24 @@ def _initial_step(feval, t0, y0, f0, tol, span, m):
     return min(100 * h0, h1, span)
 
 
-def variational_field(f, jac, cols):
-    """Field of the state z and its sensitivity Phi = dz(t)/dz(t0)[:, cols] together.
+def variational_field(n, fjac, cols):
+    """Field of the state z in R^n and its sensitivity Phi = dz(t)/dz(t0)[:, cols] together.
 
     The augmented state is ``(z, Phi)`` with Phi flattened row-major
-    (n-by-len(cols)); Phi' = D_z f(t, z) Phi, where ``jac(t, z, fz)`` gives
-    D_z f at (t, z) from ``fz = f(t, z)``.  Started from ``(z0, I[:, cols])``,
-    one :func:`integrate` of it gives the flow and the columns ``cols`` of its
-    Jacobian (the monodromy block), error-controlled by z alone.  z comes
-    first, so a switch component index applies unchanged.
+    (n-by-len(cols)); Phi' = D_z f(t, z) Phi, where ``fjac(t, z)`` returns
+    ``(f(t, z), D_z f(t, z))`` (:func:`hamshoot.systems.field_jacobian`).
+    Started from ``(z0, I[:, cols])``, one :func:`integrate` of it gives the
+    flow and the columns ``cols`` of its Jacobian (the monodromy block),
+    error-controlled by z alone.  z comes first, so a switch component index
+    applies unchanged.
     """
-    rhs = f.f if isinstance(f, VectorField) else f
-    n, c = f.n, len(cols)
+    c = len(cols)
 
     def aug(t, zs):
-        z = zs[:n]
-        fz = rhs(t, z)
+        fz, J = fjac(t, zs[:n])
         out = np.empty(n + n * c)
         out[:n] = fz
-        np.matmul(jac(t, z, fz), zs[n:].reshape(n, c), out=out[n:].reshape(n, c))
+        np.matmul(J, zs[n:].reshape(n, c), out=out[n:].reshape(n, c))
         return out
 
     return _Variational(n + n * c, aug, n)

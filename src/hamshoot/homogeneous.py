@@ -88,7 +88,7 @@ def asymmetric(mu, nu):
     def grad(w):
         up = np.maximum(w[0], 0.0)
         um = np.maximum(-w[0], 0.0)
-        return np.stack([p.mu * up - p.nu * um, np.asarray(w[1], dtype=float)])
+        return np.array([p.mu * up - p.nu * um, w[1]], dtype=float)
 
     return PlanarHamiltonian(value, grad, kink_on_u_axis=(mu != nu),
                              label=f"asymmetric(mu={mu} nu={nu})")

@@ -11,16 +11,16 @@ window [a, b] and the state (x_a, 0, u_a, 0): x and u are the unknowns and
 the y and v rows of the defect, i.e. (y(b), v(b)), must vanish.
 
 Each Newton evaluation is one flow of the variational field
-(:func:`~hamshoot.dynamics.variational_field`): the state and its
-sensitivity Phi to the unknowns, Phi' = D_z f Phi, integrated together at
-the residual tolerance.  It gives the defect and the exact Jacobian
-Phi[rows] - I[rows, cols] along the actual trajectory.  D_z f comes from
-the compiled expressions (:func:`~hamshoot.systems.field_jacobian`), with
-the derivative at a pos/neg/abs kink fixed to 0 and the one-sided value
-elsewhere; systems with a plain-callable block take forward differences of
-the field instead.  The field is continuous across the kink u = 0, so Phi
-needs no jump there, and the one-sided Jacobian makes the iteration a
-semismooth Newton method, which converges superlinearly at kinks too.
+(:func:`~hamshoot.dynamics.variational_field`): the state and its sensitivity
+Phi to the unknowns, Phi' = D_z f Phi, integrated together at the residual
+tolerance.  It gives the defect and the exact Jacobian Phi[rows] - I[rows, cols]
+along the actual trajectory.  D_z f comes from
+:func:`~hamshoot.systems.field_jacobian`: compiled expressions (0 at a
+pos/neg/abs kink, the one-sided value elsewhere), or for plain-callable blocks
+forward differences, F over w, grad_H over (x, y) and grad_P over all of z.
+The field is continuous across the kink u = 0, so Phi needs no jump there, and
+the one-sided Jacobian makes the iteration a semismooth Newton method, which
+converges superlinearly at kinks too.
 
 Damped Newton with Armijo backtracking; the line search keeps the Jacobian
 of the point it accepts.  A Jacobian with condition number beyond 1e12, or
@@ -225,7 +225,7 @@ def _shoot(sys, z_guess, newton_tol, max_iter):
     field = assemble_field(sys)
     (t0, t1), cols, rows = _problem(sys)
     n = sys.dim
-    aug = variational_field(field, field_jacobian(sys, field), cols)
+    aug = variational_field(n, field_jacobian(sys, field), cols)
     base = np.asarray(z_guess, dtype=float)
     eye = np.eye(n)[:, cols]
 

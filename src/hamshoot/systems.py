@@ -20,7 +20,6 @@ through a cutoff profile whose derivative obeys
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -171,6 +170,29 @@ def _compile_field(sys, jacobian=False):
                              jacobian)
 
 
+def _assemble(M, Fw, H, P):
+    """The field from the values of F (a float array), grad_H (hx, hy) and
+    grad_P (px, py, pw) at one point, or at k points along a trailing axis;
+    None for an absent block.  x' = hy + py, y' = (-hx) - px (0.0 + py and
+    0.0 - px without grad_H) and w' = (-J)(F + pw)."""
+    out = np.empty((2 * M + 2,) + Fw.shape[1:])
+    if H is not None:
+        hx, hy = H
+        out[:M] = hy
+        out[M:2 * M] = -np.asarray(hx)
+    else:
+        out[:2 * M] = 0.0
+    if P is not None:
+        px, py, pw = P
+        out[:M] += np.asarray(py)
+        out[M:2 * M] -= np.asarray(px)
+        Fw = Fw + np.asarray(pw)
+    # (-J) @ Fw
+    out[2 * M] = Fw[1]
+    out[2 * M + 1] = -Fw[0]
+    return out
+
+
 def assemble_field(sys):
     """Assembled vector field of the coupled system.
 
@@ -185,63 +207,68 @@ def assemble_field(sys):
     """
     if sys._compiled_field is not None:
         return VectorField(sys.dim, sys._compiled_field)
-    M = sys.M
-    dim = sys.dim
-    grad_H = sys.grad_H
-    grad_P = sys.grad_P
-    F = sys.F
+    M, dim = sys.M, sys.dim
+    F, grad_H, grad_P = sys.F, sys.grad_H, sys.grad_P
 
     def f(t, z):
         if z.shape[-1] != dim:
             raise DimensionMismatchError(f"state has size {z.shape[-1]}, expected {dim}")
         x, y, w = z[:M], z[M:2 * M], z[2 * M:]
-        out = np.empty(dim)
-        rhs_w = np.asarray(F(t, w), dtype=float)
-        if grad_H is not None:
-            hx, hy = grad_H(t, x, y)
-            out[:M] = hy
-            out[M:2 * M] = -np.asarray(hx)
-        else:
-            out[:2 * M] = 0.0
-        if grad_P is not None:
-            px, py, pw = grad_P(t, x, y, w)
-            out[:M] += np.asarray(py)
-            out[M:2 * M] -= np.asarray(px)
-            rhs_w = rhs_w + np.asarray(pw)
-        # (-J) @ rhs_w
-        out[2 * M] = rhs_w[1]
-        out[2 * M + 1] = -rhs_w[0]
-        return out
+        Fw = np.asarray(F(t, w), dtype=float)
+        H = None if grad_H is None else grad_H(t, x, y)
+        P = None if grad_P is None else grad_P(t, x, y, w)
+        return _assemble(M, Fw, H, P)
 
     return VectorField(dim, f)
 
 
 def field_jacobian(sys, field):
-    """D_z f of the assembled ``field`` (as :func:`assemble_field` returns it).
+    """``fjac(t, z) -> (f(t, z), D_z f(t, z))`` for the assembled ``field``.
 
-    Returns ``jac(t, z, fz)``, the n-by-n Jacobian at (t, z) given
-    ``fz = field(t, z)``.  Expression-built systems use their compiled
-    Jacobian, with the kink convention of :mod:`hamshoot.expr` (0 at a kink,
-    the one-sided value elsewhere).  Systems with a plain-callable block take
-    forward differences of ``field``: n more calls, each stepping z_j by
-    1e-7 (1 + |z_j|) away from 0, so that a step never crosses a kink at
-    z_j = 0 and gives the one-sided derivative of z_j's side.
+    Expression-built systems call ``field`` and their compiled Jacobian (0
+    at a kink, the one-sided value elsewhere; see :mod:`hamshoot.expr`).
+    Plain-callable systems never call ``field``: column j is the forward
+    difference (f(z + h_j e_j) - f(z)) / h_j, h_j = 1e-7 (1 + |z_j|) away from
+    0 so that no step crosses a kink at z_j = 0, with each block differenced
+    only over what it reads: F(t, w) at the 2 points with u or v stepped,
+    grad_H(t, x, y) at the 2M with x or y stepped, grad_P at all n.  That is
+    3 F, 1 + 2M grad_H and n + 1 grad_P calls and one assembly of the n + 1
+    fields, bitwise equal to differencing ``field``.
     """
     compiled = sys._compiled_jacobian
     if compiled is not None:
-        return lambda t, z, fz: compiled(t, z)
-    rhs, n = field.f, sys.dim
+        return lambda t, z: (field.f(t, z), compiled(t, z))
+    M, n = sys.M, sys.dim
+    F, grad_H, grad_P = sys.F, sys.grad_H, sys.grad_P
+    # row i of Z is point i: z, then z + h_j e_j at row 1 + j.  Row i of a block's
+    # buffer is its value there; each call refills them (one fjac per flow).
+    Z = np.empty((n + 1, n))
+    diagonal = Z.reshape(-1)[n::n + 1]
+    points = [(Z[i, :M], Z[i, M:2 * M], Z[i, 2 * M:]) for i in range(n + 1)]
+    Fw, hx, hy, px, py, pw = (np.empty((n + 1, k)) for k in (2, M, M, M, M, 2))
 
-    def jac(t, z, fz):
-        J = np.empty((n, n))
-        for j in range(n):
-            zj = z.copy()
-            h = math.copysign(1e-7 * (1.0 + abs(z[j])), z[j])
-            zj[j] += h
-            J[:, j] = (np.asarray(rhs(t, zj), dtype=float) - fz) / h
-        return J
+    def fjac(t, z):
+        h = np.copysign(1e-7 * (1.0 + np.abs(z)), z)
+        Z[:] = z
+        diagonal[:] += h
+        Fw[:] = F(t, points[0][2])
+        for i in (2 * M + 1, 2 * M + 2):
+            Fw[i] = F(t, points[i][2])
+        H = P = None
+        if grad_H is not None:
+            hx[:], hy[:] = grad_H(t, *points[0][:2])
+            for i in range(1, 2 * M + 1):
+                hx[i], hy[i] = grad_H(t, *points[i][:2])
+            H = hx.T, hy.T
+        if grad_P is not None:
+            for i, (x, y, w) in enumerate(points):
+                px[i], py[i], pw[i] = grad_P(t, x, y, w)
+            P = px.T, py.T, pw.T
+        # column i of out is the field at point i
+        out = _assemble(M, Fw.T, H, P)
+        return out[:, 0], (out[:, 1:] - out[:, :1]) / h
 
-    return jac
+    return fjac
 
 
 # --------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_criterion_08_flow_jacobian_cross_validation():
     F, _, _ = planar_field_from_expr(K_src="0.5*v^2 - cos(u)")
     pend = CoupledSystem(M=0, F=F, T=2 * np.pi)   # u' = v, v' = -sin u
     field = assemble_field(pend)
-    aug = variational_field(field, field_jacobian(pend, field), [0, 1])
+    aug = variational_field(field.n, field_jacobian(pend, field), [0, 1])
 
     def flow(z):
         return integrate(field, z, 0.0, 2 * np.pi, 1e-12, dense=False).ys[-1]

@@ -17,15 +17,15 @@ from hamshoot.systems import CoupledSystem, assemble_field, field_jacobian
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "pendulum_oscillator.yaml"
 CENTER = VectorField(2, lambda t, z: np.array([z[1], -z[0]]))
 PENDULUM = VectorField(2, lambda t, z: np.array([z[1], -np.sin(z[0])]))
-CENTER_JAC = lambda t, z, fz: np.array([[0.0, 1.0], [-1.0, 0.0]])
-PENDULUM_JAC = lambda t, z, fz: np.array([[0.0, 1.0], [-np.cos(z[0]), 0.0]])
+CENTER_JAC = lambda t, z: (CENTER(t, z), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+PENDULUM_JAC = lambda t, z: (PENDULUM(t, z), np.array([[0.0, 1.0], [-np.cos(z[0]), 0.0]]))
 
 
-def _variational_flow(field, jac, z0, T, tol, cols=(0, 1), switch=None):
+def _variational_flow(field, fjac, z0, T, tol, cols=(0, 1), switch=None):
     """(z(T), Phi(T), stats) of the variational flow from (z0, I[:, cols])."""
     n, cols = field.n, list(cols)
     start = np.r_[z0, np.eye(n)[:, cols].ravel()]
-    traj = integrate(variational_field(field, jac, cols), start, 0.0, T, tol, dense=False,
+    traj = integrate(variational_field(n, fjac, cols), start, 0.0, T, tol, dense=False,
                      switch=switch)
     return traj.ys[-1][:n], traj.ys[-1][n:].reshape(n, len(cols)), traj.stats
 
@@ -127,7 +127,8 @@ def test_dense_output_matches_reintegration():
 
 def test_monodromy_identity_cases():
     f0 = VectorField(2, lambda t, z: np.zeros(2))
-    _, phi, _ = _variational_flow(f0, lambda t, z, fz: np.zeros((2, 2)), [0.2, -0.4], 1.0, 1e-10)
+    _, phi, _ = _variational_flow(f0, lambda t, z: (f0(t, z), np.zeros((2, 2))), [0.2, -0.4], 1.0,
+                                  1e-10)
     assert np.allclose(phi, np.eye(2), atol=1e-9)
     _, phi, _ = _variational_flow(CENTER, CENTER_JAC, [0.5, 0.1], 2 * np.pi, 1e-12)
     assert np.max(np.abs(phi - np.eye(2))) < 1e-6
@@ -144,9 +145,9 @@ def test_monodromy_cols_are_columns_of_full_monodromy():
     """Error control reads the state alone, so every column set takes the same steps."""
     f = VectorField(4, lambda t, z: np.array([z[1], -np.sin(z[0]) + 0.3 * z[2], z[3], -z[2]]))
 
-    def jac(t, z, fz):
-        return np.array([[0.0, 1.0, 0.0, 0.0], [-np.cos(z[0]), 0.0, 0.3, 0.0],
-                         [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+    def jac(t, z):
+        return f(t, z), np.array([[0.0, 1.0, 0.0, 0.0], [-np.cos(z[0]), 0.0, 0.3, 0.0],
+                                  [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
 
     z0 = np.array([0.7, 0.3, -0.4, 0.2])
     z_full, full, stats = _variational_flow(f, jac, z0, 2.0, 1e-10, cols=range(4))

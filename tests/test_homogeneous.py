@@ -151,3 +151,23 @@ def test_period_monotonicity_in_ordering():
 def test_invalid_asymmetric_params():
     with pytest.raises(ValueError):
         AsymmetricParams(-1.0, 2.0)
+
+
+def test_asymmetric_grad_bitwise_equals_stacked_formula():
+    """grad builds one array; the values are those of the stacked formula, bit for bit."""
+    mu, nu = 4.0, 1.0
+    H = asymmetric(mu, nu)
+
+    def stacked(w):
+        up = np.maximum(w[0], 0.0)
+        um = np.maximum(-w[0], 0.0)
+        return np.stack([mu * up - nu * um, np.asarray(w[1], dtype=float)])
+
+    rng = np.random.default_rng(3)
+    points = [np.array([0.7, -0.2]), np.array([-1.5, 0.3]), np.array([0.0, 0.4]),
+              np.array([-0.0, -0.0]), [0.25, -3.0], [-0.0, 2], [0.0, -0.0],
+              rng.standard_normal((2, 9)), np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 2.0]])]
+    for w in points:
+        new, old = H.grad(w), stacked(w)
+        assert new.dtype == old.dtype == np.float64 and new.shape == old.shape
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64)), w

@@ -7,7 +7,7 @@ import pytest
 
 from hamshoot.config import load_config
 
-from hamshoot.dynamics import integrate
+from hamshoot.dynamics import VectorField, integrate
 from hamshoot.errors import (DimensionMismatchError, MissingDecompositionError,
                              RhoTooSmallError)
 from hamshoot.homogeneous import asymmetric, isotropic
@@ -186,7 +186,7 @@ def test_compiled_jacobian_matches_central_differences(ham, coupling, planar, M)
         z = rng.standard_normal(sys_.dim) * 2.0
         z[2 * M] = np.copysign(rng.uniform(0.1, 2.0), z[2 * M])  # |u| well off the kink
         t = rng.uniform(0.0, 7.0)
-        J = jac(t, z, f(t, z))
+        J = jac(t, z)[1]
         C = np.empty_like(J)
         for j in range(sys_.dim):
             d = np.zeros(sys_.dim)
@@ -208,8 +208,8 @@ def test_jacobian_kink_convention(planar):
     for u, expected in ((0.0, 0.0), (-0.0, 0.0), (1e-12, 4.0), (-1e-12, 1.0), (0.5, 4.0)):
         z = np.array([u, 0.3])
         # v' = -F_u, so the (v, u) entry is -D_u F_u
-        assert jac(0.0, z, f(0.0, z))[1, 0] == -expected
-        assert jac(0.0, z, f(0.0, z))[0].tolist() == [0.0, 1.0]
+        assert jac(0.0, z)[1][1, 0] == -expected
+        assert jac(0.0, z)[1][0].tolist() == [0.0, 1.0]
 
 
 def test_plain_callable_jacobian_agrees_with_compiled():
@@ -224,19 +224,118 @@ def test_plain_callable_jacobian_agrees_with_compiled():
         z = rng.standard_normal(4)
         z[2] = np.copysign(rng.uniform(0.05, 1.0), z[2])
         t = rng.uniform(0.0, 7.0)
-        assert np.allclose(fd(t, z, g(t, z)), jac(t, z, f(t, z)), rtol=1e-5, atol=1e-6)
+        assert np.allclose(fd(t, z)[1], jac(t, z)[1], rtol=1e-5, atol=1e-6)
 
 
 def test_plain_callable_jacobian_is_one_sided_at_the_kink():
-    """Forward differences step away from u = 0, so they never straddle the kink."""
+    """Forward differences step away from u = 0, so they never straddle the kink;
+    u = +0.0 and -0.0 step to opposite sides."""
     osc = asymmetric(4.0, 1.0)
     sys_ = CoupledSystem(M=0, F=lambda t, w: np.asarray(osc.grad(w), dtype=float), T=1.0,
                          w_kink=True)
     f = assemble_field(sys_)
     jac = field_jacobian(sys_, f)
-    for u, expected in ((1e-12, -4.0), (-1e-12, -1.0), (1e-9, -4.0), (-1e-9, -1.0)):
+    for u, expected in ((1e-12, -4.0), (-1e-12, -1.0), (1e-9, -4.0), (-1e-9, -1.0),
+                        (0.0, -4.0), (-0.0, -1.0)):
         z = np.array([u, 0.3])
-        assert jac(0.0, z, f(0.0, z))[1, 0] == pytest.approx(expected, rel=1e-6)
+        assert jac(0.0, z)[1][1, 0] == pytest.approx(expected, rel=1e-6)
+
+
+def _numpy_system(M, H=True, P=True):
+    """A plain-callable system with numpy blocks: F the asymmetric (4, 1)
+    oscillator plus a forcing, grad_H and grad_P present or not."""
+    osc = asymmetric(4.0, 1.0)
+
+    def F(t, w):
+        return np.asarray(osc.grad(w), dtype=float) + np.array([0.1 * np.sin(t), 0.0])
+
+    def grad_H(t, x, y):
+        return np.sin(x) * np.cos(t), y * np.arange(1.0, M + 1.0)
+
+    def grad_P(t, x, y, w):
+        return (0.1 * np.cos(x) * np.sin(w[0]), 0.05 * y * w[1],
+                np.array([0.1 * np.sum(np.sin(x)) * np.cos(w[0]), 0.05 * np.sum(y * y) + 0.2 * w[1]]))
+
+    return CoupledSystem(M=M, F=F, grad_H=grad_H if H else None, grad_P=grad_P if P else None,
+                         T=2 * np.pi, w_kink=True,
+                         decomposition=DecompositionData(osc, asymmetric(1.0, 4.0),
+                                                         lambda t, w: np.zeros(2)))
+
+
+def _forward_differences(f, t, z):
+    """Reference: (f(t, z), D_z f) by forward differences of the assembled field,
+    z_j stepped by copysign(1e-7 (1 + |z_j|), z_j)."""
+    fz = f(t, z)
+    J = np.empty((len(z), len(z)))
+    for j in range(len(z)):
+        zj = z.copy()
+        h = np.copysign(1e-7 * (1.0 + abs(z[j])), z[j])
+        zj[j] += h
+        J[:, j] = (f(t, zj) - fz) / h
+    return fz, J
+
+
+_FD_SYSTEMS = {
+    "M0": lambda: _numpy_system(0),
+    "M0_no_P": lambda: _numpy_system(0, H=False, P=False),
+    "M1": lambda: _numpy_system(1),
+    "M2": lambda: _numpy_system(2),
+    "M1_no_H": lambda: _numpy_system(1, H=False),
+    "M2_no_P": lambda: _numpy_system(2, P=False),
+    "F_rho": lambda: modify_system(_numpy_system(1), 3.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_FD_SYSTEMS))
+def test_block_forward_differences_bitwise_equal_differences_of_the_field(name):
+    """The block-structured Jacobian and field equal forward differences of the
+    assembled field bit for bit, on and off the kink u = 0 and, for F_rho, in
+    each cutoff region (|w| <= rho = 3, the band, |w| >= rho^3 = 27)."""
+    sys_ = _FD_SYSTEMS[name]()
+    M = sys_.M
+    f = assemble_field(sys_)
+    fjac = field_jacobian(sys_, f)
+    rng = np.random.default_rng(17)
+    states = []
+    for radius in (0.5, 2.0, 5.0, 15.0, 60.0):
+        for u in (None, 0.0, -0.0, 1e-12, -1e-12):
+            z = rng.standard_normal(sys_.dim)
+            ang = rng.uniform(0.0, 2 * np.pi)
+            z[2 * M:] = radius * np.cos(ang), radius * np.sin(ang)
+            if u is not None:
+                z[2 * M] = u
+            states.append(z)
+    for z in states:
+        t = rng.uniform(0.0, 7.0)
+        fz, J = fjac(t, z)
+        ref_fz, ref_J = _forward_differences(f, t, z)
+        assert np.array_equal(_bits(fz), _bits(ref_fz)), (t, z)
+        assert np.array_equal(_bits(J), _bits(ref_J)), (t, z)
+        assert J.flags.c_contiguous
+
+
+@pytest.mark.parametrize("M", [0, 1, 2])
+def test_block_forward_differences_call_counts(M):
+    """One evaluation calls F 3 times, grad_H 1 + 2M times and grad_P n + 1 times,
+    and never the assembled field."""
+    sys_ = _numpy_system(M)
+    calls = {"F": 0, "grad_H": 0, "grad_P": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    counted_sys = replace(sys_, F=counted("F", sys_.F), grad_H=counted("grad_H", sys_.grad_H),
+                          grad_P=counted("grad_P", sys_.grad_P))
+
+    def never(t, z):
+        raise AssertionError("the assembled field was called")
+
+    fjac = field_jacobian(counted_sys, VectorField(sys_.dim, never))
+    fjac(0.3, np.linspace(-0.5, 0.7, sys_.dim))
+    assert calls == {"F": 3, "grad_H": 1 + 2 * M, "grad_P": sys_.dim + 1}
 
 
 def test_demo_field_source_reads_every_assignment():
