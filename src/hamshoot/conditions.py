@@ -24,7 +24,7 @@ from scipy.integrate import simpson
 from .dynamics import VectorField, integrate
 from .errors import (DimensionMismatchError, IntegrationError, IntegrationOverflowError,
                      SingularMatrixError)
-from .systems import assemble_field
+from .systems import assemble_field, halton
 
 __all__ = [
     "ResonanceTag", "ResonanceClass", "classify_resonance",
@@ -119,13 +119,12 @@ def estimate_mbar(grad_P_w, box, n_samples=10000, seed=0):
     A lower bound on the true supremum; callers may override with an
     analytic value when one is known.
     """
-    from scipy.stats import qmc
     bounds = box.bounds if isinstance(box, SampleBox) else tuple(box)
     dim = len(bounds)
     M = (dim - 3) // 2
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    pts = qmc.Halton(d=dim, scramble=True, seed=seed).random(n_samples)
+    pts = halton(n_samples, dim, seed)
     pts = lo + pts * (hi - lo)
     best = 0.0
     for row in pts:

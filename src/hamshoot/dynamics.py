@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NonfiniteStateError, OriginTooCloseError, StepUnderflowError
 
 __all__ = [
-    "VectorField", "Trajectory", "WindingReport",
+    "VectorField", "VariationalField", "Trajectory", "WindingReport",
     "integrate", "winding", "variational_field",
 ]
 
@@ -74,7 +74,7 @@ class VectorField:
 
 
 @dataclass(frozen=True)
-class _Variational(VectorField):
+class VariationalField(VectorField):
     """A field whose first ``state_n`` components are the state proper."""
 
     state_n: int
@@ -169,7 +169,7 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
     stats = IntegrationStats()
     n = z0.size
     # error control, the step size and the blowup guard read z[:m]
-    m = f.state_n if isinstance(f, _Variational) else n
+    m = f.state_n if isinstance(f, VariationalField) else n
     rhs = f.f if isinstance(f, VectorField) else f
 
     def feval(t, z):
@@ -343,11 +343,12 @@ def variational_field(n, fjac, cols):
 
     The augmented state is ``(z, Phi)`` with Phi flattened row-major
     (n-by-len(cols)); Phi' = D_z f(t, z) Phi, where ``fjac(t, z)`` returns
-    ``(f(t, z), D_z f(t, z))`` (:func:`hamshoot.systems.field_jacobian`).
-    Started from ``(z0, I[:, cols])``, one :func:`integrate` of it gives the
-    flow and the columns ``cols`` of its Jacobian (the monodromy block),
-    error-controlled by z alone.  z comes first, so a switch component index
-    applies unchanged.
+    ``(f(t, z), D_z f(t, z))``, for systems with a plain-callable block by
+    forward differences (:func:`hamshoot.systems.field_jacobian`; expression-
+    built ones compile f and D_z f Phi into one function instead).  Started
+    from ``(z0, I[:, cols])``, one :func:`integrate` of it gives the flow and
+    the columns ``cols`` of its Jacobian (the monodromy block), error-controlled
+    by z alone.  z comes first, so a switch component index applies unchanged.
     """
     c = len(cols)
 
@@ -358,7 +359,7 @@ def variational_field(n, fjac, cols):
         np.matmul(J, zs[n:].reshape(n, c), out=out[n:].reshape(n, c))
         return out
 
-    return _Variational(n + n * c, aug, n)
+    return VariationalField(n + n * c, aug, n)
 
 
 def winding(traj, component_indices, min_radius):

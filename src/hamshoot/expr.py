@@ -38,7 +38,7 @@ from .errors import DimensionMismatchError, DomainError, ExprSyntaxError, Unboun
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call", "ExprBlock",
-    "parse_expr", "compile_expr", "compile_blocks", "eval_expr", "grad_expr", "unparse",
+    "parse_expr", "compile_expr", "compile_blocks", "Term", "eval_expr", "grad_expr", "unparse",
     "free_variables", "has_kinks",
 ]
 
@@ -276,6 +276,15 @@ _NAMESPACE = {
 }
 
 
+# compile_blocks unpacks the state to floats, and there the ufuncs return
+# floats too: the same IEEE operations as on numpy scalars, at a fraction of
+# the cost.  Squares, which the quotient rule divides by, stay numpy scalars.
+_FLOAT_NAMESPACE = dict(_NAMESPACE, **{
+    name: (lambda f: lambda *a: float(f(*a)))(_NAMESPACE[name]) for name in (
+        "_sin", "_cos", "_exp", "_log", "_sqrt", "_abs", "_sign", "_arctan", "_power",
+        "_maximum", "_minimum")})
+
+
 def _literal(v):
     text = repr(float(v))
     if not np.isfinite(v):
@@ -315,18 +324,19 @@ _CALL = {"sin": "_sin({})", "cos": "_cos({})", "exp": "_exp({})", "ln": "_log({}
 class _Compiler:
     """Emits assignments for the nodes in evaluation order (children first).
 
-    A node becomes a term (:class:`_T`): its value ``aN`` and, when it
-    depends on a seed (a ``wrt`` variable), its partials ``dN_i``; to order 2
-    each partial has partials ``dN_i_j`` of its own.  Every partial is built
-    by the inline operations below, which carry partials in turn, so second
+    A node becomes a term (:class:`_T`): its value and, when it depends on
+    a seed (a ``wrt`` variable), its partials, each a line ``aN``; to order 2
+    each partial has partials of its own.  Every partial is built by the
+    inline operations below, which carry partials in turn, so second
     derivatives follow from the first-order rules (forward over forward
     mode).  ``None`` marks a partial that is structurally zero, which is
-    never computed.  Only generated names, float literals and fixed messages
-    reach the source text.
+    never computed.  A text computed before is read from its line, not
+    computed again.  Only generated names, float literals and fixed
+    messages reach the source text.
     """
 
     def __init__(self, args, wrt, params):
-        self.lines = []
+        self.lines, self.names = [], {}
         self.block({name: f"x{i}" for i, name in enumerate(args)}, wrt, params, 1)
 
     def block(self, args, wrt, params, order):
@@ -339,25 +349,22 @@ class _Compiler:
     # -- emitted lines ------------------------------------------------------
 
     def emit(self, text):
-        name = f"a{len(self.lines)}"
-        self.lines.append(f"{name} = {text}")
-        return name
+        """The name of the line computing ``text``: every name is assigned
+        once and every operation is pure, so an earlier line serves again."""
+        if text not in self.names:
+            self.names[text] = f"a{len(self.lines)}"
+            self.lines.append(f"{self.names[text]} = {text}")
+        return self.names[text]
 
     def attach(self, name, d):
         """Term ``name`` with partials ``d``, each bound to a line unless a name or 1.0."""
         if d is None:
             return _T(name)
-        out = []
-        for i, p in enumerate(d):
-            if not (p is None or p.text == "1.0" or p.text.isidentifier()):
-                pname = f"d{name[1:]}_{i}"
-                self.lines.append(f"{pname} = {p.text}")
-                p = self.attach(pname, p.d)
-            out.append(p)
-        return _T(name, out)
+        return _T(name, [p if p is None or p.text == "1.0" or p.text.isidentifier()
+                         else self.bind(p) for p in d])
 
     def bind(self, t):
-        return self.attach(self.emit(t.text), t.d)
+        return self.attach(t.text if t.text.isidentifier() else self.emit(t.text), t.d)
 
     def check(self, cond, message):
         self.lines.append(f"if _any({cond}): raise _DomainError({message!r})")
@@ -462,7 +469,9 @@ class _Compiler:
             n, b, self.power(n, a, self.sub(n, b, _ONE)), skip_one=False)))
 
     def call(self, m, fn, a):
-        return _T(_CALL[fn].format(a.text), self.chain_rule(m, a, lambda n: self.slope(n, fn, a)))
+        # a line of its own, so that one evaluation serves every read
+        return _T(self.emit(_CALL[fn].format(a.text)),
+                  self.chain_rule(m, a, lambda n: self.slope(n, fn, a)))
 
     # -- nodes --------------------------------------------------------------
 
@@ -473,10 +482,7 @@ class _Compiler:
         if isinstance(e, Var):
             return self.var(e.name)
         if isinstance(e, Neg):
-            a = self.node(e.arg)
-            v = self.emit(f"-{a.text}")
-            return self.attach(v, self.partials(self.order, [a],
-                                                lambda p: p and self.neg(self.order - 1, p)))
+            return self.bind(self.neg(self.order, self.node(e.arg)))
         if isinstance(e, BinOp):
             return self.binop(e)
         if isinstance(e, Call):
@@ -566,10 +572,6 @@ class _Compiler:
         return self.attach(v, d)
 
 
-def _text(t):
-    return "0.0" if t is None else t.text
-
-
 def compile_expr(e, args, wrt=None, params=None):
     """Compile ``e`` once into a numpy function of the positional ``args``.
 
@@ -586,7 +588,7 @@ def compile_expr(e, args, wrt=None, params=None):
             raise UnboundVariableError(f"variable {name!r} is not bound")
     c = _Compiler(args, wrt, params)
     v = c.node(e)
-    partials = ", ".join(_text(p) for p in v.d or [None] * len(wrt or ()))
+    partials = ", ".join((p or _ZERO).text for p in v.d or [None] * len(wrt or ()))
     ret = v.text if wrt is None else f"_gradient({v.text}, [{partials}])"
     return _define(", ".join(f"x{i}" for i in range(len(args))), c.lines, ret)
 
@@ -612,10 +614,10 @@ def _live(lines, ret):
     return kept[::-1]
 
 
-def _define(signature, lines, ret):
+def _define(signature, lines, ret, namespace=_NAMESPACE):
     body = "".join(f"    {line}\n" for line in _live(lines, ret))
     src = f"def compiled({signature}):\n{body}    return {ret}\n"
-    namespace = dict(_NAMESPACE)
+    namespace = dict(namespace)
     exec(compile(src, "<hamshoot.expr>", "exec"), namespace)
     fn = namespace["compiled"]
     fn.source = src
@@ -637,48 +639,78 @@ class ExprBlock:
     params: dict = None
 
 
-def compile_blocks(blocks, state, result, jacobian=False):
+class Term:
+    """A field component in :func:`compile_blocks`: the operand of its value
+    and its nonzero partials over the state, ``{state index: operand}``.
+    ``-a``, ``a + b`` and ``a - b`` apply to the value and by the same rule
+    to the partials, with no operation on a structural zero."""
+
+    def __init__(self, value, d):
+        self.value, self.d = value, d
+
+    def __neg__(self):
+        return Term(_sum(None, "-", self.value), {j: _sum(None, "-", p) for j, p in self.d.items()})
+
+    def __add__(self, other, op="+"):
+        d = dict(self.d)
+        for j, q in other.d.items():
+            d[j] = _sum(d.get(j), op, q)
+        return Term(_sum(self.value, op, other.value), d)
+
+    def __sub__(self, other):
+        return self.__add__(other, "-")
+
+
+def _sum(a, op, b):
+    # a op b; where a is a structural zero (None), b or -b
+    if a is not None:
+        return _T(f"{a.at(_ADD)} {op} {b.at(_MUL)}", prec=_ADD)
+    return b if op == "+" else _T(f"-{b.at(_NEG)}", prec=_NEG)
+
+
+Term.ZERO = Term(_ZERO, {})
+
+
+def compile_blocks(blocks, state, combine, tangents=0):
     """Compile ``blocks`` into one straight-line function ``compiled(t, z)``.
 
-    ``z`` is a 1-D array whose entries are named by ``state`` and unpacked to
-    floats; each block's ``args`` are ``t`` and names from ``state``.
-    ``result`` gets, per block, the operand texts of its outputs (the values
-    of its expressions, or the partials of its gradient, ``0.0`` where
-    structurally zero) and returns the source of the returned expression, in
-    which ``_array`` is ``np.array``.  Each block emits the operations of its
-    own :func:`compile_expr`, so every output is bitwise what that gives.
-    With ``jacobian`` every output is instead the row of its partials over
-    ``state``: the Hessian rows of a gradient, the gradient of a value.  A
-    ``z`` of the wrong size raises :class:`DimensionMismatchError`.
-    """
+    ``z`` is a 1-D array whose first entries, named by ``state``, are
+    unpacked to floats; each block's ``args`` are ``t`` and names from
+    ``state``.  ``combine`` gets, per block, the :class:`Term` of each output
+    (the value of each expression, or each partial of its gradient) and
+    returns the field's terms, whose values, bitwise what each block's own
+    :func:`compile_expr` gives, the function returns as one array.  With
+    ``tangents`` = k, z continues with an n-by-k Phi and the array with
+    D_z f Phi, both row-major: forward mode in k directions over the partials
+    the blocks build forward over forward, row i summed over the nonzero
+    partials of component i alone.  A wrong size of z raises
+    :class:`DimensionMismatchError`."""
+    n, k = len(state), tangents
     index = {name: i for i, name in enumerate(state)}
-    names = dict(zip(("t",) + tuple(state), (f"x{i}" for i in range(len(state) + 1))))
+    names = dict(zip(("t",) + tuple(state), (f"x{i}" for i in range(n + 1))))
     c = _Compiler((), None, None)
     outputs = []
     for b in blocks:
         # one line list for all blocks keeps every generated name unique
-        seeds = b.wrt if b.wrt or not jacobian else [a for a in b.args if a in index]
-        c.block({name: names[name] for name in b.args}, seeds, b.params,
-                2 if jacobian and b.wrt else 1)
-        outs = []
-        for e in b.exprs:
-            v = c.node(e)
-            first = [v] if b.wrt is None else v.d or [None] * len(seeds)
-            if not jacobian:
-                outs += [_text(p) for p in first]
-                continue
-            for g in first:
-                row = ["0.0"] * len(state)
-                for name, p in zip(seeds, g.d if g is not None and g.d else ()):
-                    row[index[name]] = _text(p)
-                outs.append(row)
-        outputs.append(outs)
-    n = len(state)
-    head = [f"if z.shape[-1] != {n}: raise _DimensionMismatchError("
-            f"f'state has size {{z.shape[-1]}}, expected {n}')"]
-    if n:
-        head.append("".join(f"x{i + 1}, " for i in range(n)) + "= z.tolist()")
-    return _define("x0, z", head + c.lines, result(outputs))
+        seeds = b.wrt if b.wrt or not k else [a for a in b.args if a in index]
+        c.block({name: names[name] for name in b.args}, seeds, b.params, 2 if k and b.wrt else 1)
+        terms = [g or _ZERO for v in map(c.node, b.exprs)
+                 for g in ([v] if b.wrt is None else v.d or [None] * len(seeds))]
+        outputs.append([Term(g, {index[s]: p for s, p in zip(seeds or (), g.d or ())
+                                 if p is not None}) for g in terms])
+    field = combine(outputs)
+    ret = [t.value.text for t in field]
+    for t in field if k else ():
+        row = [(j, p.text if p.text == "1.0" or p.text.isidentifier() else c.emit(p.text))
+               for j, p in sorted(t.d.items())]
+        ret += [" + ".join(f"p{j}_{i}" if e == "1.0" else f"{e} * p{j}_{i}" for j, e in row)
+                or "0.0" for i in range(k)]
+    size = n + n * k
+    unpacked = [f"x{i + 1}" for i in range(n)] + [f"p{j}_{i}" for j in range(n) for i in range(k)]
+    head = [f"if z.shape[-1] != {size}: raise _DimensionMismatchError("
+            f"f'state has size {{z.shape[-1]}}, expected {size}')",
+            f"{', '.join(unpacked)}, = z.tolist()"]
+    return _define("x0, z", head + c.lines, f"_array([{', '.join(ret)}])", _FLOAT_NAMESPACE)
 
 
 def eval_expr(e, binding):

@@ -11,13 +11,13 @@ window [a, b] and the state (x_a, 0, u_a, 0): x and u are the unknowns and
 the y and v rows of the defect, i.e. (y(b), v(b)), must vanish.
 
 Each Newton evaluation is one flow of the variational field
-(:func:`~hamshoot.dynamics.variational_field`): the state and its sensitivity
-Phi to the unknowns, Phi' = D_z f Phi, integrated together at the residual
+(:func:`~hamshoot.systems.variational`): the state and its sensitivity Phi
+to the unknowns, Phi' = D_z f Phi, integrated together at the residual
 tolerance.  It gives the defect and the exact Jacobian Phi[rows] - I[rows, cols]
-along the actual trajectory.  D_z f comes from
-:func:`~hamshoot.systems.field_jacobian`: compiled expressions (0 at a
-pos/neg/abs kink, the one-sided value elsewhere), or for plain-callable blocks
-forward differences, F over w, grad_H over (x, y) and grad_P over all of z.
+along the actual trajectory.  An expression-built system computes f and
+D_z f Phi in one compiled function (0 at a pos/neg/abs kink, the one-sided
+value elsewhere); a plain-callable block is differenced forward, F over w,
+grad_H over (x, y) and grad_P over all of z.
 The field is continuous across the kink u = 0, so Phi needs no jump there, and
 the one-sided Jacobian makes the iteration a semismooth Newton method, which
 converges superlinearly at kinks too.
@@ -43,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import integrate, variational_field, winding
+from .dynamics import integrate, winding
 from .errors import (IntegrationError, MaxIterationsError, OriginTooCloseError,
                      SingularJacobianError)
-from .systems import assemble_field, field_jacobian
+from .systems import assemble_field, variational
 
 __all__ = [
     "PeriodicSolutionRecord", "NeumannSolutionRecord", "DistinctnessPartition",
@@ -222,10 +222,9 @@ def _shoot(sys, z_guess, newton_tol, max_iter):
     ``z_guess`` is a full initial state; only its ``cols`` components move.
     Returns (z0, |R|, iterations).
     """
-    field = assemble_field(sys)
     (t0, t1), cols, rows = _problem(sys)
     n = sys.dim
-    aug = variational_field(n, field_jacobian(sys, field), cols)
+    aug = variational(sys, cols)
     base = np.asarray(z_guess, dtype=float)
     eye = np.eye(n)[:, cols]
 

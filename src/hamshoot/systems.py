@@ -20,19 +20,22 @@ through a cutoff profile whose derivative obeys
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import expr as xp
-from .dynamics import VectorField
+from .dynamics import VariationalField, VectorField, variational_field
 from .errors import DimensionMismatchError, MissingDecompositionError, RhoTooSmallError
 
 __all__ = [
     "CoupledSystem", "DecompositionData", "CutoffProfile", "DecompositionReport",
-    "assemble_field", "field_jacobian", "validate_decomposition", "build_cutoff", "modify_system",
-    "CutoffModification", "validate_periodicity", "gamma_least_squares", "xy_names",
+    "assemble_field", "variational", "field_jacobian", "validate_decomposition", "build_cutoff",
+    "modify_system", "CutoffModification", "validate_periodicity", "halton", "gamma_least_squares",
+    "xy_names",
 ]
 
 
@@ -114,60 +117,44 @@ class CoupledSystem:
         return 2 * self.M if self.w_kink else None
 
     @cached_property
-    def _compiled_field(self):
-        # compiled on the first assemble_field, then shared by every flow
-        return _compile_field(self)
-
-    @cached_property
-    def _compiled_jacobian(self):
-        # compiled on the first field_jacobian, then shared by every flow
-        return _compile_field(self, jacobian=True)
+    def _compiled(self):
+        # the functions of _compiled_field by tangents, compiled on first use
+        return {}
 
 
-def _compile_field(sys, jacobian=False):
-    """The field, or its Jacobian D_z f, as one compiled function of (t, z),
-    or None unless every present block carries its expression.
-
-    The field performs the float operations of the generic assembly in its
-    order, ``0.0 + p`` and ``0.0 - p`` included where grad_H is absent, so
-    the two agree bitwise.  The Jacobian combines the blocks' rows the same
-    way: Hessian rows of H and P, gradient or Hessian rows of F.
-    """
+def _compiled_field(sys, tangents=0):
+    """The field as one compiled function of (t, z), compiled once per system
+    and ``tangents``, or None unless every present block carries its
+    expression.  It performs the float operations of the generic assembly in
+    its order, ``0.0 + p`` and ``0.0 - p`` included where grad_H is absent,
+    so the two agree bitwise.  With ``tangents`` = k > 0 it is the fused
+    function of :func:`variational`: z and the field continue with Phi and
+    D_z f Phi, whose rows combine the blocks' rows of partials the same way."""
+    if tangents in sys._compiled:
+        return sys._compiled[tangents]
     present = [b for b in (sys.F, sys.grad_H, sys.grad_P) if b is not None]
-    if not all(hasattr(b, "expr_block") for b in present):
-        return None
     M = sys.M
     xn, yn = xy_names(M)
 
-    def lift(op):
-        # with the Jacobian, an output is a row of entries
-        return (lambda *rows: [op(*e) for e in zip(*rows)]) if jacobian else op
-
-    neg = lift(lambda a: f"-{a}")
-    add = lift(lambda a, b: f"{a} + {b}")
-    sub = lift(lambda a, b: f"{a} - {b}")
-    neg_sum = lift(lambda a: f"-({a})")
-    zero = ["0.0"] * sys.dim if jacobian else "0.0"
-
-    def result(outputs):
+    def combine(outputs):
         outputs = iter(outputs)
         w = next(outputs)  # F
-        x, y = [zero] * M, [zero] * M
+        x = y = [xp.Term.ZERO] * M
         if sys.grad_H is not None:
             g = next(outputs)
-            x, y = g[M:], [neg(d) for d in g[:M]]
+            x, y = g[M:], [-d for d in g[:M]]
         if sys.grad_P is not None:
             g = next(outputs)
-            x = [add(a, d) for a, d in zip(x, g[M:2 * M])]
-            y = [sub(a, d) for a, d in zip(y, g[:M])]
-            w = [add(a, d) for a, d in zip(w, g[2 * M:])]
+            x = [a + d for a, d in zip(x, g[M:2 * M])]
+            y = [a - d for a, d in zip(y, g[:M])]
+            w = [a + d for a, d in zip(w, g[2 * M:])]
         # w' = (-J)(F + grad_w P)
-        rows = x + y + [w[1], neg_sum(w[0])]
-        entries = [f"[{', '.join(r)}]" for r in rows] if jacobian else rows
-        return f"_array([{', '.join(entries)}])"
+        return x + y + [w[1], -w[0]]
 
-    return xp.compile_blocks([b.expr_block for b in present], xn + yn + ["u", "v"], result,
-                             jacobian)
+    blocks = [b.expr_block for b in present if hasattr(b, "expr_block")]
+    sys._compiled[tangents] = (xp.compile_blocks(blocks, xn + yn + ["u", "v"], combine, tangents)
+                               if len(blocks) == len(present) else None)
+    return sys._compiled[tangents]
 
 
 def _assemble(M, Fw, H, P):
@@ -205,8 +192,9 @@ def assemble_field(sys):
     with a plain-callable block, such as the cutoff-modified ``F_rho`` of
     :func:`modify_system`, take the generic path.
     """
-    if sys._compiled_field is not None:
-        return VectorField(sys.dim, sys._compiled_field)
+    compiled = _compiled_field(sys)
+    if compiled is not None:
+        return VectorField(sys.dim, compiled)
     M, dim = sys.M, sys.dim
     F, grad_H, grad_P = sys.F, sys.grad_H, sys.grad_P
 
@@ -222,22 +210,29 @@ def assemble_field(sys):
     return VectorField(dim, f)
 
 
-def field_jacobian(sys, field):
-    """``fjac(t, z) -> (f(t, z), D_z f(t, z))`` for the assembled ``field``.
+def variational(sys, cols):
+    """The field of the state z and its sensitivity Phi to the components
+    ``cols`` (n-by-len(cols), row-major), Phi' = D_z f Phi.  An expression-built
+    system computes both in one compiled function, f bitwise as
+    :func:`assemble_field` and D_z f exact (0 at a pos/neg/abs kink, the
+    one-sided value elsewhere); one with a plain-callable block takes
+    :func:`hamshoot.dynamics.variational_field` over :func:`field_jacobian`."""
+    n, k = sys.dim, len(cols)
+    fused = _compiled_field(sys, k)
+    return (variational_field(n, field_jacobian(sys), cols) if fused is None
+            else VariationalField(n + n * k, fused, n))
 
-    Expression-built systems call ``field`` and their compiled Jacobian (0
-    at a kink, the one-sided value elsewhere; see :mod:`hamshoot.expr`).
-    Plain-callable systems never call ``field``: column j is the forward
-    difference (f(z + h_j e_j) - f(z)) / h_j, h_j = 1e-7 (1 + |z_j|) away from
-    0 so that no step crosses a kink at z_j = 0, with each block differenced
-    only over what it reads: F(t, w) at the 2 points with u or v stepped,
-    grad_H(t, x, y) at the 2M with x or y stepped, grad_P at all n.  That is
-    3 F, 1 + 2M grad_H and n + 1 grad_P calls and one assembly of the n + 1
-    fields, bitwise equal to differencing ``field``.
+
+def field_jacobian(sys):
+    """``fjac(t, z) -> (f(t, z), D_z f(t, z))`` by forward differences of the blocks.
+
+    Column j is (f(z + h_j e_j) - f(z)) / h_j, h_j = 1e-7 (1 + |z_j|) away
+    from 0 so that no step crosses a kink at z_j = 0, with each block
+    differenced only over what it reads: F(t, w) at the 2 points with u or v
+    stepped, grad_H(t, x, y) at the 2M with x or y stepped, grad_P at all n.
+    That is 3 F, 1 + 2M grad_H and n + 1 grad_P calls and one assembly of the
+    n + 1 fields, bitwise equal to differencing :func:`assemble_field`.
     """
-    compiled = sys._compiled_jacobian
-    if compiled is not None:
-        return lambda t, z: (field.f(t, z), compiled(t, z))
     M, n = sys.M, sys.dim
     F, grad_H, grad_P = sys.F, sys.grad_H, sys.grad_P
     # row i of Z is point i: z, then z + h_j e_j at row 1 + j.  Row i of a block's
@@ -516,18 +511,32 @@ class PeriodicityReport:
         return self.max_t_residual <= self.tol and self.max_x_residual <= self.tol
 
 
+def halton(n, d, seed):
+    """The first ``n`` points of the scrambled Halton sequence in [0, 1)^d,
+    bitwise ``scipy.stats.qmc.Halton(d, seed=seed).random(n)``: Owen's digit
+    permutations per prime base and digit, drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    primes = (b for b in itertools.count(2) if all(b % p for p in range(2, b)))
+    out = np.zeros((n, d))
+    for col, b in zip(out.T, itertools.islice(primes, d)):
+        k, f = np.arange(n), 1.0 / b
+        for _ in range(math.ceil(54 / math.log2(b)) - 1):
+            col += rng.permutation(b)[k % b] * f
+            k, f = k // b, f / b
+    return out
+
+
 def validate_periodicity(sys, n_samples=32, tol=1e-8, seed=0, scale=3.0):
     """Sample-based certificate of T-periodicity in t and 2pi-periodicity in x.
 
     Compares the assembled field at (t, z) with (t+T, z) and with x shifted by
     2pi in each coordinate.  A certificate, not a proof.
     """
-    from scipy.stats import qmc
     if sys.mode != "periodic":
         raise ValueError("periodicity validation applies to periodic mode")
     f = assemble_field(sys)
     M, dim = sys.M, sys.dim
-    pts = qmc.Halton(d=dim + 1, scramble=True, seed=seed).random(n_samples)
+    pts = halton(n_samples, dim + 1, seed)
     t_res = 0.0
     x_res = 0.0
     for row in pts:

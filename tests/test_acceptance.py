@@ -16,7 +16,7 @@ import pytest
 
 import hamshoot
 from hamshoot.conditions import ResonanceTag, classify_resonance, scalar_ll
-from hamshoot.dynamics import integrate, variational_field
+from hamshoot.dynamics import integrate
 from hamshoot.expr import eval_expr, grad_expr, parse_expr
 from hamshoot.homogeneous import (AsymmetricParams, asym_period, asymmetric,
                                   check_homogeneous, half_periods, isotropic,
@@ -25,7 +25,7 @@ from hamshoot.presets import planar_field_from_expr
 from hamshoot.solvers import (MultistartSpec, NeumannStartSpec, multistart_neumann,
                               multistart_periodic, shoot_neumann)
 from hamshoot.systems import (CoupledSystem, DecompositionData, assemble_field,
-                              build_cutoff, field_jacobian, modify_system)
+                              build_cutoff, modify_system, variational)
 
 GRID = (0.25, 1.0, 4.0, 9.0)
 
@@ -228,7 +228,7 @@ def test_criterion_08_flow_jacobian_cross_validation():
     F, _, _ = planar_field_from_expr(K_src="0.5*v^2 - cos(u)")
     pend = CoupledSystem(M=0, F=F, T=2 * np.pi)   # u' = v, v' = -sin u
     field = assemble_field(pend)
-    aug = variational_field(field.n, field_jacobian(pend, field), [0, 1])
+    aug = variational(pend, [0, 1])   # the fused compiled function that shooting integrates
 
     def flow(z):
         return integrate(field, z, 0.0, 2 * np.pi, 1e-12, dense=False).ys[-1]

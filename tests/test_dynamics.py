@@ -12,7 +12,7 @@ from hamshoot.errors import (NonfiniteStateError, OriginTooCloseError,
                              StepUnderflowError)
 from hamshoot.homogeneous import asymmetric
 from hamshoot.presets import asymmetric_field
-from hamshoot.systems import CoupledSystem, assemble_field, field_jacobian
+from hamshoot.systems import CoupledSystem, assemble_field, variational
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "pendulum_oscillator.yaml"
 CENTER = VectorField(2, lambda t, z: np.array([z[1], -z[0]]))
@@ -21,12 +21,14 @@ CENTER_JAC = lambda t, z: (CENTER(t, z), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 PENDULUM_JAC = lambda t, z: (PENDULUM(t, z), np.array([[0.0, 1.0], [-np.cos(z[0]), 0.0]]))
 
 
-def _variational_flow(field, fjac, z0, T, tol, cols=(0, 1), switch=None):
-    """(z(T), Phi(T), stats) of the variational flow from (z0, I[:, cols])."""
-    n, cols = field.n, list(cols)
+def _variational_flow(fjac, z0, T, tol, cols=(0, 1), switch=None):
+    """(z(T), Phi(T), stats) of the variational flow from (z0, I[:, cols]): of
+    ``fjac(t, z) -> (f, D_z f)``, or of a CoupledSystem's own variational field."""
+    n, cols = len(z0), list(cols)
+    aug = (variational(fjac, cols) if isinstance(fjac, CoupledSystem)
+           else variational_field(n, fjac, cols))
     start = np.r_[z0, np.eye(n)[:, cols].ravel()]
-    traj = integrate(variational_field(n, fjac, cols), start, 0.0, T, tol, dense=False,
-                     switch=switch)
+    traj = integrate(aug, start, 0.0, T, tol, dense=False, switch=switch)
     return traj.ys[-1][:n], traj.ys[-1][n:].reshape(n, len(cols)), traj.stats
 
 
@@ -48,8 +50,7 @@ def _oscillator(mu=4.0, nu=1.0):
     F, _, w_kink = asymmetric_field(mu, nu)
     # T is the oscillator's period, the same for every amplitude
     sys_ = CoupledSystem(M=0, F=F, T=np.pi / np.sqrt(mu) + np.pi / np.sqrt(nu), w_kink=w_kink)
-    field = assemble_field(sys_)
-    return sys_, field, field_jacobian(sys_, field), sys_.switch
+    return sys_, assemble_field(sys_), sys_.switch
 
 
 def test_linear_center_endpoint():
@@ -93,9 +94,9 @@ def test_query_many_matches_query():
 
 def test_variational_flow_linear_center():
     for z0 in ([1.0, 0.0], [0.3, -0.7], [-2.0, 1.5]):
-        z, phi, _ = _variational_flow(CENTER, CENTER_JAC, z0, 2 * np.pi, 1e-10)
+        z, phi, _ = _variational_flow(CENTER_JAC, z0, 2 * np.pi, 1e-10)
         assert np.max(np.abs(z - z0)) < 1e-8 and np.max(np.abs(phi - np.eye(2))) < 1e-8
-        z, phi, _ = _variational_flow(CENTER, CENTER_JAC, z0, np.pi, 1e-10)
+        z, phi, _ = _variational_flow(CENTER_JAC, z0, np.pi, 1e-10)
         assert np.max(np.abs(z + np.asarray(z0))) < 1e-8
         assert np.max(np.abs(phi + np.eye(2))) < 1e-8
 
@@ -103,9 +104,9 @@ def test_variational_flow_linear_center():
 def test_variational_flow_closed_orbit_of_asymmetric_oscillator():
     """One period of the (4, 1) oscillator: the orbit closes, and the monodromy
     keeps the flow direction and the area."""
-    sys_, field, jac, switch = _oscillator()
+    sys_, field, switch = _oscillator()
     z0 = np.array([0.3, 0.0])
-    z, phi, _ = _variational_flow(field, jac, z0, sys_.T, 1e-9, switch=switch)
+    z, phi, _ = _variational_flow(sys_, z0, sys_.T, 1e-9, switch=switch)
     assert np.max(np.abs(z - z0)) < 1e-7
     f0 = field(0.0, z0)
     assert np.max(np.abs(phi @ f0 - f0)) < 1e-7
@@ -127,17 +128,17 @@ def test_dense_output_matches_reintegration():
 
 def test_monodromy_identity_cases():
     f0 = VectorField(2, lambda t, z: np.zeros(2))
-    _, phi, _ = _variational_flow(f0, lambda t, z: (f0(t, z), np.zeros((2, 2))), [0.2, -0.4], 1.0,
+    _, phi, _ = _variational_flow(lambda t, z: (f0(t, z), np.zeros((2, 2))), [0.2, -0.4], 1.0,
                                   1e-10)
     assert np.allclose(phi, np.eye(2), atol=1e-9)
-    _, phi, _ = _variational_flow(CENTER, CENTER_JAC, [0.5, 0.1], 2 * np.pi, 1e-12)
+    _, phi, _ = _variational_flow(CENTER_JAC, [0.5, 0.1], 2 * np.pi, 1e-12)
     assert np.max(np.abs(phi - np.eye(2))) < 1e-6
 
 
 def test_monodromy_vs_central_differences():
     """Acceptance criterion: variational monodromy vs central differences of flows < 1e-5."""
     z0 = np.array([0.7, 0.3])
-    _, phi, _ = _variational_flow(PENDULUM, PENDULUM_JAC, z0, 2 * np.pi, 1e-12)
+    _, phi, _ = _variational_flow(PENDULUM_JAC, z0, 2 * np.pi, 1e-12)
     assert np.max(np.abs(phi - _central_differences(PENDULUM, z0, 2 * np.pi, 1e-12))) < 1e-5
 
 
@@ -150,20 +151,20 @@ def test_monodromy_cols_are_columns_of_full_monodromy():
                                   [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
 
     z0 = np.array([0.7, 0.3, -0.4, 0.2])
-    z_full, full, stats = _variational_flow(f, jac, z0, 2.0, 1e-10, cols=range(4))
+    z_full, full, stats = _variational_flow(jac, z0, 2.0, 1e-10, cols=range(4))
     plain = integrate(f, z0, 0.0, 2.0, 1e-10, dense=False)
     assert stats == plain.stats and np.max(np.abs(z_full - plain.ys[-1])) < 1e-14
     for cols in ([0, 2], [3], [2, 0, 1]):
-        z, phi, st = _variational_flow(f, jac, z0, 2.0, 1e-10, cols=cols)
+        z, phi, st = _variational_flow(jac, z0, 2.0, 1e-10, cols=cols)
         assert st == stats and np.max(np.abs(z - z_full)) < 1e-14
         assert np.allclose(phi, full[:, cols], rtol=1e-13, atol=1e-15)
 
 
 def test_monodromy_with_switches_vs_central_differences():
     """Across the u = 0 kink of an asymmetric oscillator, to the criterion-08 bound."""
-    sys_, field, jac, switch = _oscillator()
+    sys_, field, switch = _oscillator()
     for z0 in (np.array([0.4, 0.0]), np.array([-0.3, 0.5])):
-        _, phi, stats = _variational_flow(field, jac, z0, sys_.T, 1e-12, switch=switch)
+        _, phi, stats = _variational_flow(sys_, z0, sys_.T, 1e-12, switch=switch)
         assert stats.splits >= 2
         oracle = _central_differences(field, z0, sys_.T, 1e-12, switch)
         assert np.max(np.abs(phi - oracle)) < 1e-5

@@ -7,7 +7,7 @@ import pytest
 
 from hamshoot.config import load_config
 
-from hamshoot.dynamics import VectorField, integrate
+from hamshoot.dynamics import integrate
 from hamshoot.errors import (DimensionMismatchError, MissingDecompositionError,
                              RhoTooSmallError)
 from hamshoot.homogeneous import asymmetric, isotropic
@@ -15,8 +15,9 @@ from hamshoot.presets import (asymmetric_field, coupling_from_expr, free_rotator
                               hamiltonian_block_from_expr, pendulum_hamiltonian,
                               planar_field_from_expr)
 from hamshoot.systems import (CoupledSystem, CutoffModification, DecompositionData,
-                              assemble_field, build_cutoff, field_jacobian, modify_system,
-                              validate_decomposition, validate_periodicity)
+                              _compiled_field, assemble_field, build_cutoff, field_jacobian, halton,
+                              modify_system, validate_decomposition, validate_periodicity,
+                              variational)
 
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "pendulum_oscillator.yaml"
@@ -131,10 +132,10 @@ def _bits(a):
     for planar in _PLANARS for M in (1, 2) if not (ham == "pendulum" and M == 2)])
 def test_compiled_field_bitwise_equals_generic_assembly(ham, coupling, planar, M):
     sys_ = _expr_system(ham, coupling, planar, M)
-    assert sys_._compiled_field is not None
+    assert _compiled_field(sys_) is not None
     generic = replace(sys_, F=_plain(sys_.F), grad_H=_plain(sys_.grad_H),
                       grad_P=_plain(sys_.grad_P))
-    assert generic._compiled_field is None
+    assert _compiled_field(generic) is None
     f, g = assemble_field(sys_), assemble_field(generic)
     rng = np.random.default_rng(11)
     states = [rng.standard_normal(sys_.dim) * 10.0 ** rng.uniform(-3, 2) for _ in range(200)]
@@ -162,7 +163,7 @@ def test_compiled_field_dimension_mismatch():
 def test_modified_system_assembles_F_rho():
     sys_ = _expr_system("pendulum", "none", "asymmetric_kink", 1)
     mod = modify_system(sys_, 3.0)
-    assert mod._compiled_field is None
+    assert _compiled_field(mod) is None
     z = np.array([0.4, -0.2, 30.0, -25.0])  # |w| beyond rho^3 = 27
     w = z[2:]
     F_rho = mod.F(0.5, w)
@@ -175,24 +176,65 @@ _GRID = [(ham, coupling, planar, M) for ham in _HAMILTONIANS for coupling in _CO
          for planar in _PLANARS for M in (1, 2) if not (ham == "pendulum" and M == 2)]
 
 
+def _fused_jacobian(sys_, t, z):
+    """(f, D_z f) from the system's fused variational function at Phi = I."""
+    n = sys_.dim
+    out = variational(sys_, range(n)).f(t, np.r_[z, np.eye(n).ravel()])
+    return out[:n], out[n:].reshape(n, n)
+
+
 @pytest.mark.parametrize("ham, coupling, planar, M", _GRID)
 def test_compiled_jacobian_matches_central_differences(ham, coupling, planar, M):
-    """D_z f from the compiler against central differences of the compiled field, off the kink."""
+    """D_z f of the fused function against central differences of the compiled field,
+    off the kink."""
     sys_ = _expr_system(ham, coupling, planar, M)
     f = assemble_field(sys_)
-    jac = field_jacobian(sys_, f)
     rng = np.random.default_rng(5)
     for _ in range(20):
         z = rng.standard_normal(sys_.dim) * 2.0
         z[2 * M] = np.copysign(rng.uniform(0.1, 2.0), z[2 * M])  # |u| well off the kink
         t = rng.uniform(0.0, 7.0)
-        J = jac(t, z)[1]
+        J = _fused_jacobian(sys_, t, z)[1]
         C = np.empty_like(J)
         for j in range(sys_.dim):
             d = np.zeros(sys_.dim)
             d[j] = 1e-6 * (1.0 + abs(z[j]))
             C[:, j] = (f(t, z + d) - f(t, z - d)) / (2 * d[j])
         assert np.allclose(J, C, rtol=1e-6, atol=1e-8), (t, z, J - C)
+
+
+def _problem_cols(M):
+    # the sensitivity columns of periodic mode (all) and of Neumann mode (x and u)
+    return {"periodic": list(range(2 * M + 2)), "neumann": list(range(M)) + [2 * M]}
+
+
+@pytest.mark.parametrize("ham, coupling, planar, M", _GRID)
+@pytest.mark.parametrize("mode", ["periodic", "neumann"])
+def test_fused_variational_function(ham, coupling, planar, M, mode):
+    """The fused function returns f bitwise as the compiled field, and D_z f Phi
+    within 1e-14 relative of (its D_z f at Phi = I) @ Phi; a state of the wrong
+    size raises."""
+    sys_ = _expr_system(ham, coupling, planar, M)
+    n, cols = sys_.dim, _problem_cols(M)[mode]
+    k = len(cols)
+    fused = variational(sys_, cols)
+    assert fused.f is variational(sys_, cols).f and fused.n == n + n * k and fused.state_n == n
+    f = assemble_field(sys_)
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        z = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 1)
+        if rng.uniform() < 0.3:
+            z[2 * M] = rng.choice([0.0, -0.0])
+        t = rng.uniform(0.0, 7.0)
+        phi = rng.standard_normal((n, k))
+        out = fused.f(t, np.r_[z, phi.ravel()])
+        assert np.array_equal(_bits(out[:n]), _bits(f(t, z))), (t, z)
+        ref = _fused_jacobian(sys_, t, z)[1] @ phi
+        tangent = out[n:].reshape(n, k)
+        assert np.max(np.abs(tangent - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(ref))))
+    for size in (n, n + n * k - 1, n + n * k + 1):
+        with pytest.raises(DimensionMismatchError):
+            fused.f(0.0, np.zeros(size))
 
 
 @pytest.mark.parametrize("planar", ["components", "K"])
@@ -203,28 +245,26 @@ def test_jacobian_kink_convention(planar):
     else:
         F, _, _ = planar_field_from_expr(K_src="0.5*(4*pos(u)^2 + neg(u)^2 + v^2)")
     sys_ = CoupledSystem(M=0, F=F, T=1.0)
-    f = assemble_field(sys_)
-    jac = field_jacobian(sys_, f)
     for u, expected in ((0.0, 0.0), (-0.0, 0.0), (1e-12, 4.0), (-1e-12, 1.0), (0.5, 4.0)):
-        z = np.array([u, 0.3])
+        J = _fused_jacobian(sys_, 0.0, np.array([u, 0.3]))[1]
         # v' = -F_u, so the (v, u) entry is -D_u F_u
-        assert jac(0.0, z)[1][1, 0] == -expected
-        assert jac(0.0, z)[1][0].tolist() == [0.0, 1.0]
+        assert J[1, 0] == -expected
+        assert J[0].tolist() == [0.0, 1.0]
 
 
 def test_plain_callable_jacobian_agrees_with_compiled():
-    """Forward differences of the generic field against the compiled Jacobian (demo system)."""
+    """Forward differences of the generic field against the fused function's D_z f
+    (demo system)."""
     sys_ = load_config(DEMO_CONFIG).system
     plain = replace(sys_, F=_plain(sys_.F), grad_H=_plain(sys_.grad_H), grad_P=_plain(sys_.grad_P))
-    assert plain._compiled_jacobian is None
-    f, g = assemble_field(sys_), assemble_field(plain)
-    jac, fd = field_jacobian(sys_, f), field_jacobian(plain, g)
+    assert _compiled_field(plain) is None
+    fd = field_jacobian(plain)
     rng = np.random.default_rng(2)
     for _ in range(50):
         z = rng.standard_normal(4)
         z[2] = np.copysign(rng.uniform(0.05, 1.0), z[2])
         t = rng.uniform(0.0, 7.0)
-        assert np.allclose(fd(t, z)[1], jac(t, z)[1], rtol=1e-5, atol=1e-6)
+        assert np.allclose(fd(t, z)[1], _fused_jacobian(sys_, t, z)[1], rtol=1e-5, atol=1e-6)
 
 
 def test_plain_callable_jacobian_is_one_sided_at_the_kink():
@@ -233,8 +273,7 @@ def test_plain_callable_jacobian_is_one_sided_at_the_kink():
     osc = asymmetric(4.0, 1.0)
     sys_ = CoupledSystem(M=0, F=lambda t, w: np.asarray(osc.grad(w), dtype=float), T=1.0,
                          w_kink=True)
-    f = assemble_field(sys_)
-    jac = field_jacobian(sys_, f)
+    jac = field_jacobian(sys_)
     for u, expected in ((1e-12, -4.0), (-1e-12, -1.0), (1e-9, -4.0), (-1e-9, -1.0),
                         (0.0, -4.0), (-0.0, -1.0)):
         z = np.array([u, 0.3])
@@ -294,7 +333,7 @@ def test_block_forward_differences_bitwise_equal_differences_of_the_field(name):
     sys_ = _FD_SYSTEMS[name]()
     M = sys_.M
     f = assemble_field(sys_)
-    fjac = field_jacobian(sys_, f)
+    fjac = field_jacobian(sys_)
     rng = np.random.default_rng(17)
     states = []
     for radius in (0.5, 2.0, 5.0, 15.0, 60.0):
@@ -316,8 +355,7 @@ def test_block_forward_differences_bitwise_equal_differences_of_the_field(name):
 
 @pytest.mark.parametrize("M", [0, 1, 2])
 def test_block_forward_differences_call_counts(M):
-    """One evaluation calls F 3 times, grad_H 1 + 2M times and grad_P n + 1 times,
-    and never the assembled field."""
+    """One evaluation calls F 3 times, grad_H 1 + 2M times and grad_P n + 1 times."""
     sys_ = _numpy_system(M)
     calls = {"F": 0, "grad_H": 0, "grad_P": 0}
 
@@ -329,25 +367,36 @@ def test_block_forward_differences_call_counts(M):
 
     counted_sys = replace(sys_, F=counted("F", sys_.F), grad_H=counted("grad_H", sys_.grad_H),
                           grad_P=counted("grad_P", sys_.grad_P))
-
-    def never(t, z):
-        raise AssertionError("the assembled field was called")
-
-    fjac = field_jacobian(counted_sys, VectorField(sys_.dim, never))
+    fjac = field_jacobian(counted_sys)
     fjac(0.3, np.linspace(-0.5, 0.7, sys_.dim))
     assert calls == {"F": 3, "grad_H": 1 + 2 * M, "grad_P": sys_.dim + 1}
 
 
 def test_demo_field_source_reads_every_assignment():
-    """The compiled field and Jacobian keep no assignment that nothing reads."""
+    """The compiled field and the fused variational function keep no assignment
+    that nothing reads; the fused one computes no operation of two structural
+    zeros and each sine and cosine once."""
     sys_ = load_config(DEMO_CONFIG).system
-    for fn in (sys_._compiled_field, sys_._compiled_jacobian):
+    fused = variational(sys_, range(sys_.dim)).f
+    for fn in (_compiled_field(sys_), fused):
         lines = fn.source.splitlines()
         for k, line in enumerate(lines):
             m = re.fullmatch(r"\s*(\w+) = .*", line)
             if m is not None:
                 later = "\n".join(lines[k + 1:])
                 assert re.search(rf"\b{m.group(1)}\b", later), (m.group(1), fn.source)
+    assert not re.search(r"(?<![\w.])-?0\.0 [-+] 0\.0\b", fused.source), fused.source
+    for call in ("_sin(x1)", "_cos(x1)", "_sin(x3)", "_cos(x3)"):
+        assert fused.source.count(call) == 1, (call, fused.source)
+
+
+@pytest.mark.parametrize("d", [4, 5, 7])
+def test_halton_bitwise_equals_scipy(d):
+    """The in-repo scrambled Halton points are scipy's, bit for bit."""
+    from scipy.stats import qmc
+    for seed in (0, 1, 7):
+        ref = qmc.Halton(d=d, scramble=True, seed=seed).random(1000)
+        assert np.array_equal(_bits(halton(1000, d, seed)), _bits(ref)), seed
 
 
 def test_mode_exclusivity():
