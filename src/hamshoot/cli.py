@@ -33,8 +33,8 @@ from . import __version__
 from .conditions import (Ball, avoiding_rays_check, classify_resonance,
                          constant_path, estimate_mbar, fourier_paths,
                          indefinite_twist_check, ll_margin, twist_check, SampleBox)
-from .config import _number, _reading, load_config
-from .errors import ConfigError, IntegrationError, SingularMatrixError, ValidationError
+from .config import load_config
+from .errors import ConfigError, IntegrationError
 from .homogeneous import asym_period, half_periods, minimal_period, reference_orbit
 from .solvers import multistart_neumann, multistart_periodic, solution_flow
 from .systems import validate_periodicity
@@ -104,19 +104,16 @@ def _periods_stage(cfg, out_dir):
 def _classify_stage(cfg, periods_section):
     if "H1" not in periods_section:
         return {"note": "no decomposition; classification skipped"}
-    with _reading("conditions"):
-        tol = _number(cfg.conditions, "resonance_tol", 1e-9)
     if cfg.mode == "periodic":
         tau1 = periods_section["H1"]["tau"]
         tau2 = periods_section["H2"]["tau"]
-        span = cfg.T
         basis = "full periods vs T"
     else:
         tau1 = periods_section["H1"]["tau_plus"]
         tau2 = periods_section["H2"]["tau_plus"]
-        span = cfg.interval[1] - cfg.interval[0]
         basis = "half periods vs b - a"
-    rc = classify_resonance(tau1, tau2, span, tol=tol)
+    span = cfg.system.span
+    rc = classify_resonance(tau1, tau2, span, tol=cfg.conditions["resonance_tol"])
     return {"tag": rc.tag.value, "N": rc.N, "tau1": tau1, "tau2": tau2,
             "span": span, "basis": basis, "text": str(rc)}
 
@@ -126,21 +123,16 @@ def _estimate_mbar(cfg, seed):
     sys_, M = cfg.system, cfg.M
     if sys_.grad_P is None:
         return 0.0
-    mc = cfg.conditions.get("mbar", {}) or {}
-    with _reading("conditions.mbar"):
-        box = SampleBox(t_range=(sys_.t0, sys_.t0 + sys_.span),
-                        x_ranges=((0.0, 2 * np.pi),) * M,
-                        y_ranges=_number(mc, "y_box", [[-1.0, 1.0]] * M, (M, 2)),
-                        w_ranges=_number(mc, "w_box", [[-2.0, 2.0]] * 2, (2, 2)))
-        n_samples = _number(mc, "n_samples", 10000, int)
+    mc = cfg.conditions["mbar"]
+    box = SampleBox(t_range=(sys_.t0, sys_.t0 + sys_.span), x_ranges=((0.0, 2 * np.pi),) * M,
+                    y_ranges=mc["y_box"], w_ranges=mc["w_box"])
     return estimate_mbar(lambda t, x, y, w: sys_.grad_P(t, x, y, w)[2], box,
-                         n_samples=n_samples, seed=seed)
+                         n_samples=mc["n_samples"], seed=seed)
 
 
 def _conditions_stage(cfg, out_dir, seed):
     sys_ = cfg.system
     cond = cfg.conditions
-    M = cfg.M
     rows = []
     section = {}
 
@@ -158,38 +150,26 @@ def _conditions_stage(cfg, out_dir, seed):
     rows.append(("mbar", "sup |grad_w P| estimate", mbar, "", ""))
 
     def ensemble(block):
-        ens_cfg = block.get("ensemble", {}) or {}
-        ens = [constant_path(c) for c in ens_cfg.get("constants", [[0.0, 0.0]])]
-        fr = ens_cfg.get("fourier")
+        ens = [constant_path(c) for c in block["constants"]]
+        fr = block["fourier"]
         if fr:
-            with _reading("ensemble.fourier"):
-                ens += fourier_paths(_number(fr, "count", 2, int), _number(fr, "amplitude", 1.0),
-                                     _number(fr, "modes", 3, int), sys_.T, seed=seed)
+            ens += fourier_paths(fr["count"], fr["amplitude"], fr["modes"], sys_.T, seed=seed)
         return ens
-
-    def ball(block):
-        return Ball(_number(block, "center", [0.0] * M, (M,)), _number(block, "radius", 1.0))
 
     # (key, check, its arguments before the ensemble and its keywords besides x_points)
     twist_checks = (
-        ("twist", twist_check, lambda b: (
-            [b["D"], b["sigma"]], {"y_points": _number(b, "y_points", 3, int)})),
+        ("twist", twist_check, lambda b: ([b["D"], b["sigma"]], {"y_points": b["y_points"]})),
         ("avoiding_rays", avoiding_rays_check, lambda b: (
-            [ball(b), _number(b, "sigma", 1, int)],
-            {"boundary_grid": _number(b, "boundary_points", 16, int)})),
+            [Ball(b["center"], b["radius"]), b["sigma"]], {"boundary_grid": b["boundary_points"]})),
         ("indefinite_twist", indefinite_twist_check, lambda b: (
-            [ball(b), _number(b, "A", np.eye(M), (M, M))],
-            {"boundary_grid": _number(b, "boundary_points", 16, int)})),
+            [Ball(b["center"], b["radius"]), b["A"]], {"boundary_grid": b["boundary_points"]})),
     )
     for key, check, arguments in twist_checks:
-        block = cond.get(key, {}) or {}
-        if not (block.get("enabled", False) and cfg.mode == "periodic"):
+        block = cond[key]
+        if not (block["enabled"] and cfg.mode == "periodic"):
             continue
-        with _reading(f"conditions.{key}"):
-            args, kwargs = arguments(block)
-            kwargs["x_points"] = _number(block, "x_points", 3, int)
-            ens = ensemble(block)
-        rep = check(sys_, *args, ens, **kwargs)
+        args, kwargs = arguments(block)
+        rep = check(sys_, *args, ensemble(block["ensemble"]), x_points=block["x_points"], **kwargs)
         section[key] = {"passed": rep.passed, "n_samples": len(rep.samples),
                         "violations": list(rep.violations)}
         rows.append((key.replace("_", "-"), f"{len(rep.samples)} samples",
@@ -204,24 +184,18 @@ def _ll_stage(cfg, out_dir, seed, mbar_hint=None):
     sys_ = cfg.system
     if sys_.decomposition is None:
         return {"note": "no decomposition; Landesman-Lazer margins skipped"}
-    ll_cfg = cfg.conditions.get("ll", {}) or {}
-    with _reading("conditions.ll"):
-        lam = np.logspace(np.log10(_number(ll_cfg, "lambda_min", 1e2)),
-                          np.log10(_number(ll_cfg, "lambda_max", 1e6)),
-                          _number(ll_cfg, "lambda_points", 9, int))
-        theta_n = _number(ll_cfg, "theta_points", 64, int)
-        s_points = _number(ll_cfg, "s_points", 5, int)
-        t_nodes = _number(ll_cfg, "t_nodes", 512, int)
-        mbar = None if ll_cfg.get("mbar") is None else _number(ll_cfg, "mbar", None)
+    ll = cfg.conditions["ll"]
+    lam = np.logspace(np.log10(ll["lambda_min"]), np.log10(ll["lambda_max"]), ll["lambda_points"])
+    mbar = ll["mbar"]
     if mbar is None:
         mbar = mbar_hint if mbar_hint is not None else _estimate_mbar(cfg, seed)
-    grid = sys_.t0 + np.linspace(0.0, sys_.span, theta_n, endpoint=False)
+    grid = sys_.t0 + np.linspace(0.0, sys_.span, ll["theta_points"], endpoint=False)
     section = {}
     rows = []
     for which, H in (("lower", sys_.decomposition.H1), ("upper", sys_.decomposition.H2)):
         orbit = reference_orbit(H, tol=1e-10)
         rep = ll_margin(sys_, which, orbit, theta_grid=grid, lambda_schedule=lam,
-                        s_points=s_points, mbar=float(mbar), t_nodes=t_nodes)
+                        s_points=ll["s_points"], mbar=float(mbar), t_nodes=ll["t_nodes"])
         section[which] = {"passed": rep.passed, "min_margin": rep.min_margin,
                           "mbar": float(mbar)}
         for theta, lhs, rhs, margin, disp in rep.rows:
@@ -311,6 +285,12 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    want = {"solve-periodic": "periodic", "solve-neumann": "neumann"}.get(args.subcommand)
+    if want not in (None, cfg.mode):
+        print(f"config error: config is {cfg.mode} mode but {args.subcommand} was requested",
+              file=sys.stderr)
+        return EXIT_CONFIG
+
     seed = cfg.seed if args.seed is None else args.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -331,17 +311,11 @@ def main(argv=None):
             print(f"resonance: {results['resonance'].get('text', 'n/a')}")
         if args.subcommand in ("check-conditions", "full"):
             results["conditions"] = _conditions_stage(cfg, out_dir, seed)
-        ll_enabled = ((cfg.conditions or {}).get("ll", {}) or {}).get("enabled", False)
-        if args.subcommand == "ll" or (args.subcommand == "full" and ll_enabled):
+        if args.subcommand == "ll" or (args.subcommand == "full"
+                                       and cfg.conditions["ll"]["enabled"]):
             mbar_hint = (results.get("conditions", {}) or {}).get("mbar", {}).get("estimate")
             results["ll"] = _ll_stage(cfg, out_dir, seed, mbar_hint=mbar_hint)
         if args.subcommand in ("solve-periodic", "solve-neumann", "full"):
-            want = "periodic" if args.subcommand == "solve-periodic" else \
-                "neumann" if args.subcommand == "solve-neumann" else cfg.mode
-            if want != cfg.mode:
-                print(f"config error: config is {cfg.mode} mode but "
-                      f"{args.subcommand} was requested", file=sys.stderr)
-                return EXIT_CONFIG
             section, result = _solve_stage(cfg, out_dir, seed,
                                            dump_trajectories=args.dump_trajectories)
             results["solutions"] = section
@@ -356,9 +330,6 @@ def main(argv=None):
     except IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         code = EXIT_INTEGRATION
-    except (ValidationError, SingularMatrixError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        code = EXIT_CONFIG
 
     results["metadata"]["wall_time_s"] = time.time() - t_start
     results["metadata"]["timestamp_utc"] = datetime.now(timezone.utc).isoformat()

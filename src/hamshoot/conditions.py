@@ -31,7 +31,7 @@ __all__ = [
     "estimate_mbar", "SampleBox",
     "LLReport", "ll_margin", "scalar_ll", "AsymmetricEigenfunction",
     "TwistReport", "twist_check", "avoiding_rays_check", "indefinite_twist_check",
-    "Ball", "constant_path", "fourier_paths", "frozen_subsystem",
+    "check_twist_matrix", "Ball", "constant_path", "fourier_paths", "frozen_subsystem",
 ]
 
 
@@ -119,6 +119,8 @@ def estimate_mbar(grad_P_w, box, n_samples=10000, seed=0):
     A lower bound on the true supremum; callers may override with an
     analytic value when one is known.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     bounds = box.bounds if isinstance(box, SampleBox) else tuple(box)
     dim = len(bounds)
     M = (dim - 3) // 2
@@ -411,17 +413,23 @@ def _drift_check(sys, name, pairs, ensemble, x_points, judge):
 
     ``judge(drift, nu)`` returns (tested value, ok, what a violation reads).
     The flows run at tolerance 1e-8; integration failures count as
-    violations of the solutions being defined on [0, T].
+    violations of the solutions being defined on [0, T].  A check with no
+    x0, no path or no face/boundary sample raises ValueError: it would pass
+    on zero samples.
     """
     if sys.mode != "periodic":
         raise ValueError(f"{name} check applies to periodic mode")
     M = sys.M
+    grid = _x_grid(M, x_points)
+    if not (grid and ensemble and pairs):
+        raise ValueError(f"{name} check needs at least one x0, one path and one "
+                         f"face/boundary sample")
     samples = []
     violations = []
     for p_idx, path in enumerate(ensemble):
         f = frozen_subsystem(sys, path)
         for label, y0, nu in pairs:
-            for x0 in _x_grid(M, x_points):
+            for x0 in grid:
                 desc = f"path{p_idx} {label} x0={np.round(x0, 3)}"
                 try:
                     traj = integrate(f, np.concatenate([x0, y0]), 0.0, sys.T, 1e-8, dense=False)
@@ -503,6 +511,8 @@ def avoiding_rays_check(sys, body, sigma, ensemble, boundary_grid=16, x_points=3
     Violation when the drift vanishes (norm at most 1e-9: lam = 0 membership)
     or its angle to sigma * nu is below 1e-3 rad.
     """
+    if sigma not in (1, -1):
+        raise ValueError(f"sigma must be +1 or -1, got {sigma!r}")
 
     def judge(drift, nu):
         nd = float(np.linalg.norm(drift))
@@ -517,16 +527,22 @@ def avoiding_rays_check(sys, body, sigma, ensemble, boundary_grid=16, x_points=3
                         x_points, judge)
 
 
-def indefinite_twist_check(sys, body, A_matrix, ensemble, boundary_grid=16,
-                           x_points=3):
-    """A3'' falsifier: <x(T) - x(0), A nu(y0)> > 0 on the boundary of D."""
+def check_twist_matrix(A_matrix, M):
+    """Raise SingularMatrixError unless ``A_matrix`` is M x M, symmetric and regular."""
     A = np.asarray(A_matrix, dtype=float)
-    if A.shape != (sys.M, sys.M):
-        raise SingularMatrixError(f"A must be {sys.M}x{sys.M}")
+    if A.shape != (M, M):
+        raise SingularMatrixError(f"A must be {M}x{M}")
     if not np.allclose(A, A.T, atol=1e-12):
         raise SingularMatrixError("A must be symmetric")
     if abs(np.linalg.det(A)) < 1e-12:
         raise SingularMatrixError("A must be regular (nonzero determinant)")
+
+
+def indefinite_twist_check(sys, body, A_matrix, ensemble, boundary_grid=16,
+                           x_points=3):
+    """A3'' falsifier: <x(T) - x(0), A nu(y0)> > 0 on the boundary of D."""
+    check_twist_matrix(A_matrix, sys.M)
+    A = np.asarray(A_matrix, dtype=float)
 
     def judge(drift, nu):
         val = float(np.dot(drift, A @ nu))

@@ -48,8 +48,16 @@ Top-level keys::
     output:
       trajectory_stride: <float>  # row spacing of --dump-trajectories (default span/1000)
 
-Loading builds the system.  Everything that fails to read or to build is
-collected, under its YAML path, into one :class:`ValidationError`.
+Loading reads every block, ``conditions`` included, by one table
+(``_FORMAT``) that gives each key its kind and default (null reads as the
+default), and builds the system.  Unknown keys, blocks that are not
+mappings, bad values and expressions that fail to build are collected under
+their YAML paths into one :class:`ValidationError`.  So that no check passes
+on zero samples, every count is at least 1; ``enabled`` is a YAML boolean,
+``radius`` positive, the avoiding-rays ``sigma`` +1 or -1, ``constants``
+rows of two numbers; an enabled twist needs ``D`` and ``sigma``; and ``A``
+passes :func:`~hamshoot.conditions.check_twist_matrix`.  Arrays read as
+nested tuples of floats.
 """
 
 from __future__ import annotations
@@ -61,7 +69,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .errors import ConfigParseError, ExprSyntaxError, UnboundVariableError, ValidationError
+from .conditions import check_twist_matrix
+from .errors import (ConfigParseError, ExprSyntaxError, SingularMatrixError,
+                     UnboundVariableError, ValidationError)
 from .presets import (asymmetric_field, coupling_from_expr, free_rotator,
                       hamiltonian_block_from_expr, pendulum_hamiltonian,
                       planar_field_from_expr)
@@ -70,9 +80,6 @@ from .systems import CoupledSystem
 
 __all__ = ["ExperimentConfig", "load_config", "loads_config"]
 
-_ALLOWED_TOP = {"mode", "M", "T", "interval", "seed", "params", "hamiltonian",
-                "coupling", "planar", "solver", "conditions", "output"}
-
 
 @dataclass
 class ExperimentConfig:
@@ -80,115 +87,144 @@ class ExperimentConfig:
     config_hash: str
     mode: str
     M: int
-    T: float | None
-    interval: tuple | None
     seed: int
     newton_tol: float
     max_iter: int
     multistart: MultistartSpec
     neumann_multistart: NeumannStartSpec
-    conditions: dict
+    conditions: dict  # the parsed conditions block, defaults filled in
     trajectory_stride: float  # time between rows of dumped trajectories
     system: CoupledSystem = field(default=None, repr=False)
     # (mu1, nu1, mu2, nu2) of the asymmetric planar preset, None for other blocks
     _stiffness: tuple = field(default=None, repr=False)
 
 
-def _number(section, key, default, kind=float):
-    """``section[key]``, or ``default`` when absent, as ``kind``: float, int,
-    or the shape of a float array, where None admits any length."""
-    value = section.get(key, default)
+# Value kinds besides float, int and bool: an integer >= 1, a positive finite
+# number, a value passed on as written (preset names and expressions), and a
+# float array given by its shape, where "M" is M and None admits any length.
+_COUNT, _POSITIVE, _AS_IS = "count", "positive", None
+_WHAT = {float: "a number", int: "an integer", bool: "true or false",
+         _COUNT: "a positive integer", _POSITIVE: "a positive number"}
+_NEEDED = "needed"  # no default: a check that is enabled needs the key
+
+
+def _parse(value, kind):
+    """``value`` as ``kind``, an array as nested tuples; None if it is not one."""
     try:
-        if not isinstance(kind, tuple):
-            return kind(value)
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == len(kind) and all(k in (None, m) for k, m in zip(kind, arr.shape)):
-            return arr
+        if isinstance(kind, tuple):
+            arr = np.asarray(value, dtype=float)
+            if arr.ndim == len(kind) and all(k in (None, m) for k, m in zip(kind, arr.shape)):
+                return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.tolist())
+            return None
+        if kind in (bool, _AS_IS):
+            return value if kind is _AS_IS or isinstance(value, bool) else None
+        number = (int if kind in (int, _COUNT) else float)(value)
+        ok = kind in (int, float) or (number >= 1 if kind == _COUNT else 0.0 < number < np.inf)
+        return number if ok else None
     except (TypeError, ValueError, OverflowError):
-        pass
-    what = {int: "an integer", float: "a number"}.get(
-        kind, f"numbers in shape {str(kind).replace('None', 'n')}")
-    raise ValidationError([f"{key} must be {what}, got {value!r}"])
+        return None
 
 
-def _mapping(section, key, problems, where=""):
-    """``section[key]`` as a mapping, {} when absent or null; anything else is
-    added to ``problems`` under ``where + key``."""
-    value = section.get(key)
-    if value is None or isinstance(value, dict):
-        return value or {}
-    problems.append(f"{where}{key} must be a mapping, got {value!r}")
-    return {}
-
-
-# the keys of each start grid, each with its kind for _number
-_START_KEYS = {
-    "multistart": (MultistartSpec, {
-        "x_points": int, "y_ranges": (None, 2), "y_points": int, "w_radii": (None,),
-        "w_angles": int, "budget": int, "jitter": float}),
-    "neumann_multistart": (NeumannStartSpec, {
-        "x_points": int, "u_range": (2,), "u_points": int, "budget": int, "jitter": float}),
+# Each key of a block: a nested block (read with its defaults when absent), or
+# (kind, default[, check]).  A default may be a function of M; a block kind
+# with default None is read only when given.  check(value, M) returns what is
+# wrong with a given value that parsed, starting with its key, or None, or
+# raises SingularMatrixError with such a message.
+_ENSEMBLE = {"constants": ((None, 2), [[0.0, 0.0]]),
+             "fourier": ({"count": (_COUNT, 2), "amplitude": (float, 1.0),
+                          "modes": (_COUNT, 3)}, None)}
+_CHECK = {"enabled": (bool, False), "x_points": (_COUNT, 3), "ensemble": _ENSEMBLE}
+_BALL = {**_CHECK, "center": (("M",), np.zeros), "radius": (_POSITIVE, 1.0),
+         "boundary_points": (_COUNT, 16)}
+_FORMAT = {
+    "hamiltonian": {"preset": (_AS_IS, "free_rotator"), "A": (float, 1.0),
+                    "E": (_AS_IS, "0"), "expr": (_AS_IS, None)},
+    "coupling": {"expr": (_AS_IS, "0")},
+    "planar": {"preset": (_AS_IS, "asymmetric"), "mu1": (float, 1.0), "nu1": (float, 1.0),
+               "mu2": (float, None), "nu2": (float, None), "h": (_AS_IS, "0"),
+               **dict.fromkeys(("K", "components", "H1", "H2", "Q"), (_AS_IS, None))},
+    "solver": {  # a start-grid key left out takes the grid's own default
+        "newton_tol": (float, 1e-9), "max_iter": (int, 40),
+        "multistart": {"x_points": (int, None), "y_points": (int, None),
+                       "y_ranges": ((None, 2), None, lambda v, M: None if not M or len(v) in (1, M)
+                                    else f"y_ranges must have 1 (shared) or M={M} rows"),
+                       "w_radii": ((None,), None), "w_angles": (int, None),
+                       "budget": (int, None), "jitter": (float, None)},
+        "neumann_multistart": {"x_points": (int, None), "u_range": ((2,), None),
+                               "u_points": (int, None), "budget": (int, None),
+                               "jitter": (float, None)}},
+    "conditions": {
+        "resonance_tol": (float, 1e-9),
+        "mbar": {"n_samples": (_COUNT, 10000),
+                 "y_box": (("M", 2), lambda M: np.full((M, 2), (-1.0, 1.0))),
+                 "w_box": ((2, 2), [[-2.0, 2.0]] * 2)},
+        "ll": {"enabled": (bool, False), "theta_points": (_COUNT, 64),
+               "lambda_min": (_POSITIVE, 1e2), "lambda_max": (_POSITIVE, 1e6),
+               "lambda_points": (_COUNT, 9), "s_points": (_COUNT, 5),
+               "t_nodes": (_COUNT, 512), "mbar": (float, None)},  # None: estimated
+        "twist": {**_CHECK, "y_points": (_COUNT, 3),
+                  "D": (("M", 2), _NEEDED, lambda D, M: None if all(a < b for a, b in D)
+                        else f"D must be M={M} ranges [a_i, b_i] with a_i < b_i"),
+                  "sigma": (("M",), _NEEDED, lambda s, M: None if all(abs(c) == 1 for c in s)
+                            else f"sigma must be M={M} entries of +-1")},
+        "avoiding_rays": {**_BALL, "sigma": (float, 1, lambda s, M: None if s in (1, -1)
+                                             else f"sigma must be +1 or -1, got {s:g}")},
+        "indefinite_twist": {**_BALL, "A": (("M", "M"), np.eye, check_twist_matrix)}},
+    "output": {"trajectory_stride": (_POSITIVE, None)},  # None: span / 1000
 }
+_ALLOWED_TOP = {"mode", "M", "T", "interval", "seed", "params", *_FORMAT}
 
 
-def _known(section, keys, where, problems):
-    """Add every key of ``section`` that is not in ``keys`` to ``problems``."""
-    problems.extend(f"{where}.{k} must be one of the keys {', '.join(keys)}"
-                    for k in section if k not in keys)
-
-
-# the keys each block besides solver reads, by YAML path, parents first
-_BLOCK_KEYS = {
-    "hamiltonian": "preset A E expr",
-    "coupling": "expr",
-    "planar": "preset mu1 nu1 mu2 nu2 h K components H1 H2 Q",
-    "output": "trajectory_stride",
-    "conditions": "resonance_tol mbar ll twist avoiding_rays indefinite_twist",
-    "conditions.mbar": "n_samples y_box w_box",
-    "conditions.ll": "enabled theta_points lambda_min lambda_max lambda_points s_points "
-                     "t_nodes mbar",
-    "conditions.twist": "enabled D sigma x_points y_points ensemble",
-    "conditions.avoiding_rays": "enabled center radius sigma boundary_points x_points ensemble",
-    "conditions.indefinite_twist": "enabled center radius A boundary_points x_points ensemble",
-}
-for _check in ("twist", "avoiding_rays", "indefinite_twist"):
-    _BLOCK_KEYS[f"conditions.{_check}.ensemble"] = "constants fourier"
-    _BLOCK_KEYS[f"conditions.{_check}.ensemble.fourier"] = "count amplitude modes"
-
-
-def _start_spec(solver, key, M, problems):
-    """The start grid ``solver[key]``; what fails to read goes to ``problems``."""
-    spec, kinds = _START_KEYS[key]
-    where = f"solver.{key}"
-    block = _mapping(solver, key, problems, "solver.")
-    _known(block, kinds, where, problems)
+def _read(section, table, where, M, problems):
+    """The block ``section`` at YAML path ``where``, read by ``table``: each
+    key's value, or its default when absent or null.  What does not read goes
+    to ``problems`` under its path and reads as the default."""
+    if not isinstance(section, (dict, type(None))):
+        problems.append(f"{where} must be a mapping, got {section!r}")
+    section = section if isinstance(section, dict) else {}
+    problems.extend(f"{where}.{k} must be one of the keys {', '.join(table)}"
+                    for k in section if k not in table)
     values = {}
-    for name in (k for k in kinds if k in block):
-        with _reading(where, problems):
-            value = _number(block, name, None, kinds[name])
-            if isinstance(value, np.ndarray):
-                value = tuple(map(tuple, value.tolist()) if value.ndim == 2 else value.tolist())
-            if name == "y_ranges" and M and len(value) not in (1, M):
-                raise ValidationError([f"y_ranges must have 1 (shared) or M={M} rows"])
-            values[name] = value
-    return spec(**values)
+    for key, entry in table.items():
+        value = section.get(key)
+        kind, default, check = (entry, {}, None) if isinstance(entry, dict) else (*entry, None)[:3]
+        if isinstance(kind, dict):
+            values[key] = None if value is None and default is None else \
+                _read(value, kind, f"{where}.{key}", M, problems)
+            continue
+        default = default(M) if callable(default) else default
+        if value is None:
+            if default is None or default is _NEEDED and not values.get("enabled"):
+                values[key] = None
+                continue
+            if default is not _NEEDED:  # a needed key is read as None: reported missing
+                value, check = default, None
+        shape = tuple(M if k == "M" else k for k in kind) if isinstance(kind, tuple) else kind
+        parsed = _parse(value, shape)
+        what = _WHAT.get(kind) or f"numbers in shape {str(shape).replace('None', 'n')}"
+        try:
+            wrong = f"{key} must be {what}, got {value!r}" if parsed is None else \
+                check and check(parsed, M)
+        except SingularMatrixError as exc:
+            wrong = str(exc)
+        if wrong:
+            problems.append(f"{where}.{wrong}")
+            parsed = _parse(default, shape)  # None for no default
+        values[key] = parsed
+    return values
 
 
 @contextmanager
-def _reading(where, problems=None):
-    """Name what fails inside by the YAML path ``where``: a ValidationError's
-    problems (each starts with its key) as ``where.problem``, an expression
-    error as ``where: error``; add them to ``problems``, or raise them."""
+def _reading(where, problems):
+    """Add what fails inside to ``problems`` under the YAML path ``where``: a
+    ValidationError's problems (each starts with its key) as ``where.problem``,
+    an expression error as ``where: error``."""
     try:
         yield
-        return
     except ValidationError as exc:
-        found = [f"{where}.{p}" for p in exc.problems]
+        problems.extend(f"{where}.{p}" for p in exc.problems)
     except (ExprSyntaxError, UnboundVariableError) as exc:
-        found = [f"{where}: {exc}"]
-    if problems is None:
-        raise ValidationError(found) from None
-    problems.extend(found)
+        problems.append(f"{where}: {exc}")
 
 
 def load_config(path):
@@ -213,14 +249,6 @@ def loads_config(text, path="<string>"):
     unknown = set(raw) - _ALLOWED_TOP
     if unknown:
         problems.append(f"unknown top-level keys: {sorted(unknown)}")
-    blocks = {key: _mapping(raw, key, problems) for key in
-              ("hamiltonian", "coupling", "planar", "solver", "conditions", "output")}
-    for where, keys in _BLOCK_KEYS.items():
-        *parents, key = where.split(".")
-        section = blocks
-        for name in parents:  # a parent that is not a mapping is reported at its own path
-            section = section[name] if isinstance(section.get(name), dict) else {}
-        _known(_mapping(section, key, problems, where[:-len(key)]), keys.split(), where, problems)
 
     mode = raw.get("mode", "periodic")
     if mode not in ("periodic", "neumann"):
@@ -264,41 +292,20 @@ def loads_config(text, path="<string>"):
             problems.append(f"params.{k} must be a number, got {v!r}")
     params = {k: v for k, v in params.items() if isinstance(v, (int, float))}
 
-    twist = blocks["conditions"].get("twist")
-    if isinstance(twist, dict) and twist.get("enabled", False):
-        with _reading("conditions.twist", problems):
-            D = _number(twist, "D", None, (M, 2))
-            if not np.all(D[:, 0] < D[:, 1]):
-                raise ValidationError([f"D must be M={M} ranges [a_i, b_i] with a_i < b_i"])
-        with _reading("conditions.twist", problems):
-            if not np.all(np.abs(_number(twist, "sigma", None, (M,))) == 1):
-                raise ValidationError([f"sigma must be M={M} entries of +-1"])
-
-    solver = blocks["solver"]
-    _known(solver, ("newton_tol", "max_iter", *_START_KEYS), "solver", problems)
-    with _reading("solver", problems):
-        newton_tol = _number(solver, "newton_tol", 1e-9)
-    with _reading("solver", problems):
-        max_iter = _number(solver, "max_iter", 40, int)
-    starts = {key: _start_spec(solver, key, M, problems) for key in _START_KEYS}
-
-    stride = None
-    if "trajectory_stride" in blocks["output"]:
-        with _reading("output", problems):
-            stride = _number(blocks["output"], "trajectory_stride", None)
-            if not 0.0 < stride < np.inf:
-                raise ValidationError([f"trajectory_stride must be positive, got {stride!r}"])
-
+    blocks = {key: _read(raw.get(key), table, key, M, problems)
+              for key, table in _FORMAT.items()}
     system, stiffness = _build_system(blocks, M, params, T, interval, problems)
 
     if problems:
         raise ValidationError(problems)
 
+    solver, stride = blocks["solver"], blocks["output"]["trajectory_stride"]
+    starts = {key: spec(**{k: v for k, v in solver[key].items() if v is not None})
+              for key, spec in (("multistart", MultistartSpec),
+                                ("neumann_multistart", NeumannStartSpec))}
     return ExperimentConfig(
-        path=path, config_hash=cfg_hash, mode=mode, M=M,
-        T=system.T, interval=system.interval,
-        seed=seed,
-        newton_tol=newton_tol, max_iter=max_iter, **starts,
+        path=path, config_hash=cfg_hash, mode=mode, M=M, seed=seed,
+        newton_tol=solver["newton_tol"], max_iter=solver["max_iter"], **starts,
         conditions=blocks["conditions"],
         trajectory_stride=system.span / 1000.0 if stride is None else stride,
         system=system, _stiffness=stiffness,
@@ -310,15 +317,15 @@ def _build_system(blocks, M, params, T, interval, problems):
     ``problems`` under its YAML path.  Returns the CoupledSystem (None if there
     are problems) and the stiffness pairs of an asymmetric planar preset."""
     ham = blocks["hamiltonian"]
-    hpreset = ham.get("preset", "free_rotator")
+    hpreset = ham["preset"]
     grad_H = None
     with _reading("hamiltonian", problems):
         if hpreset == "pendulum":
             if M != 1:
                 raise ValidationError(["preset pendulum requires M = 1"])
-            grad_H = pendulum_hamiltonian(_number(ham, "A", 1.0), ham.get("E", "0"), params)
+            grad_H = pendulum_hamiltonian(ham["A"], ham["E"], params)
         elif hpreset == "expr":
-            if "expr" not in ham:
+            if ham["expr"] is None:
                 raise ValidationError(["expr is required by preset expr"])
             grad_H = hamiltonian_block_from_expr(ham["expr"], M, params)
         elif hpreset == "free_rotator":
@@ -327,24 +334,23 @@ def _build_system(blocks, M, params, T, interval, problems):
             raise ValidationError([f"preset {hpreset!r} is unknown"])
 
     grad_P = None
-    coupling = blocks["coupling"].get("expr", "0")
+    coupling = blocks["coupling"]["expr"]
     if coupling != "0":
         with _reading("coupling", problems):
             grad_P = coupling_from_expr(coupling, M, params)
 
     planar = blocks["planar"]
-    ppreset = planar.get("preset", "asymmetric")
+    ppreset = planar["preset"]
     block = stiffness = None
     with _reading("planar", problems):
         if ppreset == "asymmetric":
-            mu1, nu1 = _number(planar, "mu1", 1.0), _number(planar, "nu1", 1.0)
-            stiffness = (mu1, nu1, _number(planar, "mu2", mu1), _number(planar, "nu2", nu1))
-            block = asymmetric_field(*stiffness, planar.get("h", "0"), params)
+            mu1, nu1, mu2, nu2 = (planar[k] for k in ("mu1", "nu1", "mu2", "nu2"))
+            stiffness = (mu1, nu1, mu1 if mu2 is None else mu2, nu1 if nu2 is None else nu2)
+            block = asymmetric_field(*stiffness, planar["h"], params)
         elif ppreset == "expr":
             block = planar_field_from_expr(
-                K_src=planar.get("K"), components=planar.get("components"),
-                params=params, H1_src=planar.get("H1"), H2_src=planar.get("H2"),
-                Q_src=planar.get("Q"))
+                K_src=planar["K"], components=planar["components"], params=params,
+                H1_src=planar["H1"], H2_src=planar["H2"], Q_src=planar["Q"])
         else:
             raise ValidationError([f"preset {ppreset!r} is unknown"])
 

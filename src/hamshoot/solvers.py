@@ -1,6 +1,6 @@
 """Newton shooting for T-periodic and Neumann-type solutions.
 
-One core serves both problems.  It integrates the assembled field over a
+One core serves both problems.  It integrates the variational field over a
 window (t0, t1) and roots the rows ``rows`` of the boundary defect
 wrap_x(z(t1) - z(t0)), whose angular (x) components are wrapped to
 (-pi, pi], over the state components ``cols`` that hold the unknowns.
@@ -156,7 +156,6 @@ def _newton(evaluate, z0, tol, max_iter):
         if nR <= tol:
             return z, nR, it
         use_lm = False
-        delta = None
         cond = np.linalg.cond(J)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             use_lm = True
@@ -172,13 +171,10 @@ def _newton(evaluate, z0, tol, max_iter):
                             _MAX_BACKTRACKS if use_lm else _NEWTON_BACKTRACKS)
         if step is None and not use_lm:
             # stalled Newton direction: retry the same iteration with LM
-            use_lm = True
             step = _line_search(evaluate, z, _lm_step(J, R), nR)
         if step is None:
-            if use_lm:
-                raise SingularJacobianError(
-                    f"LM fallback stalled at residual {nR:.3e} (cond ~ {cond:.3e})")
-            raise MaxIterationsError(f"line search stalled at residual {nR:.3e}")
+            raise SingularJacobianError(
+                f"LM fallback stalled at residual {nR:.3e} (cond ~ {cond:.3e})")
         z, R, J, nR = step
     if nR <= tol:
         return z, nR, max_iter

@@ -86,6 +86,11 @@ def test_mbar_zero_and_constant():
     assert est == pytest.approx(eps)
 
 
+def test_mbar_needs_a_sample():
+    with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+        estimate_mbar(lambda t, x, y, w: np.ones(2), _box(), n_samples=0)
+
+
 # ---------------------------------------------------------------------------
 # scalar Landesman-Lazer
 # ---------------------------------------------------------------------------
@@ -334,6 +339,27 @@ def test_avoiding_rays_zero_drift_fails():
                               [constant_path([0.0, 0.0])], boundary_grid=4, x_points=1)
     assert not rep.passed
     assert all("zero drift" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("check, kwargs", [
+    (twist_check, {"x_points": 0}),            # no x0
+    (twist_check, {"y_points": 0}),            # no face sample (M = 2)
+    (twist_check, {"ensemble": []}),           # no path
+    (avoiding_rays_check, {"boundary_grid": 0}),  # no boundary sample (M = 2)
+])
+def test_twist_checks_refuse_zero_samples(check, kwargs):
+    sys_ = _free_rotator(2)
+    kwargs = {"ensemble": [constant_path([0.0, 0.0])], **kwargs}
+    args = ([(-1.0, 1.0)] * 2, [1, 1]) if check is twist_check else (Ball(np.zeros(2), 1.0), -1)
+    with pytest.raises(ValueError, match="check needs at least one x0, one path and one"):
+        check(sys_, *args, **kwargs)
+
+
+@pytest.mark.parametrize("sigma", [0, 2, -0.5])
+def test_avoiding_rays_sigma_must_be_a_sign(sigma):
+    with pytest.raises(ValueError, match="sigma must be \\+1 or -1"):
+        avoiding_rays_check(_free_rotator(2), Ball(np.zeros(2), 1.0), sigma,
+                            [constant_path([0.0, 0.0])])
 
 
 def test_indefinite_twist():

@@ -9,10 +9,32 @@ import pytest
 import yaml
 
 import hamshoot
+from hamshoot import cli
 from hamshoot.config import loads_config
 from hamshoot.errors import ConfigParseError, ValidationError
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "pendulum_oscillator.yaml"
+
+
+def _edited(where, values, text=None):
+    """The demo config (or ``text``) with ``values`` set in the block at YAML path ``where``."""
+    raw = yaml.safe_load(text or DEMO_CONFIG.read_text())
+    section = raw
+    for key in where.split("."):
+        section = section.setdefault(key, {})
+    section.update(values)
+    return raw
+
+
+def _rejected(tmp_path, capsys, raw, subcommand="full"):
+    """Run the CLI in process on ``raw``; its stderr, once it exited 2 and wrote nothing."""
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "o"
+    assert cli.main([subcommand, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+    return capsys.readouterr().err
+
 
 MINIMAL = """
 mode: periodic
@@ -214,6 +236,7 @@ conditions:
     ("D: [[-8.0, 8.0]]", "D: [[-8.0, 8.0], [0, 1]]",
      "conditions.twist.D must be numbers in shape (1, 2), got [[-8.0, 8.0], [0, 1]]"),
     ("sigma: [1]", "sigma: [2]", "conditions.twist.sigma must be M=1 entries of +-1"),
+    ("    D: [[-8.0, 8.0]]\n", "", "conditions.twist.D must be numbers in shape (1, 2), got None"),
 ])
 def test_twist_box_problems(old, new, problem):
     with pytest.raises(ValidationError) as ei:
@@ -287,10 +310,14 @@ def test_cli_determinism(cli_run, tmp_path):
 
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("mode: periodic\nM: 1\nT: -3\nplanar: {preset: asymmetric}\n")
+    bad.write_text("mode: periodic\nM: 1\nT: -3\nplanar: {preset: asymmetric}\n"
+                   "conditions: {twist: {x_points: 0}}\n")
     proc = _run_cli(["periods", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+    assert "conditions.twist.x_points must be a positive integer, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("subcommand, block, values", [
@@ -306,20 +333,90 @@ def test_cli_config_error_exit_code(tmp_path):
     ("solve-periodic", "solver.multistart", {"w_radii": [[0.25]]}),
     ("solve-periodic", "solver.neumann_multistart", {"u_points": "few"}),
 ])
-def test_cli_malformed_conditions_exit_code(tmp_path, subcommand, block, values):
+def test_cli_malformed_conditions_exit_code(tmp_path, capsys, subcommand, block, values):
     # ``block`` is a path below ``conditions``, or one from the top for ``solver``
     where = block if block.startswith("solver") else f"conditions.{block}"
-    raw = yaml.safe_load(DEMO_CONFIG.read_text())
-    section = raw
-    for key in where.split("."):
-        section = section.setdefault(key, {})
-    section.update(values)
-    cfg = tmp_path / "bad.yaml"
-    cfg.write_text(yaml.safe_dump(raw))
-    proc = _run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert proc.returncode == 2, proc.stderr
-    assert f"{where}.{next(k for k in values if k != 'enabled')} must be" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    err = _rejected(tmp_path, capsys, _edited(where, values), subcommand)
+    assert f"{where}.{next(k for k in values if k != 'enabled')} must be" in err
+
+
+M2_CONFIG = """
+mode: periodic
+M: 2
+T: 6.0
+hamiltonian: {preset: free_rotator}
+planar: {preset: asymmetric}
+"""
+
+
+@pytest.mark.parametrize("where, values, problem", [
+    *((where, {key: 0}, f"{where}.{key} must be a positive integer, got 0") for where, key in (
+        ("conditions.twist", "x_points"), ("conditions.twist", "y_points"),
+        ("conditions.avoiding_rays", "boundary_points"), ("conditions.mbar", "n_samples"),
+        ("conditions.ll", "theta_points"), ("conditions.ll", "lambda_points"),
+        ("conditions.ll", "s_points"), ("conditions.ll", "t_nodes"),
+        ("conditions.twist.ensemble.fourier", "count"),
+        ("conditions.twist.ensemble.fourier", "modes"))),
+    ("conditions.twist", {"enabled": "false"},
+     "conditions.twist.enabled must be true or false, got 'false'"),
+    ("conditions.avoiding_rays", {"radius": 0},
+     "conditions.avoiding_rays.radius must be a positive number, got 0"),
+    ("conditions.indefinite_twist", {"radius": -1.0},
+     "conditions.indefinite_twist.radius must be a positive number, got -1.0"),
+    ("conditions.avoiding_rays", {"sigma": 0},
+     "conditions.avoiding_rays.sigma must be +1 or -1, got 0"),
+    ("conditions.avoiding_rays", {"sigma": 1.5},
+     "conditions.avoiding_rays.sigma must be +1 or -1, got 1.5"),
+    ("conditions.ll", {"lambda_min": 0},
+     "conditions.ll.lambda_min must be a positive number, got 0"),
+    ("conditions.twist.ensemble", {"constants": [[0.0, "a"]]},
+     "conditions.twist.ensemble.constants must be numbers in shape (n, 2), got [[0.0, 'a']]"),
+    ("conditions.twist.ensemble", {"constants": [[0.0, 0.0, 1.0]]}, "conditions.twist."
+     "ensemble.constants must be numbers in shape (n, 2), got [[0.0, 0.0, 1.0]]"),
+])
+def test_no_check_runs_on_values_it_cannot_use(tmp_path, capsys, where, values, problem):
+    # a check must not pass on zero samples, or on a sigma or path it cannot use
+    raw = _edited(where, values)
+    with pytest.raises(ValidationError) as ei:
+        loads_config(yaml.safe_dump(raw))
+    assert ei.value.problems == [problem]
+    assert problem in _rejected(tmp_path, capsys, raw)
+
+
+@pytest.mark.parametrize("text, A, problem", [
+    (None, [[0.0]], "regular (nonzero determinant)"),
+    (M2_CONFIG, [[1.0, 2.0], [0.0, 1.0]], "symmetric"),
+    (M2_CONFIG, [[1.0, 2.0], [2.0, 4.0]], "regular (nonzero determinant)"),
+])
+def test_indefinite_twist_matrix_is_checked_at_load(tmp_path, capsys, text, A, problem):
+    # by conditions.check_twist_matrix, the check the library runs
+    raw = _edited("conditions.indefinite_twist", {"A": A}, text)
+    problem = f"conditions.indefinite_twist.A must be {problem}"
+    with pytest.raises(ValidationError) as ei:
+        loads_config(yaml.safe_dump(raw))
+    assert ei.value.problems == [problem]
+    assert problem in _rejected(tmp_path, capsys, raw)
+
+
+def test_conditions_are_read_at_load_with_defaults():
+    cond = loads_config(MINIMAL).conditions
+    assert cond["resonance_tol"] == 1e-9
+    assert cond["mbar"] == {"n_samples": 10000, "y_box": ((-1.0, 1.0),),
+                            "w_box": ((-2.0, 2.0), (-2.0, 2.0))}
+    assert cond["ll"] == {"enabled": False, "theta_points": 64, "lambda_min": 1e2,
+                          "lambda_max": 1e6, "lambda_points": 9, "s_points": 5,
+                          "t_nodes": 512, "mbar": None}
+    ensemble = {"constants": ((0.0, 0.0),), "fourier": None}
+    assert cond["twist"] == {"enabled": False, "x_points": 3, "ensemble": ensemble,
+                             "y_points": 3, "D": None, "sigma": None}
+    ball = {"enabled": False, "x_points": 3, "ensemble": ensemble, "center": (0.0,),
+            "radius": 1.0, "boundary_points": 16}
+    assert cond["avoiding_rays"] == {**ball, "sigma": 1}
+    assert cond["indefinite_twist"] == {**ball, "A": ((1.0,),)}
+    twist = loads_config(DEMO_CONFIG.read_text()).conditions["twist"]
+    assert twist["ensemble"]["fourier"] == {"count": 2, "amplitude": 1.0, "modes": 3}
+    assert (twist["D"], twist["sigma"], twist["x_points"]) == (((-8.0, 8.0),), (1.0,), 4)
+    assert loads_config(M2_CONFIG).conditions["indefinite_twist"]["A"] == ((1.0, 0.0), (0.0, 1.0))
 
 
 @pytest.mark.parametrize("key, value", [("hamiltonian", "pendulum"), ("conditions", [1]),
@@ -332,13 +429,11 @@ def test_top_level_block_must_be_a_mapping(key, value):
     assert ei.value.problems == [f"{key} must be a mapping, got {value!r}"]
 
 
-def test_cli_top_level_block_not_a_mapping_exit_code(tmp_path):
-    cfg = tmp_path / "bad.yaml"
-    cfg.write_text(DEMO_CONFIG.read_text().replace("hamiltonian:", "hamiltonian: pendulum\nold:"))
-    proc = _run_cli(["periods", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert proc.returncode == 2, proc.stderr
-    assert "hamiltonian must be a mapping, got 'pendulum'" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_cli_top_level_block_not_a_mapping_exit_code(tmp_path, capsys):
+    raw = yaml.safe_load(DEMO_CONFIG.read_text().replace("hamiltonian:",
+                                                         "hamiltonian: pendulum\nold:"))
+    err = _rejected(tmp_path, capsys, raw, "periods")
+    assert "hamiltonian must be a mapping, got 'pendulum'" in err
 
 
 def test_solver_block_is_read_at_load():
@@ -372,13 +467,8 @@ def test_trajectory_stride_default_and_value():
     "conditions.indefinite_twist", "conditions.twist.ensemble",
     "conditions.twist.ensemble.fourier"])
 def test_unknown_keys_are_named_by_yaml_path(where):
-    raw = yaml.safe_load(DEMO_CONFIG.read_text())
-    section = raw
-    for key in where.split("."):
-        section = section.setdefault(key, {})
-    section["typo"] = 1
     with pytest.raises(ValidationError) as ei:
-        loads_config(yaml.safe_dump(raw))
+        loads_config(yaml.safe_dump(_edited(where, {"typo": 1})))
     assert len(ei.value.problems) == 1
     assert ei.value.problems[0].startswith(f"{where}.typo must be one of the keys ")
 
@@ -386,22 +476,12 @@ def test_unknown_keys_are_named_by_yaml_path(where):
 @pytest.mark.parametrize("where, values", [
     ("planar", {"mu_1": 4.0}), ("conditions.mbar", {"n_sample": 10}),
     ("conditions.twist", {"x_point": 7}), ("conditions", {"lll": {"enabled": True}})])
-def test_cli_unknown_key_exit_code(tmp_path, where, values):
-    raw = yaml.safe_load(DEMO_CONFIG.read_text())
-    section = raw
-    for key in where.split("."):
-        section = section.setdefault(key, {})
-    section.update(values)
-    cfg = tmp_path / "typo.yaml"
-    cfg.write_text(yaml.safe_dump(raw))
-    proc = _run_cli(["periods", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert proc.returncode == 2, proc.stderr
-    assert f"{where}.{next(iter(values))} must be one of the keys" in proc.stderr
-    assert not (tmp_path / "o").exists()
+def test_cli_unknown_key_exit_code(tmp_path, capsys, where, values):
+    err = _rejected(tmp_path, capsys, _edited(where, values), "periods")
+    assert f"{where}.{next(iter(values))} must be one of the keys" in err
 
 
 def test_dumped_orbits_close_to_the_newton_tolerance(tmp_path):
-    from hamshoot import cli
     cfg = loads_config(DEMO_CONFIG.read_text())
     out = tmp_path / "dump"
     assert cli.main(["solve-periodic", "--config", str(DEMO_CONFIG), "--out", str(out),
@@ -419,6 +499,8 @@ def test_cli_missing_file_exit_code(tmp_path):
     proc = _run_cli(["periods", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "o")])
     assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_mode_mismatch(tmp_path, cli_run):
@@ -426,6 +508,9 @@ def test_cli_mode_mismatch(tmp_path, cli_run):
     proc = _run_cli(["solve-neumann", "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
     assert proc.returncode == 2
+    assert "config is periodic mode but solve-neumann was requested" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_periods_subcommand(tmp_path, cli_run):
@@ -496,7 +581,6 @@ conditions:
 
 
 def test_cli_ll_alone_estimates_mbar_like_full(tmp_path):
-    from hamshoot import cli
     cfg = tmp_path / "neu.yaml"
     cfg.write_text(SMALL_NEUMANN_LL)
     rhs = {}
