@@ -59,20 +59,12 @@ def _write_csv(path, header, rows):
                               for c in row) + "\n")
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
+def _numpy_to_json(obj):
+    """A numpy array or scalar as the list or Python scalar json writes for it
+    (np.float64 is a float already)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # --------------------------------------------------------------------------
@@ -334,7 +326,7 @@ def main(argv=None):
     results["metadata"]["wall_time_s"] = time.time() - t_start
     results["metadata"]["timestamp_utc"] = datetime.now(timezone.utc).isoformat()
     with open(out_dir / "results.json", "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(results), fh, indent=2, sort_keys=True)
+        json.dump(results, fh, indent=2, sort_keys=True, default=_numpy_to_json)
         fh.write("\n")
     return code
 

@@ -2,8 +2,8 @@
 
 Top-level keys::
 
-    mode: periodic | neumann
-    M: <int>
+    mode: periodic | neumann  # default periodic
+    M: <int>                  # default 1
     T: <float>                # periodic mode
     interval: [a, b]          # neumann mode
     seed: <int>               # drives all randomized sampling (default 0)
@@ -48,16 +48,22 @@ Top-level keys::
     output:
       trajectory_stride: <float>  # row spacing of --dump-trajectories (default span/1000)
 
-Loading reads every block, ``conditions`` included, by one table
-(``_FORMAT``) that gives each key its kind and default (null reads as the
-default), and builds the system.  Unknown keys, blocks that are not
-mappings, bad values and expressions that fail to build are collected under
-their YAML paths into one :class:`ValidationError`.  So that no check passes
-on zero samples, every count is at least 1; ``enabled`` is a YAML boolean,
-``radius`` positive, the avoiding-rays ``sigma`` +1 or -1, ``constants``
-rows of two numbers; an enabled twist needs ``D`` and ``sigma``; and ``A``
-passes :func:`~hamshoot.conditions.check_twist_matrix`.  Arrays read as
-nested tuples of floats.
+Loading reads the whole document, top-level keys and every block with
+``conditions`` included, by one table (``_FORMAT``) that gives each key its
+kind and default (null reads as the default), and builds the system.  Unknown
+keys, blocks that are not mappings, bad values and expressions that fail to
+build are collected under their YAML paths into one :class:`ValidationError`.
+A number, in an array too, is a finite YAML int or float, never a boolean or
+a string; an integer is integral (4 or 4.0; 2.7 is refused, not truncated),
+M and seed at least 0 and every count at least 1, so that neither a check
+nor the solver runs on zero samples: the counts include ``max_iter`` and the
+points and budgets of the start grids, and ``newton_tol`` is positive.
+Periodic mode needs T and no interval, neumann mode the reverse.
+``enabled`` is a YAML boolean, ``radius`` positive, the avoiding-rays
+``sigma`` +1 or -1, ``constants`` rows of two numbers; an enabled twist needs
+``D`` and ``sigma``; and ``A`` passes
+:func:`~hamshoot.conditions.check_twist_matrix`.  Arrays read as nested
+tuples of floats.
 """
 
 from __future__ import annotations
@@ -99,28 +105,43 @@ class ExperimentConfig:
     _stiffness: tuple = field(default=None, repr=False)
 
 
-# Value kinds besides float, int and bool: an integer >= 1, a positive finite
-# number, a value passed on as written (preset names and expressions), and a
-# float array given by its shape, where "M" is M and None admits any length.
+# Value kinds besides float, int (an integer >= 0) and bool: an integer >= 1,
+# a positive number, a mapping, a value passed on as written (preset names and
+# expressions), and a float array given by its shape, where "M" is M and None
+# admits any length.
 _COUNT, _POSITIVE, _AS_IS = "count", "positive", None
-_WHAT = {float: "a number", int: "an integer", bool: "true or false",
-         _COUNT: "a positive integer", _POSITIVE: "a positive number"}
+_WHAT = {float: "a number", int: "a nonnegative integer", bool: "true or false",
+         dict: "a mapping of name -> number", _COUNT: "a positive integer",
+         _POSITIVE: "a positive number"}
 _NEEDED = "needed"  # no default: a check that is enabled needs the key
 
 
+def _is_number(value):
+    """Whether ``value`` is a number: a finite int or float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < np.inf
+
+
 def _parse(value, kind):
-    """``value`` as ``kind``, an array as nested tuples; None if it is not one."""
+    """``value`` as ``kind``, an array as nested tuples of floats; None if it
+    is not one.  Every number, in an array too, must pass :func:`_is_number`;
+    an int or count must be integral (4 or 4.0, not 2.7): none is converted
+    from a string or a boolean, none truncated."""
     try:
         if isinstance(kind, tuple):
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim == len(kind) and all(k in (None, m) for k, m in zip(kind, arr.shape)):
-                return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.tolist())
+            arr = np.asarray(value, dtype=object)
+            if arr.ndim != len(kind) or any(k not in (None, m) for k, m in zip(kind, arr.shape)) \
+                    or not all(map(_is_number, arr.flat)):
+                return None
+            arr = arr.astype(float)
+            return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.tolist())
+        if kind in (bool, dict, _AS_IS):
+            return value if kind is _AS_IS or isinstance(value, kind) else None
+        integral = kind in (int, _COUNT)
+        if not _is_number(value) or integral and value != int(value):
             return None
-        if kind in (bool, _AS_IS):
-            return value if kind is _AS_IS or isinstance(value, bool) else None
-        number = (int if kind in (int, _COUNT) else float)(value)
-        ok = kind in (int, float) or (number >= 1 if kind == _COUNT else 0.0 < number < np.inf)
-        return number if ok else None
+        number = (int if integral else float)(value)
+        return number if {int: number >= 0, _COUNT: number >= 1,
+                          _POSITIVE: number > 0}.get(kind, True) else None
     except (TypeError, ValueError, OverflowError):
         return None
 
@@ -137,6 +158,12 @@ _CHECK = {"enabled": (bool, False), "x_points": (_COUNT, 3), "ensemble": _ENSEMB
 _BALL = {**_CHECK, "center": (("M",), np.zeros), "radius": (_POSITIVE, 1.0),
          "boundary_points": (_COUNT, 16)}
 _FORMAT = {
+    "mode": (_AS_IS, "periodic", lambda mode, M: None if mode in ("periodic", "neumann")
+             else f"mode must be 'periodic' or 'neumann', got {mode!r}"),
+    "M": (int, 1), "T": (_POSITIVE, None),
+    "interval": ((2,), None, lambda ab, M: None if ab[0] < ab[1]
+                 else f"interval must be [a, b] with a < b, got {list(ab)}"),
+    "seed": (int, 0), "params": (dict, {}),  # each value a number, see loads_config
     "hamiltonian": {"preset": (_AS_IS, "free_rotator"), "A": (float, 1.0),
                     "E": (_AS_IS, "0"), "expr": (_AS_IS, None)},
     "coupling": {"expr": (_AS_IS, "0")},
@@ -144,14 +171,14 @@ _FORMAT = {
                "mu2": (float, None), "nu2": (float, None), "h": (_AS_IS, "0"),
                **dict.fromkeys(("K", "components", "H1", "H2", "Q"), (_AS_IS, None))},
     "solver": {  # a start-grid key left out takes the grid's own default
-        "newton_tol": (float, 1e-9), "max_iter": (int, 40),
-        "multistart": {"x_points": (int, None), "y_points": (int, None),
+        "newton_tol": (_POSITIVE, 1e-9), "max_iter": (_COUNT, 40),
+        "multistart": {"x_points": (_COUNT, None), "y_points": (_COUNT, None),
                        "y_ranges": ((None, 2), None, lambda v, M: None if not M or len(v) in (1, M)
                                     else f"y_ranges must have 1 (shared) or M={M} rows"),
-                       "w_radii": ((None,), None), "w_angles": (int, None),
-                       "budget": (int, None), "jitter": (float, None)},
-        "neumann_multistart": {"x_points": (int, None), "u_range": ((2,), None),
-                               "u_points": (int, None), "budget": (int, None),
+                       "w_radii": ((None,), None), "w_angles": (_COUNT, None),
+                       "budget": (_COUNT, None), "jitter": (float, None)},
+        "neumann_multistart": {"x_points": (_COUNT, None), "u_range": ((2,), None),
+                               "u_points": (_COUNT, None), "budget": (_COUNT, None),
                                "jitter": (float, None)}},
     "conditions": {
         "resonance_tol": (float, 1e-9),
@@ -172,17 +199,18 @@ _FORMAT = {
         "indefinite_twist": {**_BALL, "A": (("M", "M"), np.eye, check_twist_matrix)}},
     "output": {"trajectory_stride": (_POSITIVE, None)},  # None: span / 1000
 }
-_ALLOWED_TOP = {"mode", "M", "T", "interval", "seed", "params", *_FORMAT}
 
 
 def _read(section, table, where, M, problems):
-    """The block ``section`` at YAML path ``where``, read by ``table``: each
-    key's value, or its default when absent or null.  What does not read goes
-    to ``problems`` under its path and reads as the default."""
+    """The block ``section`` at YAML path ``where`` ("" for the document),
+    read by ``table``: each key's value, or its default when absent or null.
+    What does not read goes to ``problems`` under its path and reads as the
+    default."""
     if not isinstance(section, (dict, type(None))):
         problems.append(f"{where} must be a mapping, got {section!r}")
     section = section if isinstance(section, dict) else {}
-    problems.extend(f"{where}.{k} must be one of the keys {', '.join(table)}"
+    at = f"{where}." if where else ""
+    problems.extend(f"{at}{k} must be one of the keys {', '.join(table)}"
                     for k in section if k not in table)
     values = {}
     for key, entry in table.items():
@@ -190,7 +218,7 @@ def _read(section, table, where, M, problems):
         kind, default, check = (entry, {}, None) if isinstance(entry, dict) else (*entry, None)[:3]
         if isinstance(kind, dict):
             values[key] = None if value is None and default is None else \
-                _read(value, kind, f"{where}.{key}", M, problems)
+                _read(value, kind, at + key, M, problems)
             continue
         default = default(M) if callable(default) else default
         if value is None:
@@ -208,7 +236,7 @@ def _read(section, table, where, M, problems):
         except SingularMatrixError as exc:
             wrong = str(exc)
         if wrong:
-            problems.append(f"{where}.{wrong}")
+            problems.append(at + wrong)
             parsed = _parse(default, shape)  # None for no default
         values[key] = parsed
     return values
@@ -245,78 +273,43 @@ def loads_config(text, path="<string>"):
         raise ConfigParseError(f"config {path} must be a mapping")
     cfg_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
+    # shapes depend on M: read it first, its problems with the rest
+    M = _read({"M": raw.get("M")}, {"M": _FORMAT["M"]}, "", None, [])["M"]
     problems = []
-    unknown = set(raw) - _ALLOWED_TOP
-    if unknown:
-        problems.append(f"unknown top-level keys: {sorted(unknown)}")
-
-    mode = raw.get("mode", "periodic")
-    if mode not in ("periodic", "neumann"):
-        problems.append(f"mode must be 'periodic' or 'neumann', got {mode!r}")
-
-    M = raw.get("M", 1)
-    if not isinstance(M, int) or M < 0:
-        problems.append(f"M must be a nonnegative integer, got {M!r}")
-        M = max(int(M), 0) if isinstance(M, (int, float)) else 1
-
-    T = raw.get("T")
-    interval = raw.get("interval")
-    if mode == "periodic":
-        if T is None:
-            problems.append("periodic mode requires T")
-        elif not (isinstance(T, (int, float)) and T > 0):
-            problems.append(f"T must be a positive number, got {T!r}")
-        if interval is not None:
-            problems.append("periodic mode must not set interval")
-    else:
-        if interval is None:
-            problems.append("neumann mode requires interval: [a, b]")
-        elif not (isinstance(interval, (list, tuple)) and len(interval) == 2
-                  and all(isinstance(c, (int, float)) for c in interval)
-                  and interval[0] < interval[1]):
-            problems.append(f"interval must be [a, b] with a < b, got {interval!r}")
-        if T is not None:
-            problems.append("neumann mode must not set T")
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        problems.append(f"seed must be an integer, got {seed!r}")
-        seed = 0
-
-    params = raw.get("params", {}) or {}
-    if not isinstance(params, dict):
-        problems.append("params must be a mapping of name -> number")
-        params = {}
-    for k, v in params.items():
-        if not isinstance(v, (int, float)):
-            problems.append(f"params.{k} must be a number, got {v!r}")
-    params = {k: v for k, v in params.items() if isinstance(v, (int, float))}
-
-    blocks = {key: _read(raw.get(key), table, key, M, problems)
-              for key, table in _FORMAT.items()}
-    system, stiffness = _build_system(blocks, M, params, T, interval, problems)
+    top = _read(raw, _FORMAT, "", M, problems)
+    mode, params = top["mode"], top["params"]
+    need, refuse = ("T", "interval") if mode == "periodic" else ("interval", "T")
+    if raw.get(need) is None:
+        problems.append(f"{mode} mode requires {need}")
+    if raw.get(refuse) is not None:
+        problems.append(f"{mode} mode must not set {refuse}")
+    problems.extend(f"params.{k} must be a number, got {v!r}"
+                    for k, v in params.items() if not _is_number(v))
+    top["params"] = {k: v for k, v in params.items() if _is_number(v)}
+    system, stiffness = _build_system(top, problems)
 
     if problems:
         raise ValidationError(problems)
 
-    solver, stride = blocks["solver"], blocks["output"]["trajectory_stride"]
+    solver, stride = top["solver"], top["output"]["trajectory_stride"]
     starts = {key: spec(**{k: v for k, v in solver[key].items() if v is not None})
               for key, spec in (("multistart", MultistartSpec),
                                 ("neumann_multistart", NeumannStartSpec))}
     return ExperimentConfig(
-        path=path, config_hash=cfg_hash, mode=mode, M=M, seed=seed,
+        path=path, config_hash=cfg_hash, mode=mode, M=M, seed=top["seed"],
         newton_tol=solver["newton_tol"], max_iter=solver["max_iter"], **starts,
-        conditions=blocks["conditions"],
+        conditions=top["conditions"],
         trajectory_stride=system.span / 1000.0 if stride is None else stride,
         system=system, _stiffness=stiffness,
     )
 
 
-def _build_system(blocks, M, params, T, interval, problems):
-    """Build the system from the top-level ``blocks``, adding what fails to
+def _build_system(top, problems):
+    """Build the system from the document ``top`` as read, adding what fails to
     ``problems`` under its YAML path.  Returns the CoupledSystem (None if there
     are problems) and the stiffness pairs of an asymmetric planar preset."""
-    ham = blocks["hamiltonian"]
+    M, params = top["M"], top["params"]
+    ham = top["hamiltonian"]
     hpreset = ham["preset"]
     grad_H = None
     with _reading("hamiltonian", problems):
@@ -334,12 +327,12 @@ def _build_system(blocks, M, params, T, interval, problems):
             raise ValidationError([f"preset {hpreset!r} is unknown"])
 
     grad_P = None
-    coupling = blocks["coupling"]["expr"]
+    coupling = top["coupling"]["expr"]
     if coupling != "0":
         with _reading("coupling", problems):
             grad_P = coupling_from_expr(coupling, M, params)
 
-    planar = blocks["planar"]
+    planar = top["planar"]
     ppreset = planar["preset"]
     block = stiffness = None
     with _reading("planar", problems):
@@ -357,7 +350,5 @@ def _build_system(blocks, M, params, T, interval, problems):
     if problems:
         return None, None
     F, dec, w_kink = block
-    return CoupledSystem(M=M, F=F, grad_H=grad_H, grad_P=grad_P,
-                         T=None if T is None else float(T),
-                         interval=None if interval is None else tuple(map(float, interval)),
-                         decomposition=dec, w_kink=w_kink), stiffness
+    return CoupledSystem(M=M, F=F, grad_H=grad_H, grad_P=grad_P, T=top["T"],
+                         interval=top["interval"], decomposition=dec, w_kink=w_kink), stiffness

@@ -125,11 +125,11 @@ class CoupledSystem:
 def _compiled_field(sys, tangents=0):
     """The field as one compiled function of (t, z), compiled once per system
     and ``tangents``, or None unless every present block carries its
-    expression.  It performs the float operations of the generic assembly in
-    its order, ``0.0 + p`` and ``0.0 - p`` included where grad_H is absent,
-    so the two agree bitwise.  With ``tangents`` = k > 0 it is the fused
-    function of :func:`variational`: z and the field continue with Phi and
-    D_z f Phi, whose rows combine the blocks' rows of partials the same way."""
+    expression.  Its components come from :func:`_layout`, as those of the
+    generic assembly do, so the two agree bitwise.  With ``tangents`` = k > 0
+    it is the fused function of :func:`variational`: z and the field continue
+    with Phi and D_z f Phi, whose rows combine the blocks' rows of partials
+    the same way."""
     if tangents in sys._compiled:
         return sys._compiled[tangents]
     present = [b for b in (sys.F, sys.grad_H, sys.grad_P) if b is not None]
@@ -138,18 +138,9 @@ def _compiled_field(sys, tangents=0):
 
     def combine(outputs):
         outputs = iter(outputs)
-        w = next(outputs)  # F
-        x = y = [xp.Term.ZERO] * M
-        if sys.grad_H is not None:
-            g = next(outputs)
-            x, y = g[M:], [-d for d in g[:M]]
-        if sys.grad_P is not None:
-            g = next(outputs)
-            x = [a + d for a, d in zip(x, g[M:2 * M])]
-            y = [a - d for a, d in zip(y, g[:M])]
-            w = [a + d for a, d in zip(w, g[2 * M:])]
-        # w' = (-J)(F + grad_w P)
-        return x + y + [w[1], -w[0]]
+        w, g, p = (None if b is None else next(outputs) for b in (sys.F, sys.grad_H, sys.grad_P))
+        return _layout(M, w, None if g is None else (g[:M], g[M:]),
+                       None if p is None else (p[:M], p[M:2 * M], p[2 * M:]), xp.Term.ZERO)
 
     blocks = [b.expr_block for b in present if hasattr(b, "expr_block")]
     sys._compiled[tangents] = (xp.compile_blocks(blocks, xn + yn + ["u", "v"], combine, tangents)
@@ -157,27 +148,22 @@ def _compiled_field(sys, tangents=0):
     return sys._compiled[tangents]
 
 
-def _assemble(M, Fw, H, P):
-    """The field from the values of F (a float array), grad_H (hx, hy) and
-    grad_P (px, py, pw) at one point, or at k points along a trailing axis;
-    None for an absent block.  x' = hy + py, y' = (-hx) - px (0.0 + py and
-    0.0 - px without grad_H) and w' = (-J)(F + pw)."""
-    out = np.empty((2 * M + 2,) + Fw.shape[1:])
+def _layout(M, w, H, P, zero):
+    """The field's 2M + 2 components from those of F (w), grad_H (hx, hy) and
+    grad_P (px, py, pw), None for an absent block: x' = hy + py,
+    y' = (-hx) - px (``zero`` + py and ``zero`` - px without grad_H) and
+    w' = (-J)(F + pw).  Components are floats, or rows of values at several
+    points, at run time and :class:`~hamshoot.expr.Term` s when the field is
+    compiled, so both evaluate the same float operations in the same order."""
+    x = y = [zero] * M
     if H is not None:
-        hx, hy = H
-        out[:M] = hy
-        out[M:2 * M] = -np.asarray(hx)
-    else:
-        out[:2 * M] = 0.0
+        x, y = list(H[1]), [-d for d in H[0]]
     if P is not None:
         px, py, pw = P
-        out[:M] += np.asarray(py)
-        out[M:2 * M] -= np.asarray(px)
-        Fw = Fw + np.asarray(pw)
-    # (-J) @ Fw
-    out[2 * M] = Fw[1]
-    out[2 * M + 1] = -Fw[0]
-    return out
+        x = [a + d for a, d in zip(x, py)]
+        y = [a - d for a, d in zip(y, px)]
+        w = [a + d for a, d in zip(w, pw)]
+    return x + y + [w[1], -w[0]]
 
 
 def assemble_field(sys):
@@ -205,7 +191,7 @@ def assemble_field(sys):
         Fw = np.asarray(F(t, w), dtype=float)
         H = None if grad_H is None else grad_H(t, x, y)
         P = None if grad_P is None else grad_P(t, x, y, w)
-        return _assemble(M, Fw, H, P)
+        return np.array(_layout(M, Fw, H, P, 0.0))
 
     return VectorField(dim, f)
 
@@ -241,6 +227,7 @@ def field_jacobian(sys):
     diagonal = Z.reshape(-1)[n::n + 1]
     points = [(Z[i, :M], Z[i, M:2 * M], Z[i, 2 * M:]) for i in range(n + 1)]
     Fw, hx, hy, px, py, pw = (np.empty((n + 1, k)) for k in (2, M, M, M, M, 2))
+    zero = np.zeros(n + 1)
 
     def fjac(t, z):
         h = np.copysign(1e-7 * (1.0 + np.abs(z)), z)
@@ -260,7 +247,7 @@ def field_jacobian(sys):
                 px[i], py[i], pw[i] = grad_P(t, x, y, w)
             P = px.T, py.T, pw.T
         # column i of out is the field at point i
-        out = _assemble(M, Fw.T, H, P)
+        out = np.array(_layout(M, Fw.T, H, P, zero))
         return out[:, 0], (out[:, 1:] - out[:, :1]) / h
 
     return fjac

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import hamshoot
-from hamshoot import cli
+from hamshoot import cli, config
 from hamshoot.config import loads_config
 from hamshoot.errors import ConfigParseError, ValidationError
 
@@ -17,10 +17,11 @@ DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "pendu
 
 
 def _edited(where, values, text=None):
-    """The demo config (or ``text``) with ``values`` set in the block at YAML path ``where``."""
+    """The demo config (or ``text``) with ``values`` set in the block at YAML
+    path ``where`` ("" for the top level)."""
     raw = yaml.safe_load(text or DEMO_CONFIG.read_text())
     section = raw
-    for key in where.split("."):
+    for key in filter(None, where.split(".")):
         section = section.setdefault(key, {})
     section.update(values)
     return raw
@@ -340,6 +341,24 @@ def test_cli_malformed_conditions_exit_code(tmp_path, capsys, subcommand, block,
     assert f"{where}.{next(k for k in values if k != 'enabled')} must be" in err
 
 
+def test_cli_empty_start_grid_is_a_config_error(tmp_path, capsys):
+    # refused at load, not reported as a solve that found nothing (exit 4)
+    raw = _edited("solver.multistart", {"x_points": 0})
+    err = _rejected(tmp_path, capsys, raw, "solve-periodic")
+    assert "solver.multistart.x_points must be a positive integer, got 0" in err
+
+
+def test_cli_no_converged_start_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(_edited("solver", {"max_iter": 1})))
+    out = tmp_path / "o"
+    assert cli.main(["full", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NO_SOLUTIONS
+    assert "distinct_classes >= 2: FAIL (found 0)" in capsys.readouterr().out
+    stats = json.loads((out / "results.json").read_text())["solutions"]["stats"]
+    assert stats["attempted"] == stats["max_iterations"] == 8
+    assert (out / "solutions.csv").read_text().count("\n") == 1  # the header alone
+
+
 M2_CONFIG = """
 mode: periodic
 M: 2
@@ -349,14 +368,49 @@ planar: {preset: asymmetric}
 """
 
 
+# What each kind of number in config._FORMAT must be, and values that are not
+# one: no boolean is a number, no integer is truncated and no count is 0.
+_NUMBER_RULE = {int: ("a nonnegative integer", (2.5, True)),
+                config._COUNT: ("a positive integer", (0, 2.5, True)),
+                float: ("a number", (True,)), config._POSITIVE: ("a positive number", (0, True)),
+                bool: ("true or false", (0, 2.5))}
+
+
+def _numbers_refused(table=config._FORMAT, where=""):
+    """(block path, {key: value}, problem) for every key of ``table`` read as a
+    number, a boolean or an array of numbers, and each value it must refuse."""
+    for key, entry in table.items():
+        kind = entry if isinstance(entry, dict) else entry[0]
+        path = f"{where}.{key}" if where else key
+        if isinstance(kind, dict):
+            yield from _numbers_refused(kind, path)
+            continue
+        if isinstance(kind, tuple):  # the demo config has M = 1
+            shape = str(tuple(1 if k == "M" else k for k in kind)).replace("None", "n")
+            what, values = f"numbers in shape {shape}", (0, 2.5, True)
+        elif kind in _NUMBER_RULE:
+            what, values = _NUMBER_RULE[kind]
+        else:
+            continue
+        # interval is read in neumann mode, where it is needed and T is not
+        mode = {"mode": "neumann", "T": None} if key == "interval" else {}
+        for value in values:
+            yield where, {**mode, key: value}, f"{path} must be {what}, got {value!r}"
+
+
 @pytest.mark.parametrize("where, values, problem", [
-    *((where, {key: 0}, f"{where}.{key} must be a positive integer, got 0") for where, key in (
-        ("conditions.twist", "x_points"), ("conditions.twist", "y_points"),
-        ("conditions.avoiding_rays", "boundary_points"), ("conditions.mbar", "n_samples"),
-        ("conditions.ll", "theta_points"), ("conditions.ll", "lambda_points"),
-        ("conditions.ll", "s_points"), ("conditions.ll", "t_nodes"),
-        ("conditions.twist.ensemble.fourier", "count"),
-        ("conditions.twist.ensemble.fourier", "modes"))),
+    *_numbers_refused(),
+    ("", {"T": None}, "periodic mode requires T"),
+    ("", {"mode": "neumann", "T": None}, "neumann mode requires interval"),
+    ("", {"M": -1}, "M must be a nonnegative integer, got -1"),
+    ("", {"seed": -1}, "seed must be a nonnegative integer, got -1"),
+    ("", {"T": float("inf")}, "T must be a positive number, got inf"),
+    ("", {"mode": "neumann", "T": None, "interval": [0.0, float("nan")]},
+     "interval must be numbers in shape (2,), got [0.0, nan]"),
+    ("", {"mode": "neumann", "T": None, "interval": [1.0, 0.0]},
+     "interval must be [a, b] with a < b, got [1.0, 0.0]"),
+    ("params", {"k": True}, "params.k must be a number, got True"),
+    ("solver", {"newton_tol": -1.0}, "solver.newton_tol must be a positive number, got -1.0"),
     ("conditions.twist", {"enabled": "false"},
      "conditions.twist.enabled must be true or false, got 'false'"),
     ("conditions.avoiding_rays", {"radius": 0},
@@ -375,7 +429,8 @@ planar: {preset: asymmetric}
      "ensemble.constants must be numbers in shape (n, 2), got [[0.0, 0.0, 1.0]]"),
 ])
 def test_no_check_runs_on_values_it_cannot_use(tmp_path, capsys, where, values, problem):
-    # a check must not pass on zero samples, or on a sigma or path it cannot use
+    # a check must not pass on zero samples, or on a sigma or path it cannot use,
+    # and no number is read from a boolean or truncated
     raw = _edited(where, values)
     with pytest.raises(ValidationError) as ei:
         loads_config(yaml.safe_dump(raw))
@@ -462,7 +517,7 @@ def test_trajectory_stride_default_and_value():
 
 
 @pytest.mark.parametrize("where", [
-    "hamiltonian", "coupling", "planar", "output", "conditions", "conditions.mbar",
+    "", "hamiltonian", "coupling", "planar", "output", "conditions", "conditions.mbar",
     "conditions.ll", "conditions.twist", "conditions.avoiding_rays",
     "conditions.indefinite_twist", "conditions.twist.ensemble",
     "conditions.twist.ensemble.fourier"])
@@ -470,7 +525,7 @@ def test_unknown_keys_are_named_by_yaml_path(where):
     with pytest.raises(ValidationError) as ei:
         loads_config(yaml.safe_dump(_edited(where, {"typo": 1})))
     assert len(ei.value.problems) == 1
-    assert ei.value.problems[0].startswith(f"{where}.typo must be one of the keys ")
+    assert ei.value.problems[0].startswith(f"{where}.typo".lstrip(".") + " must be one of the keys ")
 
 
 @pytest.mark.parametrize("where, values", [

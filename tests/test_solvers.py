@@ -294,3 +294,36 @@ def test_demo_multistart_converges_with_exact_monodromy():
                for r in res.records)
     for r in res.records:
         assert revalidate(cfg.system, r) <= cfg.newton_tol
+
+
+# ---------------------------------------------------------------------------
+# failed starts: each is counted by the reason it failed
+# ---------------------------------------------------------------------------
+
+def _failed_starts(sys_, spec, **kw):
+    """The nonzero counters of a multistart in which no start converges."""
+    result = multistart_periodic(sys_, spec, **kw)
+    assert not result.all_records and result.partition.n_classes == 0
+    return {k: v for k, v in result.stats.items() if v}
+
+
+def test_multistart_counts_singular_stalls():
+    # a constant F = (1, 0) moves w by (0, -T) from every start, and Phi - I = 0:
+    # the LM step is 0, so the line search stalls
+    sys_ = CoupledSystem(M=0, F=lambda t, w: np.array([1.0, 0.0]), T=1.0)
+    assert _failed_starts(sys_, MultistartSpec(w_radii=(0.5,), w_angles=2)) == \
+        {"attempted": 2, "singular_stall": 2}
+
+
+def test_multistart_counts_integration_failures():
+    # u'' = u^3 from u = 3 blows up long before T
+    sys_ = CoupledSystem(M=0, F=lambda t, w: np.array([-w[0] ** 3, w[1]]), T=2 * np.pi)
+    assert _failed_starts(sys_, MultistartSpec(w_radii=(3.0,), w_angles=1)) == \
+        {"attempted": 1, "integration_failure": 1}
+
+
+def test_multistart_counts_max_iterations():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs"
+                      / "pendulum_oscillator.yaml")
+    assert _failed_starts(cfg.system, cfg.multistart, newton_tol=cfg.newton_tol,
+                          max_iter=1, seed=cfg.seed) == {"attempted": 8, "max_iterations": 8}
