@@ -33,7 +33,7 @@ from . import __version__
 from .conditions import (Ball, avoiding_rays_check, classify_resonance,
                          constant_path, estimate_mbar, fourier_paths,
                          indefinite_twist_check, ll_margin, twist_check, SampleBox)
-from .config import load_config
+from .config import load_config, read_top_key
 from .errors import ConfigError, IntegrationError
 from .homogeneous import asym_period, half_periods, minimal_period, reference_orbit
 from .solvers import multistart_neumann, multistart_periodic, solution_flow
@@ -256,6 +256,15 @@ def _solve_stage(cfg, out_dir, seed, dump_trajectories=False):
 # driver
 # --------------------------------------------------------------------------
 
+def _seed(text):
+    """``--seed``: an integer, read by the config's rule for ``seed``."""
+    problems = []
+    seed = read_top_key("seed", int(text), problems)
+    if problems:
+        raise argparse.ArgumentTypeError(problems[0])
+    return seed
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="hamshoot", description=__doc__.split("\n")[0])
     p.add_argument("subcommand",
@@ -263,7 +272,7 @@ def _build_parser():
                             "solve-periodic", "solve-neumann", "full"])
     p.add_argument("--config", required=True, help="YAML experiment config")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override config seed")
     p.add_argument("--dump-trajectories", action="store_true")
     return p
 

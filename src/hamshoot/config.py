@@ -55,9 +55,11 @@ keys, blocks that are not mappings, bad values and expressions that fail to
 build are collected under their YAML paths into one :class:`ValidationError`.
 A number, in an array too, is a finite YAML int or float, never a boolean or
 a string; an integer is integral (4 or 4.0; 2.7 is refused, not truncated),
-M and seed at least 0 and every count at least 1, so that neither a check
-nor the solver runs on zero samples: the counts include ``max_iter`` and the
-points and budgets of the start grids, and ``newton_tol`` is positive.
+seed at least 0, M from 0 to 256 (loading builds arrays and expressions of
+size M: at 256 it takes 0.4 s, from about 500 the default Hamiltonian is too
+deep to compile), and every count at least 1, so that neither a check nor the solver
+runs on zero samples: the counts include ``max_iter`` and the points and
+budgets of the start grids, and ``newton_tol`` is positive.
 Periodic mode needs T and no interval, neumann mode the reverse.
 ``enabled`` is a YAML boolean, ``radius`` positive, the avoiding-rays
 ``sigma`` +1 or -1, ``constants`` rows of two numbers; an enabled twist needs
@@ -160,7 +162,8 @@ _BALL = {**_CHECK, "center": (("M",), np.zeros), "radius": (_POSITIVE, 1.0),
 _FORMAT = {
     "mode": (_AS_IS, "periodic", lambda mode, M: None if mode in ("periodic", "neumann")
              else f"mode must be 'periodic' or 'neumann', got {mode!r}"),
-    "M": (int, 1), "T": (_POSITIVE, None),
+    "M": (int, 1, lambda M, _: None if M <= 256 else f"M must be at most 256, got {M}"),
+    "T": (_POSITIVE, None),
     "interval": ((2,), None, lambda ab, M: None if ab[0] < ab[1]
                  else f"interval must be [a, b] with a < b, got {list(ab)}"),
     "seed": (int, 0), "params": (dict, {}),  # each value a number, see loads_config
@@ -242,6 +245,12 @@ def _read(section, table, where, M, problems):
     return values
 
 
+def read_top_key(key, value, problems):
+    """``value`` read by the rule of the top-level ``key`` (its default if it
+    does not read; what is wrong goes to ``problems``)."""
+    return _read({key: value}, {key: _FORMAT[key]}, "", None, problems)[key]
+
+
 @contextmanager
 def _reading(where, problems):
     """Add what fails inside to ``problems`` under the YAML path ``where``: a
@@ -274,7 +283,7 @@ def loads_config(text, path="<string>"):
     cfg_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     # shapes depend on M: read it first, its problems with the rest
-    M = _read({"M": raw.get("M")}, {"M": _FORMAT["M"]}, "", None, [])["M"]
+    M = read_top_key("M", raw.get("M"), [])
     problems = []
     top = _read(raw, _FORMAT, "", M, problems)
     mode, params = top["mode"], top["params"]

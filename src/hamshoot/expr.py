@@ -4,8 +4,11 @@ Systems are written as plain text, e.g. ``"0.5*(mu*pos(u)^2 + nu*neg(u)^2 + v^2)
 parsed once into an immutable AST and compiled once (:func:`compile_expr`) into
 straight-line numpy code returning either the value or the exact forward-mode
 gradient with respect to chosen variables; :func:`compile_blocks` also emits
-second derivatives, by the same rules applied forward over forward.  The
-compiled functions accept floats or numpy arrays alike.
+second derivatives, forward over forward.  Each operation has one rule, which
+emits its value line and builds its partials by calling the rules again; an
+operation on literals alone is computed at compile time.  The compiled
+functions accept floats or numpy arrays alike, and an array gives, element by
+element, bitwise what its elements give one by one.
 
 Grammar (EBNF), whitespace-insensitive::
 
@@ -242,11 +245,6 @@ def _pos(a):
     return a if a > 0.0 or a != a else 0.0
 
 
-def _pow2(x):
-    # x ** 2 as numpy evaluates it on an intermediate value (pow on scalars)
-    return x ** 2 if isinstance(x, np.ndarray) else np.float64(x) ** 2
-
-
 def _power(x, y):
     # np.power's array loop is not always correctly rounded for an array
     # exponent, the scalar call is: such an exponent takes it per element
@@ -270,7 +268,7 @@ _NAMESPACE = {
     "_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt,
     "_abs": np.abs, "_sign": np.sign, "_arctan": np.arctan, "_power": _power,
     "_round": np.round, "_maximum": np.maximum, "_minimum": np.minimum,
-    "_square": np.square, "_pow2": _pow2, "_any": _any, "_where": _where, "_pos": _pos,
+    "_any": _any, "_where": _where, "_pos": _pos,
     "_gradient": _gradient, "_float": float, "_DomainError": DomainError,
     "_array": np.array, "_DimensionMismatchError": DimensionMismatchError,
 }
@@ -278,7 +276,9 @@ _NAMESPACE = {
 
 # compile_blocks unpacks the state to floats, and there the ufuncs return
 # floats too: the same IEEE operations as on numpy scalars, at a fraction of
-# the cost.  Squares, which the quotient rule divides by, stay numpy scalars.
+# the cost.  A float division by zero would raise, but no emitted division
+# divides by zero: a node's divisor is checked first, and a partial divides
+# only by such a divisor, by a checked ln or sqrt, or by 1 + a * a.
 _FLOAT_NAMESPACE = dict(_NAMESPACE, **{
     name: (lambda f: lambda *a: float(f(*a)))(_NAMESPACE[name]) for name in (
         "_sin", "_cos", "_exp", "_log", "_sqrt", "_abs", "_sign", "_arctan", "_power",
@@ -292,29 +292,22 @@ def _literal(v):
     return text if text[0].isdigit() else f"({text})"
 
 
-_ADD, _MUL, _NEG, _ATOM = range(4)  # how tightly an emitted text binds, as Python parses it
-
-
 class _T:
     """An operand of the generated code together with its partials.
 
-    ``text`` is a name, a literal or an inline expression that binds as
-    tightly as ``prec``.  ``d`` holds one partial per seed, each a ``_T`` of
-    one derivative order less or None where structurally zero; ``d`` is None
-    when the operand depends on no seed or no further order is built.
+    ``text`` is a generated name or a float literal.  ``d`` holds one partial
+    per seed, each a ``_T`` of one derivative order less or None where
+    structurally zero; ``d`` is None when the operand depends on no seed or
+    no further order is built.
     """
 
-    __slots__ = ("text", "d", "prec")
+    __slots__ = ("text", "d")
 
-    def __init__(self, text, d=None, prec=_ATOM):
-        self.text, self.d, self.prec = text, d, prec
-
-    def at(self, prec):
-        """The text as an operand of an operator that binds as tightly as ``prec``."""
-        return self.text if self.prec >= prec else f"({self.text})"
+    def __init__(self, text, d=None):
+        self.text, self.d = text, d
 
 
-_ZERO, _HALF, _ONE, _TWO = (_T(_literal(c)) for c in (0.0, 0.5, 1.0, 2.0))
+_ZERO, _HALF, _ONE = (_T(_literal(c)) for c in (0.0, 0.5, 1.0))
 
 _CALL = {"sin": "_sin({})", "cos": "_cos({})", "exp": "_exp({})", "ln": "_log({})",
          "sqrt": "_sqrt({})", "abs": "_abs({})", "atan": "_arctan({})", "pos": "_pos({})",
@@ -322,17 +315,19 @@ _CALL = {"sin": "_sin({})", "cos": "_cos({})", "exp": "_exp({})", "ln": "_log({}
 
 
 class _Compiler:
-    """Emits assignments for the nodes in evaluation order (children first).
+    """Emits one assignment per operation, in evaluation order (children first).
 
-    A node becomes a term (:class:`_T`): its value and, when it depends on
-    a seed (a ``wrt`` variable), its partials, each a line ``aN``; to order 2
-    each partial has partials of its own.  Every partial is built by the
-    inline operations below, which carry partials in turn, so second
+    An operation becomes a term (:class:`_T`): its value and, when it depends
+    on a seed (a ``wrt`` variable), its partials; to order 2 each partial has
+    partials of its own.  Each operation has one rule, which emits the value
+    line and builds the partials by calling the rules again, so nodes of the
+    expression and their partials go through the same code and second
     derivatives follow from the first-order rules (forward over forward
     mode).  ``None`` marks a partial that is structurally zero, which is
-    never computed.  A text computed before is read from its line, not
-    computed again.  Only generated names, float literals and fixed
-    messages reach the source text.
+    never computed; an operation on literals alone is computed here, with
+    the functions the generated code calls, and one computed before is read
+    from its line.  Only generated names, float literals and fixed messages
+    reach the source text.
     """
 
     def __init__(self, args, wrt, params):
@@ -346,148 +341,145 @@ class _Compiler:
         self.params = params or {}
         self.order = order if self.seeds else 0
 
-    # -- emitted lines ------------------------------------------------------
-
-    def emit(self, text):
-        """The name of the line computing ``text``: every name is assigned
+    def emit(self, form, *operands):
+        """``form`` applied to ``operands``: its value as a literal when every
+        operand is one, else the name of its line.  Every name is assigned
         once and every operation is pure, so an earlier line serves again."""
+        text = form.format(*(a.text for a in operands))
+        if not any(a.text.isidentifier() for a in operands):
+            try:
+                with np.errstate(all="ignore"):
+                    return _literal(eval(text, dict(_NAMESPACE)))
+            except ZeroDivisionError:
+                pass  # x / 0.0 follows a domain check that raises first
         if text not in self.names:
             self.names[text] = f"a{len(self.lines)}"
             self.lines.append(f"{self.names[text]} = {text}")
         return self.names[text]
 
-    def attach(self, name, d):
-        """Term ``name`` with partials ``d``, each bound to a line unless a name or 1.0."""
-        if d is None:
-            return _T(name)
-        return _T(name, [p if p is None or p.text == "1.0" or p.text.isidentifier()
-                         else self.bind(p) for p in d])
-
-    def bind(self, t):
-        return self.attach(t.text if t.text.isidentifier() else self.emit(t.text), t.d)
-
     def check(self, cond, message):
         self.lines.append(f"if _any({cond}): raise _DomainError({message!r})")
 
-    # -- the rules: partials to order m, for nodes and inline terms alike ---
+    # -- the rules: the value of an operation and its partials to order m ---
 
-    def partials(self, m, terms, rule):
-        """``rule`` applied to the operands' partials, seed by seed, or None."""
-        if m == 0 or all(t.d is None for t in terms):
-            return None
-        k = len(self.seeds)
-        return [rule(*ps) for ps in zip(*(t.d or [None] * k for t in terms))]
-
-    def sum_rule(self, m, a, b, op):
-        n = m - 1
-        return self.partials(m, [a, b], lambda p, q: p if q is None else (
-            (q if op == "+" else self.neg(n, q)) if p is None
-            else self.add(n, p, q) if op == "+" else self.sub(n, p, q)))
-
-    def product_rule(self, m, a, b):
-        # d(ab) = da b + a db, in that order
-        n = m - 1
-        return self.partials(m, [a, b], lambda p, q: (
-            None if p is None and q is None else self.mul(n, a, q) if p is None
-            else self.mul(n, p, b) if q is None
-            else self.add(n, self.mul(n, p, b), self.mul(n, a, q))))
-
-    def quotient_rule(self, m, a, b, b2):
-        # ``b2`` is the square of b, read only where b has partials
-        n = m - 1
-        if b.d is None:
-            return self.partials(m, [a], lambda p: p and self.div(n, p, b))
-        return self.partials(m, [a, b], lambda p, q: None if p is None and q is None else self.div(
-            n, self.minus_product(n, a, q) if p is None else self.mul(n, p, b) if q is None
-            else self.sub(n, self.mul(n, p, b), self.mul(n, a, q)), b2))
-
-    def minus_product(self, m, a, b):
-        # -(a b) as (-a) b, which is the same float
-        return self.neg(m, b) if a.text == "1.0" else self.mul(m, self.neg(m, a), b)
-
-    def chain_rule(self, m, a, slope):
-        """Partials ``slope * da``, where ``slope(m - 1)`` is built only if needed."""
-        if m == 0 or a.d is None:
-            return None
-        s = slope(m - 1)
-        return [p and self.mul(m - 1, s, p) for p in a.d]
-
-    def slope(self, m, fn, a):
-        """Derivative of ``fn`` at ``a``; at a kink 0, and 0 for its own derivative."""
-        if fn == "sin":
-            return self.call(m, "cos", a)
-        if fn == "cos":
-            return self.neg(m, self.call(m, "sin", a))
-        return _T({"abs": "_sign({})", "pos": "_where({} > 0.0, 1.0, 0.0)",
-                   "neg": "_where({} < 0.0, -1.0, 0.0)"}[fn].format(a.text))
-
-    def own(self, fn, v, a, m):
-        """Partials to order m of the value ``v`` = exp(a) or sqrt(a), which read ``v``."""
-        if m == 0 or a.d is None:
-            return None
-        n = m - 1
-        vn = _T(v, self.own(fn, v, a, n))
-        return [p and (self.mul(n, vn, p) if fn == "exp"
-                       else self.div(n, self.mul(n, _HALF, p), vn)) for p in a.d]
-
-    # -- inline terms to order m --------------------------------------------
+    def op(self, m, form, args, rule):
+        """The term of ``form`` on ``args``, with partials ``rule(m - 1, *partials
+        of args)`` per seed where some operand has one."""
+        t = _T(self.emit(form, *args))
+        if m and any(a.d is not None for a in args):
+            k = len(self.seeds)
+            t.d = [None if all(p is None for p in ps) else rule(m - 1, *ps)
+                   for ps in zip(*(a.d or [None] * k for a in args))]
+        return t
 
     def neg(self, m, a):
-        return _T(f"-{a.at(_NEG)}", self.partials(m, [a], lambda p: p and self.neg(m - 1, p)),
-                  _NEG)
+        return self.op(m, "-{}", [a], self.neg)
 
-    def add(self, m, a, b):
-        return _T(f"{a.at(_ADD)} + {b.at(_MUL)}", self.sum_rule(m, a, b, "+"), _ADD)
+    def add(self, m, a, b, op="+"):
+        return self.op(m, f"{{}} {op} {{}}", [a, b], lambda n, p, q: self.sum(n, p, op, q))
 
-    def sub(self, m, a, b):
-        return _T(f"{a.at(_ADD)} - {b.at(_MUL)}", self.sum_rule(m, a, b, "-"), _ADD)
+    def sum(self, m, a, op, b):
+        """``a op b``, where a structural zero (None) is left out."""
+        if b is None:
+            return a
+        if a is None:
+            return b if op == "+" else self.neg(m, b)
+        return self.add(m, a, b, op)
 
-    def mul(self, m, a, b, skip_one=True):
-        # multiplying by the seed partial 1.0 is exact, so it is left out
-        if skip_one and "1.0" in (a.text, b.text):
-            return b if a.text == "1.0" else a
-        return _T(f"{a.at(_MUL)} * {b.at(_NEG)}", self.product_rule(m, a, b), _MUL)
+    def mul(self, m, a, b):
+        # multiplying by 1.0, the seeds' partial, is exact, so it is left out
+        if _ONE.text in (a.text, b.text):
+            return b if a.text == _ONE.text else a
+        # d(ab) = da b + a db
+        return self.op(m, "{} * {}", [a, b], lambda n, p, q: self.sum(
+            n, p and self.mul(n, p, b), "+", q and self.mul(n, a, q)))
 
     def div(self, m, a, b):
-        b2 = self.square(m - 1, b) if m and b.d is not None else None
-        return _T(f"{a.at(_MUL)} / {b.at(_NEG)}", self.quotient_rule(m, a, b, b2), _MUL)
-
-    def where(self, m, mask, a, b):
-        return _T(f"_where({mask}, {a.text}, {b.text})", self.partials(
-            m, [a, b], lambda p, q: None if p is None and q is None
-            else self.where(m - 1, mask, p or _ZERO, q or _ZERO)))
-
-    def square(self, m, a, var=False):
-        # seeds by a product, intermediates by pow(): numpy's ** 2 on 0-d
-        # array seeds and on scalars, so gradients match a dual-number pass
-        return _T(f"_square({a.text})" if var else f"_pow2({a.text})",
-                  self.chain_rule(m, a, lambda n: self.mul(n, _TWO, a)))
+        # d(a/b) = (da - (a/b) db) / b, which divides only by b
+        return self.op(m, "{} / {}", [a, b], lambda n, p, q: self.div(
+            n, self.sum(n, p, "-", q and self.mul(n, self.div(n, a, b), q)), b))
 
     def power(self, m, a, b):
-        """a^b for an exponent b without partials."""
-        return _T(f"_power({a.text}, {b.text})", self.chain_rule(m, a, lambda n: self.mul(
-            n, b, self.power(n, a, self.sub(n, b, _ONE)), skip_one=False)))
+        """a^b for an exponent b without partials; numpy squares exactly, as a * a."""
+        if b.text == "2.0":
+            return self.mul(m, a, a)
+        return self.op(m, "_power({}, {})", [a, b], lambda n, p, _: self.mul(
+            n, self.mul(n, b, self.power(n, a, self.add(n, b, _ONE, "-"))), p))
+
+    def extremum(self, m, fn, a, b):
+        # ties follow b
+        mask = f"{{}} {'<' if fn == 'min' else '>'} {{}}"
+        return self.op(m, f"_{fn}imum({{}}, {{}})", [a, b], lambda n, p, q: self.where(
+            n, _T(self.emit(mask, a, b)), p or _ZERO, q or _ZERO))
+
+    def where(self, m, mask, a, b):
+        return self.op(m, "_where({}, {}, {})", [mask, a, b], lambda n, _, p, q: self.where(
+            n, mask, p or _ZERO, q or _ZERO))
 
     def call(self, m, fn, a):
-        # a line of its own, so that one evaluation serves every read
-        return _T(self.emit(_CALL[fn].format(a.text)),
-                  self.chain_rule(m, a, lambda n: self.slope(n, fn, a)))
+        return self.op(m, _CALL[fn], [a], lambda n, p: self.chain(n, fn, a, p))
+
+    def chain(self, m, fn, a, p):
+        """The partial of fn(a) for the partial p of a: p over a divisor, or p
+        times the slope, which at the kink of abs, pos or neg is 0, as are its
+        own partials; exp and sqrt read their own line."""
+        if fn == "ln":
+            return self.div(m, p, a)
+        if fn == "sqrt":
+            return self.div(m, self.mul(m, _HALF, p), self.call(m, "sqrt", a))
+        if fn == "atan":
+            return self.div(m, p, self.add(m, _ONE, self.mul(m, a, a)))
+        if fn in ("exp", "sin"):
+            slope = self.call(m, "cos" if fn == "sin" else "exp", a)
+        elif fn == "cos":
+            slope = self.neg(m, self.call(m, "sin", a))
+        else:
+            slope = _T(self.emit({"abs": "_sign({})", "pos": "_where({} > 0.0, 1.0, 0.0)",
+                                  "neg": "_where({} < 0.0, -1.0, 0.0)"}[fn], a))
+        return self.mul(m, slope, p)
 
     # -- nodes --------------------------------------------------------------
 
     def node(self, e):
-        """The term of ``e``, with partials to the compiler's order."""
+        """The term of ``e``, with partials to the compiler's order, after the
+        domain checks of its operations."""
         if isinstance(e, Num):
             return _T(_literal(e.value))
         if isinstance(e, Var):
             return self.var(e.name)
+        args, m = [self.node(a) for a in _children(e)], self.order
+        a, b = args[0], args[-1]
         if isinstance(e, Neg):
-            return self.bind(self.neg(self.order, self.node(e.arg)))
-        if isinstance(e, BinOp):
-            return self.binop(e)
+            return self.neg(m, a)
         if isinstance(e, Call):
-            return self.call_node(e.fn, [self.node(a) for a in e.args], e.args)
-        raise TypeError(f"not an Expr node: {e!r}")
+            if e.fn in ("min", "max"):
+                return self.extremum(m, e.fn, a, b)
+            if e.fn == "ln":
+                self.check(f"{a.text} <= 0.0", "ln of a nonpositive value")
+            if e.fn == "sqrt":
+                self.check(f"{a.text} < 0.0", "sqrt of a negative value")
+                if a.d is not None:
+                    self.check(f"{a.text} == 0.0", "sqrt not differentiable at 0")
+            return self.call(m, e.fn, a)
+        if e.op in "+-":
+            return self.add(m, a, b, e.op)
+        if e.op == "*":
+            return self.mul(m, a, b)
+        if e.op == "/":
+            if not (isinstance(e.rhs, Num) and e.rhs.value != 0.0):
+                self.check(f"{b.text} == 0.0", "division by zero")
+            return self.div(m, a, b)
+        if b.d is not None:
+            # variable exponent: exp(y ln x), differentiated through ln and exp
+            self.check(f"{a.text} <= 0.0", "x^y with variable exponent requires x > 0")
+            return self.call(m, "exp", self.mul(m, b, self.call(m, "ln", a)))
+        const = e.rhs.value if isinstance(e.rhs, Num) else None
+        if const is None or const != np.round(const):
+            self.check(f"({b.text} != _round({b.text})) & ({a.text} < 0.0)",
+                       "negative base with non-integer exponent")
+        if const is None or const < 0:
+            self.check(f"({b.text} < 0.0) & ({a.text} == 0.0)", "zero base with negative exponent")
+        return self.power(m, a, b)
 
     def var(self, name):
         if name in self.seeds:
@@ -498,78 +490,6 @@ class _Compiler:
         if name in self.params:
             return _T(_literal(self.params[name]))
         raise UnboundVariableError(f"variable {name!r} is not bound")
-
-    def binop(self, e):
-        a, b = self.node(e.lhs), self.node(e.rhs)
-        op, m = e.op, self.order
-        if op == "^":
-            return self.power_node(a, b, e)
-        if op == "/" and not (isinstance(e.rhs, Num) and e.rhs.value != 0.0):
-            self.check(f"{b.text} == 0.0", "division by zero")
-        v = self.emit(f"{a.text} {op} {b.text}")
-        if op in "+-":
-            return self.attach(v, self.sum_rule(m, a, b, op))
-        if op == "*":
-            return self.attach(v, self.product_rule(m, a, b))
-        b2 = None if b.d is None else self.bind(self.square(m - 1, b, isinstance(e.rhs, Var)))
-        return self.attach(v, self.quotient_rule(m, a, b, b2))
-
-    def power_node(self, a, b, e):
-        if b.d is not None:
-            # variable exponent: exp(y ln x), differentiated through ln and exp
-            self.check(f"{a.text} <= 0.0", "x^y with variable exponent requires x > 0")
-            ln = self.apply("ln", a)
-            y = self.attach(self.emit(f"{b.text} * {ln.text}"),
-                            self.product_rule(self.order, b, ln))
-            return self.apply("exp", y)
-        const = e.rhs.value if isinstance(e.rhs, Num) else None
-        if const is None or const != np.round(const):
-            self.check(f"({b.text} != _round({b.text})) & ({a.text} < 0.0)",
-                       "negative base with non-integer exponent")
-        if const is None or const < 0:
-            self.check(f"({b.text} < 0.0) & ({a.text} == 0.0)", "zero base with negative exponent")
-        # numpy squares exactly (power(x, 2.0) == x * x, power(x, 1.0) == x)
-        square = const == 2.0
-        v = self.emit(f"{a.text} * {a.text}" if square else f"_power({a.text}, {b.text})")
-        return self.attach(v, self.chain_rule(self.order, a, lambda n: self.bind(
-            self.mul(n, _TWO, a) if square else
-            self.mul(n, b, self.power(n, a, self.sub(n, b, _ONE)), skip_one=False))))
-
-    def call_node(self, fn, args, nodes):
-        a = args[0]
-        if fn in ("min", "max"):
-            b = args[1]
-            v = self.emit(f"_{fn}imum({a.text}, {b.text})")
-            if a.d is None and b.d is None:
-                return _T(v)
-            take_a = self.emit(f"{a.text} {'<' if fn == 'min' else '>'} {b.text}")
-            n = self.order - 1
-            return self.attach(v, self.partials(self.order, [a, b], lambda p, q: None if (
-                p is None and q is None) else self.where(n, take_a, p or _ZERO, q or _ZERO)))
-        if fn == "ln":
-            self.check(f"{a.text} <= 0.0", "ln of a nonpositive value")
-        if fn == "sqrt":
-            self.check(f"{a.text} < 0.0", "sqrt of a negative value")
-            if a.d is not None:
-                self.check(f"{a.text} == 0.0", "sqrt not differentiable at 0")
-        return self.apply(fn, a, isinstance(nodes[0], Var))
-
-    def apply(self, fn, a, var=False):
-        """The node fn(a): its value line, then its partials (``var``: a is a variable)."""
-        v = self.emit(_CALL[fn].format(a.text))
-        if a.d is None:
-            return _T(v)
-        m, n = self.order, self.order - 1
-        if fn in ("exp", "sqrt"):
-            d = self.own(fn, v, a, m)
-        elif fn == "ln":
-            d = [p and self.div(n, p, a) for p in a.d]
-        elif fn == "atan":
-            q = self.bind(self.add(n, _ONE, self.bind(self.square(n, a, var))))
-            d = [p and self.div(n, p, q) for p in a.d]
-        else:
-            d = self.chain_rule(m, a, lambda k: self.bind(self.slope(k, fn, a)))
-        return self.attach(v, d)
 
 
 def compile_expr(e, args, wrt=None, params=None):
@@ -641,31 +561,27 @@ class ExprBlock:
 
 class Term:
     """A field component in :func:`compile_blocks`: the operand of its value
-    and its nonzero partials over the state, ``{state index: operand}``.
-    ``-a``, ``a + b`` and ``a - b`` apply to the value and by the same rule
-    to the partials, with no operation on a structural zero."""
+    and its nonzero partials over the state, ``{state index: operand}``, with
+    ``c`` the compiler that emits them (None for ``ZERO``).  ``-a``, ``a + b``
+    and ``a - b`` apply its rules to the value and to the partials, with no
+    operation on a structural zero."""
 
-    def __init__(self, value, d):
-        self.value, self.d = value, d
+    def __init__(self, value, d, c=None):
+        self.value, self.d, self.c = value, d, c
 
     def __neg__(self):
-        return Term(_sum(None, "-", self.value), {j: _sum(None, "-", p) for j, p in self.d.items()})
+        c = self.c
+        return Term(c.neg(0, self.value), {j: c.neg(0, p) for j, p in self.d.items()}, c)
 
     def __add__(self, other, op="+"):
+        c = self.c or other.c
         d = dict(self.d)
         for j, q in other.d.items():
-            d[j] = _sum(d.get(j), op, q)
-        return Term(_sum(self.value, op, other.value), d)
+            d[j] = c.sum(0, d.get(j), op, q)
+        return Term(c.sum(0, self.value, op, other.value), d, c)
 
     def __sub__(self, other):
         return self.__add__(other, "-")
-
-
-def _sum(a, op, b):
-    # a op b; where a is a structural zero (None), b or -b
-    if a is not None:
-        return _T(f"{a.at(_ADD)} {op} {b.at(_MUL)}", prec=_ADD)
-    return b if op == "+" else _T(f"-{b.at(_NEG)}", prec=_NEG)
 
 
 Term.ZERO = Term(_ZERO, {})
@@ -697,14 +613,15 @@ def compile_blocks(blocks, state, combine, tangents=0):
         terms = [g or _ZERO for v in map(c.node, b.exprs)
                  for g in ([v] if b.wrt is None else v.d or [None] * len(seeds))]
         outputs.append([Term(g, {index[s]: p for s, p in zip(seeds or (), g.d or ())
-                                 if p is not None}) for g in terms])
+                                 if p is not None}, c) for g in terms])
     field = combine(outputs)
     ret = [t.value.text for t in field]
-    for t in field if k else ():
-        row = [(j, p.text if p.text == "1.0" or p.text.isidentifier() else c.emit(p.text))
-               for j, p in sorted(t.d.items())]
-        ret += [" + ".join(f"p{j}_{i}" if e == "1.0" else f"{e} * p{j}_{i}" for j, e in row)
-                or "0.0" for i in range(k)]
+    for t in field:
+        for i in range(k):
+            row = None
+            for j, p in sorted(t.d.items()):
+                row = c.sum(0, row, "+", c.mul(0, p, _T(f"p{j}_{i}")))
+            ret.append((row or _ZERO).text)
     size = n + n * k
     unpacked = [f"x{i + 1}" for i in range(n)] + [f"p{j}_{i}" for j in range(n) for i in range(k)]
     head = [f"if z.shape[-1] != {size}: raise _DimensionMismatchError("

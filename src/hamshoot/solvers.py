@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import integrate, winding
-from .errors import (IntegrationError, MaxIterationsError, OriginTooCloseError,
+from .errors import (DomainError, IntegrationError, MaxIterationsError, OriginTooCloseError,
                      SingularJacobianError)
 from .systems import assemble_field, variational
 
@@ -428,8 +428,10 @@ class MultistartResult:
 def _multistart(sys, starts, shoot, **kw):
     """Run ``shoot`` from every start and deduplicate.
 
-    Failures are dropped and counted in ``stats``; successes are partitioned
-    into geometrically distinct classes (canonical order for determinism).
+    Failures are dropped and counted in ``stats`` by reason; a start whose
+    flow leaves an expression's domain counts under ``domain_error``, present
+    once one does.  Successes are partitioned into geometrically distinct
+    classes (canonical order for determinism).
     """
     successes = []
     stats = {"attempted": 0, "converged": 0, "max_iterations": 0,
@@ -445,6 +447,8 @@ def _multistart(sys, starts, shoot, **kw):
             stats["max_iterations"] += 1
         except IntegrationError:
             stats["integration_failure"] += 1
+        except DomainError:
+            stats["domain_error"] = stats.get("domain_error", 0) + 1
     successes.sort(key=_canon_key)
     scale = max((float(np.max(np.abs(r.z0))) for r in successes), default=0.0)
     partition = classify_distinct(successes, tol=1e-6 * (1.0 + scale))

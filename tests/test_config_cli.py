@@ -550,6 +550,27 @@ def test_dumped_orbits_close_to_the_newton_tolerance(tmp_path):
         assert np.max(np.abs(gap)) <= cfg.newton_tol, path.name
 
 
+@pytest.mark.parametrize("subcommand", ["classify", "check-conditions"])
+def test_cli_negative_seed_exit_code(tmp_path, capsys, subcommand):
+    # refused with the arguments, by the config's rule for seed
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([subcommand, "--config", str(DEMO_CONFIG), "--out", str(out), "--seed", "-1"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_huge_M_exit_code(tmp_path, capsys):
+    err = _rejected(tmp_path, capsys, _edited("", {"M": 10 ** 400}), "periods")
+    assert f"M must be at most 256, got {10 ** 400}" in err
+
+
+def test_largest_M_loads():
+    # the bound is an M that the default blocks still build at
+    assert loads_config("mode: periodic\nM: 256\nT: 6.0\n").system.dim == 514
+
+
 def test_cli_missing_file_exit_code(tmp_path):
     proc = _run_cli(["periods", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "o")])
@@ -617,6 +638,28 @@ solver:
     assert lines[0] == "mode,class,xa_1,u_a,residual,iterations"
     assert len(lines) >= 3  # several distinct x_a classes
     assert all(abs(float(l.split(",")[3])) < 1e-9 for l in lines[1:])
+
+
+@pytest.mark.parametrize("u_range, u_points, code, converged", [
+    ([-3.0, 1.0], 3, cli.EXIT_OK, 2), ([-3.0, -2.5], 2, cli.EXIT_NO_SOLUTIONS, 0)])
+def test_cli_start_leaving_the_domain_is_a_failed_start(tmp_path, u_range, u_points, code,
+                                                        converged):
+    # grad_u of (u + 2)^1.5 is undefined for u < -2: such a start fails, the
+    # others still solve, and only a solve with no converged start exits 4
+    cfg = tmp_path / "neu.yaml"
+    cfg.write_text(f"""
+mode: neumann
+M: 1
+interval: [0.0, 3.0]
+hamiltonian: {{preset: expr, expr: "0.5*y^2 - cos(x)"}}
+planar: {{preset: expr, K: "0.5*(u^2 + v^2) + 0.1*(u + 2)^1.5"}}
+solver:
+  neumann_multistart: {{x_points: 1, u_range: {u_range}, u_points: {u_points}}}
+""")
+    out = tmp_path / "o"
+    assert cli.main(["solve-neumann", "--config", str(cfg), "--out", str(out)]) == code
+    stats = json.loads((out / "results.json").read_text())["solutions"]["stats"]
+    assert (stats["converged"], stats["domain_error"]) == (converged, u_points - converged)
 
 
 SMALL_NEUMANN_LL = """

@@ -6,6 +6,7 @@ import pytest
 from hamshoot import solvers
 from hamshoot.config import load_config
 from hamshoot.homogeneous import asymmetric, isotropic
+from hamshoot.presets import planar_field_from_expr
 from hamshoot.solvers import (MultistartSpec, NeumannSolutionRecord, NeumannStartSpec,
                               PeriodicSolutionRecord, classify_distinct,
                               classify_distinct_neumann, multistart_neumann,
@@ -320,6 +321,15 @@ def test_multistart_counts_integration_failures():
     sys_ = CoupledSystem(M=0, F=lambda t, w: np.array([-w[0] ** 3, w[1]]), T=2 * np.pi)
     assert _failed_starts(sys_, MultistartSpec(w_radii=(3.0,), w_angles=1)) == \
         {"attempted": 1, "integration_failure": 1}
+
+
+def test_multistart_counts_domain_errors():
+    # grad_u of (u + 2)^1.5 leaves its domain once u < -2, which the circle of
+    # radius 3 about the origin reaches from every start
+    F = planar_field_from_expr(K_src="0.5*(u^2 + v^2) + 0.1*(u + 2)^1.5")[0]
+    sys_ = CoupledSystem(M=0, F=F, T=2 * np.pi)
+    assert _failed_starts(sys_, MultistartSpec(w_radii=(3.0,), w_angles=2)) == \
+        {"attempted": 2, "domain_error": 2}
 
 
 def test_multistart_counts_max_iterations():

@@ -374,15 +374,21 @@ def test_block_forward_differences_call_counts(M):
 
 def test_demo_field_source_reads_every_assignment():
     """The compiled field and the fused variational function keep no assignment
-    that nothing reads; the fused one computes no operation of two structural
-    zeros and each sine and cosine once."""
+    that nothing reads and none whose value depends on literals alone, directly
+    or through such a line; the fused one computes no operation of two
+    structural zeros and each sine and cosine once."""
     sys_ = load_config(DEMO_CONFIG).system
     fused = variational(sys_, range(sys_.dim)).f
     for fn in (_compiled_field(sys_), fused):
         lines = fn.source.splitlines()
+        fed = {"x0", "z"}  # the arguments, then every name computed from them
         for k, line in enumerate(lines):
-            m = re.fullmatch(r"\s*(\w+) = .*", line)
-            if m is not None:
+            m = re.fullmatch(r"\s*(\w+(?:, \w+)*),? = (.*)", line)
+            if m is None:
+                continue
+            assert fed & set(re.findall(r"\w+", m.group(2))), (line, fn.source)
+            fed.update(m.group(1).split(", "))
+            if "," not in m.group(1):  # not the unpacking of the state
                 later = "\n".join(lines[k + 1:])
                 assert re.search(rf"\b{m.group(1)}\b", later), (m.group(1), fn.source)
     assert not re.search(r"(?<![\w.])-?0\.0 [-+] 0\.0\b", fused.source), fused.source
