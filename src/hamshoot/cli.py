@@ -11,7 +11,8 @@ Subcommands::
     hamshoot full             --config c.yaml --out DIR     the whole chain
 
 Common flags: ``--seed N`` (overrides the config seed) and
-``--dump-trajectories``.  Exit codes: 0 ok, 2 config error, 3 integration
+``--dump-trajectories``.  Exit codes: 0 ok, 2 config error (also an
+expression that a stage evaluates outside its domain), 3 integration
 failure, 4 solver found no solutions.
 
 Identical config + seed give identical CSV bytes; results.json is identical
@@ -34,7 +35,7 @@ from .conditions import (Ball, avoiding_rays_check, classify_resonance,
                          constant_path, estimate_mbar, fourier_paths,
                          indefinite_twist_check, ll_margin, twist_check, SampleBox)
 from .config import load_config, read_top_key
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError, DomainError, IntegrationError
 from .homogeneous import asym_period, half_periods, minimal_period, reference_orbit
 from .solvers import multistart_neumann, multistart_periodic, solution_flow
 from .systems import validate_periodicity
@@ -331,6 +332,9 @@ def main(argv=None):
     except IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         code = EXIT_INTEGRATION
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        code = EXIT_CONFIG
 
     results["metadata"]["wall_time_s"] = time.time() - t_start
     results["metadata"]["timestamp_utc"] = datetime.now(timezone.utc).isoformat()

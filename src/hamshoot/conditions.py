@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .dynamics import VectorField, integrate
 from .errors import (DimensionMismatchError, IntegrationError, IntegrationOverflowError,
@@ -344,12 +343,26 @@ def scalar_ll(g, mu, nu, T, amplitude=1.0, phase=0.0, asymptotes=None,
                 per_lam[j] = bracket
             vals = per_lam.min(axis=0)
             spread = per_lam.max(axis=0) - per_lam.min(axis=0)
-        lhs += float(simpson(vals * weight, x=ts))
-        dispersion += float(simpson(spread * np.abs(weight), x=ts))
-        total_abs += float(simpson(np.abs(ph), x=ts))
+        lhs += _simpson(vals * weight, ts)
+        dispersion += _simpson(spread * np.abs(weight), ts)
+        total_abs += _simpson(np.abs(ph), ts)
     rhs = mbar * total_abs
     rows = ((0.0, lhs, rhs, lhs - rhs, dispersion),)
     return LLReport(rows=rows, mbar=mbar)
+
+
+def _simpson(y, x):
+    """``scipy.integrate.simpson(y, x=x)`` for an odd number of points: the
+    composite rule for irregular spacing in scipy's arithmetic, zero spacings
+    included, so the sum is bitwise scipy's."""
+    h = np.diff(x)
+    h0, h1 = h[::2], h[1::2]
+    hsum, hprod = h0 + h1, h0 * h1
+    h0divh1 = np.divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    return float(np.sum(hsum / 6.0 * (
+        y[:-2:2] * (2.0 - np.divide(1.0, h0divh1, out=np.zeros_like(h0), where=h0divh1 != 0))
+        + y[1:-1:2] * (hsum * np.divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0))
+        + y[2::2] * (2.0 - h0divh1))))
 
 
 # --------------------------------------------------------------------------

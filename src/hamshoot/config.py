@@ -78,8 +78,7 @@ import numpy as np
 import yaml
 
 from .conditions import check_twist_matrix
-from .errors import (ConfigParseError, ExprSyntaxError, SingularMatrixError,
-                     UnboundVariableError, ValidationError)
+from .errors import ConfigParseError, ExprError, SingularMatrixError, ValidationError
 from .presets import (asymmetric_field, coupling_from_expr, free_rotator,
                       hamiltonian_block_from_expr, pendulum_hamiltonian,
                       planar_field_from_expr)
@@ -260,7 +259,7 @@ def _reading(where, problems):
         yield
     except ValidationError as exc:
         problems.extend(f"{where}.{p}" for p in exc.problems)
-    except (ExprSyntaxError, UnboundVariableError) as exc:
+    except ExprError as exc:
         problems.append(f"{where}: {exc}")
 
 

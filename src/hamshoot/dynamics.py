@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonfiniteStateError, OriginTooCloseError, StepUnderflowError
+from .errors import (IntegrationError, NonfiniteStateError, OriginTooCloseError,
+                     StepUnderflowError)
 
 __all__ = [
     "VectorField", "VariationalField", "Trajectory", "WindingReport",
@@ -286,8 +287,6 @@ def _first_switch_crossing(i, t, h, y, y_new, K, h_min):
     # forever
     if abs(s0) <= 1e-10 * (1.0 + abs(s1)) or abs(s1) <= 1e-10 * (1.0 + abs(s0)):
         return None
-    from scipy.optimize import brentq
-
     Q = K.T @ _P
 
     def component(tt):
@@ -295,8 +294,53 @@ def _first_switch_crossing(i, t, h, y, y_new, K, h_min):
         p = np.array([s, s * s, s ** 3, s ** 4])
         return (y + h * (Q @ p))[i]
 
-    tc = brentq(component, t, t + h, xtol=max(h_min, 1e-15))
-    return tc if tc - t > 4 * h_min else None
+    tc = _brentq(component, t, t + h, max(h_min, 1e-15))
+    return tc if tc is not None and tc - t > 4 * h_min else None
+
+
+def _brentq(f, a, b, xtol):
+    """A root of ``f`` in [a, b] by Brent's method, or None if f(a) and f(b)
+    have one sign: scipy's C ``brentq`` line for line, with its default rtol
+    and iteration limit, so the root is bitwise scipy's."""
+    rtol, maxiter = 4 * np.finfo(float).eps, 100
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        return None
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise IntegrationError(f"no switch crossing located in [{a:.17g}, {b:.17g}] "
+                           f"after {maxiter} iterations")
 
 
 def _beyond_switch(rhs, i, t, y0, y, k, h_min):

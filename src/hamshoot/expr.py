@@ -216,9 +216,14 @@ class _Parser:
 def parse_expr(src):
     """Parse ``src`` into an :class:`Expr` AST.
 
-    Raises :class:`ExprSyntaxError` (with a byte offset) on malformed input.
+    Raises :class:`ExprSyntaxError` (with a byte offset) on malformed input,
+    and at offset 0 when brackets, unary minus or ``^`` nest deeper than the
+    recursive-descent parser can follow.
     """
-    return _Parser(src).parse()
+    try:
+        return _Parser(src).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nests too deeply", 0) from None
 
 
 # --------------------------------------------------------------------------
@@ -357,8 +362,15 @@ class _Compiler:
             self.lines.append(f"{self.names[text]} = {text}")
         return self.names[text]
 
-    def check(self, cond, message):
-        self.lines.append(f"if _any({cond}): raise _DomainError({message!r})")
+    def check(self, message, form, *operands):
+        """Raise DomainError(message) where ``form`` on ``operands`` holds: a
+        runtime line, or, on literals alone, here when it holds (then it holds
+        at every point) and nothing when it does not."""
+        cond = form.format(*(a.text for a in operands))
+        if any(a.text.isidentifier() for a in operands):
+            self.lines.append(f"if _any({cond}): raise _DomainError({message!r})")
+        elif eval(cond, dict(_NAMESPACE)):
+            raise DomainError(f"{message} at every point")
 
     # -- the rules: the value of an operation and its partials to order m ---
 
@@ -443,11 +455,15 @@ class _Compiler:
     def node(self, e):
         """The term of ``e``, with partials to the compiler's order, after the
         domain checks of its operations."""
+        return _fold(e, self.operation)
+
+    def operation(self, e, args):
+        """The term of the node ``e`` whose operands have the terms ``args``."""
         if isinstance(e, Num):
             return _T(_literal(e.value))
         if isinstance(e, Var):
             return self.var(e.name)
-        args, m = [self.node(a) for a in _children(e)], self.order
+        m = self.order
         a, b = args[0], args[-1]
         if isinstance(e, Neg):
             return self.neg(m, a)
@@ -455,11 +471,11 @@ class _Compiler:
             if e.fn in ("min", "max"):
                 return self.extremum(m, e.fn, a, b)
             if e.fn == "ln":
-                self.check(f"{a.text} <= 0.0", "ln of a nonpositive value")
+                self.check("ln of a nonpositive value", "{} <= 0.0", a)
             if e.fn == "sqrt":
-                self.check(f"{a.text} < 0.0", "sqrt of a negative value")
+                self.check("sqrt of a negative value", "{} < 0.0", a)
                 if a.d is not None:
-                    self.check(f"{a.text} == 0.0", "sqrt not differentiable at 0")
+                    self.check("sqrt not differentiable at 0", "{} == 0.0", a)
             return self.call(m, e.fn, a)
         if e.op in "+-":
             return self.add(m, a, b, e.op)
@@ -467,18 +483,18 @@ class _Compiler:
             return self.mul(m, a, b)
         if e.op == "/":
             if not (isinstance(e.rhs, Num) and e.rhs.value != 0.0):
-                self.check(f"{b.text} == 0.0", "division by zero")
+                self.check("division by zero", "{} == 0.0", b)
             return self.div(m, a, b)
         if b.d is not None:
             # variable exponent: exp(y ln x), differentiated through ln and exp
-            self.check(f"{a.text} <= 0.0", "x^y with variable exponent requires x > 0")
+            self.check("x^y with variable exponent requires x > 0", "{} <= 0.0", a)
             return self.call(m, "exp", self.mul(m, b, self.call(m, "ln", a)))
         const = e.rhs.value if isinstance(e.rhs, Num) else None
         if const is None or const != np.round(const):
-            self.check(f"({b.text} != _round({b.text})) & ({a.text} < 0.0)",
-                       "negative base with non-integer exponent")
+            self.check("negative base with non-integer exponent",
+                       "({0} != _round({0})) & ({1} < 0.0)", b, a)
         if const is None or const < 0:
-            self.check(f"({b.text} < 0.0) & ({a.text} == 0.0)", "zero base with negative exponent")
+            self.check("zero base with negative exponent", "({} < 0.0) & ({} == 0.0)", b, a)
         return self.power(m, a, b)
 
     def var(self, name):
@@ -500,7 +516,8 @@ def compile_expr(e, args, wrt=None, params=None):
     ``params`` maps further names to constants folded into the code.  Calls
     take floats or numpy arrays and raise :class:`DomainError` on a domain
     violation (with ``wrt``, also ``sqrt`` at 0); unbound names raise
-    :class:`UnboundVariableError` here.
+    :class:`UnboundVariableError` here, and so does :class:`DomainError` a
+    violation on constants alone, which would hold at every point.
     """
     args = tuple(args)
     for name in wrt or ():
@@ -664,30 +681,49 @@ def _children(e):
     raise TypeError(f"not an Expr node: {e!r}")
 
 
+def _fold(e, visit):
+    """``visit(node, [results of its operands])`` for every node of ``e``,
+    operands first and left to right, with a stack of its own: a sum is a
+    tree as deep as it has terms, too deep for Python's recursion."""
+    results, stack = [], [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        operands = _children(node)
+        if ready or not operands:
+            args = results[len(results) - len(operands):]
+            del results[len(results) - len(operands):]
+            results.append(visit(node, args))
+        else:
+            stack.append((node, True))
+            stack.extend((a, False) for a in reversed(operands))
+    return results[0]
+
+
 def substitute(e, mapping):
     """Replace variables: ``mapping`` maps a name to a new name or to an Expr, kept as is."""
-    if isinstance(e, Var):
-        new = mapping.get(e.name, e.name)
-        return new if isinstance(new, Expr) else Var(new)
-    args = tuple(substitute(a, mapping) for a in _children(e))
-    if isinstance(e, Neg):
-        return Neg(*args)
-    if isinstance(e, BinOp):
-        return BinOp(e.op, *args)
-    return Call(e.fn, args) if isinstance(e, Call) else e
+    def rebuild(node, args):
+        if isinstance(node, Var):
+            new = mapping.get(node.name, node.name)
+            return new if isinstance(new, Expr) else Var(new)
+        if isinstance(node, Neg):
+            return Neg(*args)
+        if isinstance(node, BinOp):
+            return BinOp(node.op, *args)
+        return Call(node.fn, tuple(args)) if isinstance(node, Call) else node
+
+    return _fold(e, rebuild)
 
 
 def has_kinks(e):
     """True if ``e`` contains a non-smooth node (pos, neg, abs, min, max)."""
-    return (isinstance(e, Call) and e.fn in ("pos", "neg", "abs", "min", "max")
-            or any(has_kinks(a) for a in _children(e)))
+    return _fold(e, lambda node, args: any(args) or (
+        isinstance(node, Call) and node.fn in ("pos", "neg", "abs", "min", "max")))
 
 
 def free_variables(e):
     """Set of variable names appearing in ``e``."""
-    if isinstance(e, Var):
-        return {e.name}
-    return set().union(*(free_variables(a) for a in _children(e)))
+    return _fold(e, lambda node, args: {node.name} if isinstance(node, Var)
+                 else set().union(*args))
 
 
 # --------------------------------------------------------------------------
@@ -697,8 +733,9 @@ def free_variables(e):
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
-def _unparse(e):
-    """Return (text, precedence).  ``parse(unparse(parse(s)))`` is the same AST."""
+def _unparse(e, args):
+    """Return (text, precedence) of ``e`` from those of its operands ``args``.
+    ``parse(unparse(parse(s)))`` is the same AST."""
     if isinstance(e, Num):
         if e.value < 0:  # never produced by the parser, but be safe
             return f"({e.value!r})", _PREC["atom"]
@@ -706,33 +743,29 @@ def _unparse(e):
     if isinstance(e, Var):
         return e.name, _PREC["atom"]
     if isinstance(e, Neg):
-        txt, prec = _unparse(e.arg)
+        txt, prec = args[0]
         if prec < _PREC["neg"]:
             txt = f"({txt})"
         return f"-{txt}", _PREC["neg"]
     if isinstance(e, Call):
-        args = ", ".join(_unparse(a)[0] for a in e.args)
-        return f"{e.fn}({args})", _PREC["atom"]
-    if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        lt, lp = _unparse(e.lhs)
-        rt, rp = _unparse(e.rhs)
-        if e.op == "^":
-            # right-associative; unary minus below ^ must be parenthesized on the left
-            if lp < _PREC["atom"]:
-                lt = f"({lt})"
-            if rp < p:
-                rt = f"({rt})"
-        else:
-            if lp < p:
-                lt = f"({lt})"
-            # + - * / are left-associative: a right operand at equal precedence
-            # (possible via explicit parens in the source) must keep its parens
-            if rp <= p:
-                rt = f"({rt})"
-        return f"{lt} {e.op} {rt}", p
-    raise TypeError(f"not an Expr node: {e!r}")
+        return f"{e.fn}({', '.join(a[0] for a in args)})", _PREC["atom"]
+    p = _PREC[e.op]
+    (lt, lp), (rt, rp) = args
+    if e.op == "^":
+        # right-associative; unary minus below ^ must be parenthesized on the left
+        if lp < _PREC["atom"]:
+            lt = f"({lt})"
+        if rp < p:
+            rt = f"({rt})"
+    else:
+        if lp < p:
+            lt = f"({lt})"
+        # + - * / are left-associative: a right operand at equal precedence
+        # (possible via explicit parens in the source) must keep its parens
+        if rp <= p:
+            rt = f"({rt})"
+    return f"{lt} {e.op} {rt}", p
 
 
 def unparse(e):
-    return _unparse(e)[0]
+    return _fold(e, _unparse)[0]

@@ -16,10 +16,10 @@ arc, gives the orbit time at which phi points in a given direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import expr as xp
 from .dynamics import Trajectory, VectorField, integrate
@@ -153,27 +153,52 @@ def check_homogeneous(H, n_samples, tol, seed=0):
 # periods
 # --------------------------------------------------------------------------
 
-def _unit_circle_integrand(H):
-    def f(theta):
-        h = float(H.value(np.array([np.cos(theta), np.sin(theta)])))
-        if h <= 0.0:
-            raise NonpositiveHamiltonianError(
-                f"H(cos t, sin t) = {h:.3e} <= 0 at theta = {theta:.6g}")
-        return 1.0 / (2.0 * h)
-    return f
+# n-point Gauss-Legendre rule on [-1, 1]; the arc quadrature's absolute
+# error bound and its panel budget
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+_ARC_TOL, _ARC_PANELS = 1e-12, 200
+
+
+def _gauss(H, lo, hi):
+    """The Gauss-Legendre values of 1/(2 H(cos theta, sin theta)) over the
+    panels [lo_i, hi_i], from one call of H on all their nodes."""
+    half = 0.5 * (hi - lo)
+    theta = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    h = np.broadcast_to(np.asarray(H.value(np.stack([np.cos(theta), np.sin(theta)])),
+                                   dtype=float), theta.shape)
+    if not (h > 0.0).all():
+        k = np.argmin(np.where(h > 0.0, np.inf, theta))
+        raise NonpositiveHamiltonianError(
+            f"H(cos t, sin t) = {h.flat[k]:.3e} <= 0 at theta = {theta.flat[k]:.6g}")
+    return half * ((0.5 / h) @ _WEIGHTS)
 
 
 def _arc_time(H, a, b):
     """Time the flow takes to turn through the polar angles [a, b].
 
-    Adaptive quadrature of 1/(2 H) over the arc to absolute error 1e-12 (at
-    roundoff), split at the quadrant boundaries inside it, where
-    piecewise-defined Hamiltonians have kinks.
+    Adaptive Gauss-Legendre quadrature of 1/(2 H) over the arc, split at the
+    quadrant boundaries inside it, where piecewise-defined Hamiltonians have
+    kinks.  A panel is kept when the rule on its two halves agrees with the
+    rule on the whole to its length's share of the absolute error 1e-12, and
+    halved otherwise; each round calls H once, on the nodes of every panel
+    still open.  More than 200 panels raise :class:`IntegrationError`.
     """
-    points = [p for p in _QUADRANT_SPLITS if a < p < b]
-    val, _ = quad(_unit_circle_integrand(H), a, b, points=points or None,
-                  epsabs=1e-12, epsrel=0.0, limit=200)
-    return val
+    edges = np.array([a, *(p for p in _QUADRANT_SPLITS if a < p < b), b])
+    lo, hi = edges[:-1], edges[1:]
+    whole, kept, panels = _gauss(H, lo, hi), [], len(lo)
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        left, right = np.split(_gauss(H, np.concatenate([lo, mid]), np.concatenate([mid, hi])), 2)
+        halves = left + right
+        refine = np.abs(halves - whole) > _ARC_TOL * (hi - lo) / (b - a)
+        kept.extend(halves[~refine].tolist())
+        panels += int(refine.sum())
+        if panels > _ARC_PANELS:
+            raise IntegrationError(f"the period integral over the arc [{a:.6g}, {b:.6g}] "
+                                   f"needs more than {_ARC_PANELS} panels")
+        lo, hi, whole = (np.concatenate([x[refine], y[refine]])
+                         for x, y in ((lo, mid), (mid, hi), (left, right)))
+    return math.fsum(kept)
 
 
 def minimal_period(H):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hamshoot.conditions import (AsymmetricEigenfunction, Ball, ResonanceTag,
+from hamshoot.conditions import (AsymmetricEigenfunction, _simpson, Ball, ResonanceTag,
                                  SampleBox, avoiding_rays_check,
                                  classify_resonance, constant_path, estimate_mbar,
                                  fourier_paths, indefinite_twist_check, ll_margin,
@@ -404,3 +404,17 @@ def test_ll_margin_takes_planar_fields_on_point_arrays_only(circle_orbit, F, err
     with pytest.raises(error):
         ll_margin(sys_, "lower", circle_orbit, theta_grid=[0.0], t_nodes=8)
     assert calls == [(2, 9)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_simpson_is_bitwise_scipys(seed):
+    """The LL integrals' Simpson sum is bitwise ``scipy.integrate.simpson`` on
+    the 513-point arcs that ``scalar_ll`` integrates over."""
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        a = rng.uniform(-10.0, 10.0)
+        ts = np.linspace(a, a + 10.0 ** rng.uniform(-12.0, 1.0), 513)
+        y = rng.normal(size=513) * 10.0 ** rng.uniform(-3.0, 3.0)
+        assert _simpson(y, ts) == simpson(y, x=ts)

@@ -691,3 +691,78 @@ def test_cli_ll_alone_estimates_mbar_like_full(tmp_path):
     assert len(rhs["ll"]) == 4
     assert rhs["ll"] == rhs["full"]
     assert float(rhs["ll"][0]) > 0.0
+
+
+@pytest.mark.parametrize("subcommand", ["check-conditions", "full"])
+def test_cli_domain_error_in_a_stage_exit_code(tmp_path, capsys, subcommand):
+    # (u + 2)^1.5 is defined for u >= -2 only, and the periodicity check samples beyond
+    raw = _edited("", {"planar": {"preset": "expr", "K": "0.5*(4*pos(u)^2 + neg(u)^2 + v^2)"
+                                  " + 0.1*(u + 2)^1.5"}})
+    cfg = tmp_path / "dom.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    code = cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "domain error: negative base with non-integer exponent\n"
+
+
+def test_domain_violation_at_every_point_is_a_config_error(tmp_path, capsys):
+    # refused at load, not reported as a solve in which every start fails (exit 4)
+    raw = _edited("coupling", {"expr": "eps*sin(x)*sin(u)/(1 - 1)"})
+    err = _rejected(tmp_path, capsys, raw, "solve-periodic")
+    assert "coupling: division by zero at every point" in err
+
+
+def test_long_expression_loads_and_deep_nesting_is_a_config_error(tmp_path, capsys):
+    # a sum is a tree as deep as it has terms
+    long = "0.5*y^2 - cos(x)" + 600 * " + 0.001*x"
+    cfg = tmp_path / "long.yaml"
+    cfg.write_text(yaml.safe_dump(_edited("hamiltonian", {"preset": "expr", "expr": long})))
+    assert cli.main(["periods", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+    deep = "0.5*y^2 - cos(" + 300 * "(" + "x" + 300 * ")" + ")"
+    err = _rejected(tmp_path, capsys, _edited("hamiltonian", {"preset": "expr", "expr": deep}),
+                    "periods")
+    assert "hamiltonian: expression nests too deeply" in err
+
+
+NEUMANN_ALL_EXPR = """
+mode: neumann
+M: 1
+interval: [0.0, 3.0]
+seed: 0
+params: {eps: 0.1, c: 0.5}
+hamiltonian: {preset: expr, expr: "0.5*y^2 - cos(x)"}
+coupling: {expr: "eps*sin(x)*sin(u)"}
+planar:
+  preset: expr
+  K: "0.5*(4*pos(u)^2 + neg(u)^2 + v^2) + c*(u*atan(u) - 0.5*ln(1 + u^2))"
+  H1: "0.5*(4*pos(u)^2 + neg(u)^2 + v^2)"
+  H2: "0.5*(4*pos(u)^2 + neg(u)^2 + v^2)"
+  Q: "c*(u*atan(u) - 0.5*ln(1 + u^2))"
+solver:
+  neumann_multistart: {x_points: 2, u_points: 2}
+conditions:
+  mbar: {n_samples: 200}
+  ll: {enabled: true}
+"""
+
+_SCIPY_MODULES = """
+import sys
+import hamshoot
+before = sorted(m for m in sys.modules if m.startswith("scipy"))
+from hamshoot import cli
+code = cli.main(["full", "--config", sys.argv[1], "--out", sys.argv[2]])
+after = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(code, before, after)
+"""
+
+
+@pytest.mark.parametrize("config", ["demo", "neumann"])
+def test_no_scipy_at_runtime(tmp_path, config):
+    # a fresh process: this one has loaded scipy for the reference checks
+    cfg = DEMO_CONFIG if config == "demo" else tmp_path / "neumann.yaml"
+    if config == "neumann":
+        cfg.write_text(NEUMANN_ALL_EXPR)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, str(cfg), str(tmp_path / "o")],
+                          capture_output=True, text=True, env=_cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 [] []"

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hamshoot.config import load_config
-from hamshoot.dynamics import (IntegrationStats, VectorField, integrate, variational_field,
-                               winding)
+from hamshoot.dynamics import (_P, IntegrationStats, VectorField, _brentq, integrate,
+                               variational_field, winding)
 from hamshoot.errors import (NonfiniteStateError, OriginTooCloseError,
                              StepUnderflowError)
 from hamshoot.homogeneous import asymmetric
@@ -283,3 +283,27 @@ def test_demo_period_flow_counts():
     assert traj.ys[-1] == pytest.approx(
         [0.7822632656787634, 0.47286246172068974, -0.5326905724879536, -0.4836420723482581],
         abs=1e-9)
+
+
+def test_brentq_is_bitwise_scipys_on_step_interpolants():
+    """The switch-splitting root finder returns bitwise scipy's ``brentq`` root
+    on the quartic interpolant of random steps, at the split's xtol."""
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 200:
+        t, h = rng.uniform(0.0, 10.0), 10.0 ** rng.uniform(-6.0, 0.0)
+        y, K = rng.normal(size=3), rng.normal(size=(7, 3))
+        Q = K.T @ _P
+        h_min = 10.0 ** rng.uniform(-18.0, -8.0) * h
+
+        def component(tt):
+            s = (tt - t) / h
+            return (y + h * (Q @ np.array([s, s * s, s ** 3, s ** 4])))[0]
+
+        if np.sign(component(t)) == np.sign(component(t + h)):
+            continue
+        xtol = max(h_min, 1e-15)
+        assert _brentq(component, t, t + h, xtol) == brentq(component, t, t + h, xtol=xtol)
+        checked += 1

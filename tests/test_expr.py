@@ -328,7 +328,10 @@ def test_array_evaluation_matches_scalar_evaluation(src, points):
     names = ("a", "b", "zz_1")
     cols = [np.array(c) for c in zip(*points)]
     for wrt in (None, names):
-        fn = compile_expr(e, names, wrt)
+        try:
+            fn = compile_expr(e, names, wrt)
+        except DomainError:  # outside its domain at every point: nothing to evaluate
+            continue
         whole = _call_or_raise(fn, *cols)
         each = [_call_or_raise(fn, *p) for p in points]
         if whole is None:

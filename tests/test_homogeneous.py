@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hamshoot.dynamics import winding
-from hamshoot.errors import NonpositiveHamiltonianError
+from hamshoot.errors import IntegrationError, NonpositiveHamiltonianError
 from hamshoot.homogeneous import (AsymmetricParams, PlanarHamiltonian,
                                   angle_to_orbit_time, asym_period, asymmetric,
                                   check_homogeneous, half_periods,
@@ -42,8 +42,28 @@ def test_half_periods():
 def test_nonpositive_hamiltonian_raises():
     bad = PlanarHamiltonian(lambda w: np.asarray(w[0], dtype=float),
                             lambda w: np.array([1.0, 0.0]))
-    with pytest.raises(NonpositiveHamiltonianError):
+    with pytest.raises(NonpositiveHamiltonianError, match="at theta = 1.5"):
         minimal_period(bad)
+
+
+@pytest.mark.parametrize("mu, nu", [(1.0, 1.0), (4.0, 1.0), (0.25, 9.0), (0.01, 100.0),
+                                    (2.0, 3.0)])
+def test_arc_quadrature_matches_closed_form(mu, nu):
+    """Periods and half periods within 1e-12 relative of pi/sqrt(mu) + pi/sqrt(nu)."""
+    H = asymmetric(mu, nu)
+    half = 0.5 * (np.pi / np.sqrt(mu) + np.pi / np.sqrt(nu))
+    assert minimal_period(H) == pytest.approx(2 * half, rel=1e-12)
+    hp = half_periods(H)
+    assert hp.tau_plus == pytest.approx(half, rel=1e-12)
+    assert hp.tau_minus == pytest.approx(half, rel=1e-12)
+
+
+def test_arc_quadrature_panel_budget_raises():
+    # 1 / (2H) peaks at 1e8 at theta = 0.3, off the quadrant boundaries
+    H = PlanarHamiltonian(lambda w: 0.5 * (1e-8 + (w[0] * np.sin(0.3) - w[1] * np.cos(0.3)) ** 2),
+                          lambda w: w)
+    with pytest.raises(IntegrationError, match=r"arc \[0, 6.28319\]"):
+        minimal_period(H)
 
 
 def test_check_homogeneous_builtin_families():
