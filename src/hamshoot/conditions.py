@@ -206,28 +206,27 @@ def ll_margin(sys, which, orbit, theta_grid=None, lambda_schedule=None,
     F = _vectorized_field(sys.F)
 
     rows = []
+    ts_all = np.tile(ts, len(lam))
     for theta in np.atleast_1d(theta_grid):
         shifts = theta + np.linspace(-delta, delta, s_points)
         # e has shape (n_s, n_lambda, nt)
         e = np.empty((len(shifts), len(lam), len(ts)))
         for i, s in enumerate(shifts):
             phi_s = orbit.points(ts + s)           # (2, nt)
-            for j, lm in enumerate(lam):
-                w = lm * phi_s
-                with np.errstate(over="raise", invalid="raise"):
-                    try:
-                        Fv = F(ts, w)
-                    except FloatingPointError:
-                        raise IntegrationOverflowError(
-                            f"field evaluation overflowed at amplitude {lm:g}")
-                if not np.all(np.isfinite(Fv)):
-                    raise IntegrationOverflowError(
-                        f"field evaluation overflowed at amplitude {lm:g}")
-                inner = Fv[0] * phi_s[0] + Fv[1] * phi_s[1]
-                if which == "lower":
-                    e[i, j] = inner - 2.0 * lm * h_t
-                else:
-                    e[i, j] = 2.0 * lm * h_t - inner
+            # one field call over every amplitude of the tail: (2, n_lambda * nt)
+            w = (lam[:, None] * phi_s[:, None]).reshape(2, -1)
+            try:
+                Fv = _field_at(F, ts_all, w, lam[0])
+            except IntegrationOverflowError:
+                for lm in lam:                     # name the first amplitude that overflows
+                    _field_at(F, ts, lm * phi_s, lm)
+                raise
+            Fv = Fv.reshape(2, len(lam), len(ts))
+            inner = Fv[0] * phi_s[0] + Fv[1] * phi_s[1]
+            if which == "lower":
+                e[i] = inner - 2.0 * lam[:, None] * h_t
+            else:
+                e[i] = 2.0 * lam[:, None] * h_t - inner
         per_t_by_lambda = e.min(axis=0)            # (n_lambda, nt): min over s
         per_t = per_t_by_lambda.min(axis=0)
         lhs = float(np.trapezoid(per_t, ts))
@@ -235,6 +234,18 @@ def ll_margin(sys, which, orbit, theta_grid=None, lambda_schedule=None,
         dispersion = float(np.trapezoid(spread, ts))
         rows.append((float(theta), lhs, rhs, lhs - rhs, dispersion))
     return LLReport(rows=tuple(rows), mbar=mbar)
+
+
+def _field_at(F, ts, w, amplitude):
+    """F(ts, w); an overflow or a non-finite value raises, naming ``amplitude``."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            Fv = F(ts, w)
+        except FloatingPointError:
+            Fv = None
+    if Fv is None or not np.all(np.isfinite(Fv)):
+        raise IntegrationOverflowError(f"field evaluation overflowed at amplitude {amplitude:g}")
+    return Fv
 
 
 def _vectorized_field(F):

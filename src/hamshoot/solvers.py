@@ -12,12 +12,20 @@ the y and v rows of the defect, i.e. (y(b), v(b)), must vanish.
 
 Each Newton evaluation is one flow of the variational field
 (:func:`~hamshoot.systems.variational`): the state and its sensitivity Phi
-to the unknowns, Phi' = D_z f Phi, integrated together at the residual
-tolerance.  It gives the defect and the exact Jacobian Phi[rows] - I[rows, cols]
-along the actual trajectory.  An expression-built system computes f and
-D_z f Phi in one compiled function (0 at a pos/neg/abs kink, the one-sided
-value elsewhere); a plain-callable block is differenced forward, F over w,
-grad_H over (x, y) and grad_P over all of z.
+to the unknowns, Phi' = D_z f Phi, integrated together.  It gives the defect
+and the exact Jacobian Phi[rows] - I[rows, cols] along the actual trajectory.
+The flow runs at one of two tolerances.  Far from a solution, where the
+residual it is measured against is at least 1e-2, it runs coarse, at
+max(0.1 newton_tol, 1e-6): an inexact Newton step needs the residual only to
+a fraction of its size (Dembo, Eisenstat & Steihaug 1982).  Otherwise it runs
+fine, at 0.1 newton_tol.  An iterate evaluated coarse is re-evaluated fine
+once its residual is below 1e-2, so every step near a solution, every LM
+step there and every accepted residual come from fine flows.
+
+An expression-built system computes f and D_z f Phi in one compiled
+function (0 at a pos/neg/abs kink, the one-sided value elsewhere); a
+plain-callable block is differenced forward, F over w, grad_H over (x, y)
+and grad_P over all of z.
 The field is continuous across the kink u = 0, so Phi needs no jump there, and
 the one-sided Jacobian makes the iteration a semismooth Newton method, which
 converges superlinearly at kinks too.
@@ -65,7 +73,9 @@ _MAX_BACKTRACKS = 30
 # near-null direction of J and the line search would crawl.
 _NEWTON_BACKTRACKS = 4
 _WINDING_MIN_RADIUS = 1e-8
-_FLOW_TOL_RATIO = 0.1  # shooting flows run at 0.1 newton_tol, below the residual goal
+_FLOW_TOL_RATIO = 0.1  # fine shooting flows run at 0.1 newton_tol, below the residual goal
+_COARSE_FLOW_TOL = 1e-6  # coarse flows run at max(fine tolerance, this) ...
+_FAR_RESIDUAL = 1e-2     # ... while the residual they are measured against is at least this
 
 
 def wrap_angle_diff(d):
@@ -131,12 +141,12 @@ def _lm_step(J, R):
     return np.linalg.solve(A, -J.T @ R)
 
 
-def _line_search(evaluate, z, delta, nR, backtracks=_MAX_BACKTRACKS):
+def _line_search(evaluate, z, delta, nR, flow_tol, backtracks=_MAX_BACKTRACKS):
     """Armijo backtracking along ``delta``; (z, R, J, |R|) of the accepted point."""
     alpha = 1.0
     for _ in range(backtracks):
         z_try = z + alpha * delta
-        R_try, J_try = evaluate(z_try)
+        R_try, J_try = evaluate(z_try, flow_tol)
         n_try = float(np.linalg.norm(R_try))
         if n_try <= (1.0 - _ARMIJO_C * alpha) * nR:
             return z_try, R_try, J_try, n_try
@@ -147,14 +157,31 @@ def _line_search(evaluate, z, delta, nR, backtracks=_MAX_BACKTRACKS):
 def _newton(evaluate, z0, tol, max_iter):
     """Damped Newton with LM fallback; returns (z, |R|, iterations).
 
-    ``evaluate(z)`` returns the residual and its Jacobian at z.
+    ``evaluate(z, flow_tol)`` returns the residual and its Jacobian at z from
+    a flow integrated at ``flow_tol``.  The fine flow tolerance is
+    ``_FLOW_TOL_RATIO * tol``; the coarse one, max(fine, ``_COARSE_FLOW_TOL``),
+    serves the start's first evaluation and every line-search trial from an
+    iterate with |R| >= ``_FAR_RESIDUAL``.  An iterate evaluated coarse whose
+    |R| is below ``_FAR_RESIDUAL`` is re-evaluated fine before it is tested
+    for convergence or stepped from, so every Newton or LM step near a
+    solution and every accepted residual come from fine flows, exactly as
+    with fine flows throughout.  Re-evaluations are not iterations.
     """
+    fine = _FLOW_TOL_RATIO * tol
+    coarse = max(fine, _COARSE_FLOW_TOL)
     z = np.asarray(z0, dtype=float).copy()
-    R, J = evaluate(z)
+    flow_tol = coarse
+    R, J = evaluate(z, flow_tol)
     nR = float(np.linalg.norm(R))
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
+        if flow_tol > fine and nR < _FAR_RESIDUAL:
+            flow_tol = fine
+            R, J = evaluate(z, flow_tol)
+            nR = float(np.linalg.norm(R))
         if nR <= tol:
             return z, nR, it
+        if it == max_iter:
+            break
         use_lm = False
         cond = np.linalg.cond(J)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -167,17 +194,16 @@ def _newton(evaluate, z0, tol, max_iter):
         if use_lm:
             delta = _lm_step(J, R)
 
-        step = _line_search(evaluate, z, delta, nR,
+        flow_tol = coarse if nR >= _FAR_RESIDUAL else fine
+        step = _line_search(evaluate, z, delta, nR, flow_tol,
                             _MAX_BACKTRACKS if use_lm else _NEWTON_BACKTRACKS)
         if step is None and not use_lm:
             # stalled Newton direction: retry the same iteration with LM
-            step = _line_search(evaluate, z, _lm_step(J, R), nR)
+            step = _line_search(evaluate, z, _lm_step(J, R), nR, flow_tol)
         if step is None:
             raise SingularJacobianError(
                 f"LM fallback stalled at residual {nR:.3e} (cond ~ {cond:.3e})")
         z, R, J, nR = step
-    if nR <= tol:
-        return z, nR, max_iter
     raise MaxIterationsError(f"no convergence in {max_iter} iterations; residual {nR:.3e}")
 
 
@@ -205,8 +231,8 @@ def _defect(sys, z, zt):
 
 
 def solution_flow(sys, z0, newton_tol):
-    """Dense flow from ``z0`` over the shooting window at the tolerance of the
-    shooting flows for ``newton_tol``: the orbit a solution record reports."""
+    """Dense flow from ``z0`` over the shooting window at the fine tolerance of
+    the shooting flows for ``newton_tol``: the orbit a solution record reports."""
     (t0, t1), _, _ = _problem(sys)
     return integrate(assemble_field(sys), z0, t0, t1, _FLOW_TOL_RATIO * newton_tol,
                      switch=sys.switch)
@@ -229,11 +255,11 @@ def _shoot(sys, z_guess, newton_tol, max_iter):
         z[cols] = p
         return z
 
-    def evaluate(p):
+    def evaluate(p, flow_tol):
         # one flow of the state and its sensitivity: the defect and its Jacobian
         z = state(p)
         end = integrate(aug, np.concatenate([z, eye.ravel()]), t0, t1,
-                        _FLOW_TOL_RATIO * newton_tol, dense=False, switch=sys.switch).ys[-1]
+                        flow_tol, dense=False, switch=sys.switch).ys[-1]
         return _defect(sys, z, end[:n]), (end[n:].reshape(n, len(cols)) - eye)[rows]
 
     p, res, iters = _newton(evaluate, base[cols], newton_tol, max_iter)

@@ -6,7 +6,7 @@ from hamshoot.conditions import (AsymmetricEigenfunction, _simpson, Ball, Resona
                                  classify_resonance, constant_path, estimate_mbar,
                                  fourier_paths, indefinite_twist_check, ll_margin,
                                  scalar_ll, twist_check)
-from hamshoot.errors import DimensionMismatchError, SingularMatrixError
+from hamshoot.errors import DimensionMismatchError, IntegrationOverflowError, SingularMatrixError
 from hamshoot.homogeneous import isotropic, reference_orbit
 from hamshoot.systems import CoupledSystem
 
@@ -403,7 +403,15 @@ def test_ll_margin_takes_planar_fields_on_point_arrays_only(circle_orbit, F, err
     sys_ = CoupledSystem(M=0, F=counted, T=2 * np.pi)
     with pytest.raises(error):
         ll_margin(sys_, "lower", circle_orbit, theta_grid=[0.0], t_nodes=8)
-    assert calls == [(2, 9)]
+    assert calls == [(2, 5 * 9)]   # one call: the 5 tail amplitudes at 9 nodes
+
+
+def test_ll_margin_overflow_names_the_first_amplitude(circle_orbit):
+    # the tail of the schedule is (100, 1000): exp(100 |phi|) is finite, exp(1000 |phi|) is not
+    sys_ = CoupledSystem(M=0, F=lambda t, w: np.exp(w), T=2 * np.pi)
+    with pytest.raises(IntegrationOverflowError, match="at amplitude 1000$"):
+        ll_margin(sys_, "lower", circle_orbit, theta_grid=[0.0], t_nodes=8,
+                  lambda_schedule=(1.0, 10.0, 100.0, 1000.0))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -337,3 +337,94 @@ def test_multistart_counts_max_iterations():
                       / "pendulum_oscillator.yaml")
     assert _failed_starts(cfg.system, cfg.multistart, newton_tol=cfg.newton_tol,
                           max_iter=1, seed=cfg.seed) == {"attempted": 8, "max_iterations": 8}
+
+
+# ---------------------------------------------------------------------------
+# flow tolerances: coarse far from a solution, fine near one
+# ---------------------------------------------------------------------------
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SOLVE_CONFIGS = ["demos/configs/pendulum_oscillator.yaml", "bench/configs/neumann_expr_ll.yaml"]
+
+
+def _record_newton_flows(monkeypatch, sys_):
+    """Record every variational flow of ``sys_``: (tolerance, start state, |R|)."""
+    flows = []
+    n = sys_.dim
+
+    def integrate(f, z0, t0, t1, tol, *args, _orig=solvers.integrate, **kwargs):
+        traj = _orig(f, z0, t0, t1, tol, *args, **kwargs)
+        if len(z0) > n:
+            z = np.array(z0[:n])
+            flows.append((tol, z, float(np.linalg.norm(solvers._defect(sys_, z,
+                                                                        traj.ys[-1][:n])))))
+        return traj
+
+    monkeypatch.setattr(solvers, "integrate", integrate)
+    return flows
+
+
+def _shoot_each(cfg, monkeypatch):
+    """Shoot from every start of ``cfg``: per start, the record and its flows."""
+    sys_ = cfg.system
+    periodic = sys_.mode == "periodic"
+    spec = cfg.multistart if periodic else cfg.neumann_multistart
+    shoot = shoot_periodic if periodic else shoot_neumann
+    flows = _record_newton_flows(monkeypatch, sys_)
+    out = []
+    for guess in spec.starts(sys_.M, seed=cfg.seed):
+        flows.clear()
+        out.append((shoot(sys_, guess, newton_tol=cfg.newton_tol, max_iter=cfg.max_iter),
+                    list(flows)))
+    return out
+
+
+def _check_flow_rule(rec, flows, newton_tol):
+    fine = solvers._FLOW_TOL_RATIO * newton_tol
+    coarse = max(fine, solvers._COARSE_FLOW_TOL)
+    assert {tol for tol, _, _ in flows} <= {fine, coarse}
+    assert flows[0][0] == coarse   # a start's first evaluation counts as far
+    # the accepted residual comes from a fine flow at the reported state
+    tol, z, nR = flows[-1]
+    assert tol == fine and np.array_equal(z, rec.z0) and nR == rec.residual
+    # a coarse (R, J) below the far residual is re-evaluated fine before any step
+    refined = 0
+    for (tol, z, nR), (tol_next, z_next, _) in zip(flows, flows[1:]):
+        if tol == coarse and nR < solvers._FAR_RESIDUAL:
+            assert tol_next == fine and np.array_equal(z_next, z)
+            refined += 1
+    return refined
+
+
+@pytest.mark.parametrize("config", _SOLVE_CONFIGS)
+def test_coarse_far_flows_give_the_classes_of_fine_flows(config, monkeypatch):
+    cfg = load_config(_ROOT / config)
+    mixed = []
+    for rec, flows in _shoot_each(cfg, monkeypatch):
+        # Newton steps near a solution come from fine flows
+        assert _check_flow_rule(rec, flows, cfg.newton_tol) >= 1
+        mixed.append(rec)
+    monkeypatch.setattr(solvers, "_COARSE_FLOW_TOL", 0.0)   # every flow fine
+    fine = [rec for rec, _ in _shoot_each(cfg, monkeypatch)]
+    scale = max(float(np.max(np.abs(r.z0))) for r in mixed + fine)
+    tol = 1e-6 * (1.0 + scale)     # the class tolerance of a multistart
+    a, b = classify_distinct(mixed, tol), classify_distinct(fine, tol)
+    assert np.array_equal(a.labels, b.labels)
+    for r, s in zip(mixed, fine):
+        assert r.residual <= cfg.newton_tol and s.residual <= cfg.newton_tol
+        # the demo's nonconstant class lies on a near-continuum (singular
+        # Phi - I), along which its representative may slide
+        move = np.max(np.abs(solvers._wrap_x(r.z0 - s.z0, cfg.M)))
+        assert move <= (1e-4 if getattr(r, "turns", None) else tol)
+
+
+def test_start_on_a_family_member_keeps_its_place(monkeypatch):
+    # the coarse first flow alone leaves a residual above newton_tol; the fine
+    # re-evaluation accepts the start as it is
+    sys_ = _neumann_oscillator((0.0, np.pi))
+    flows = _record_newton_flows(monkeypatch, sys_)
+    rec = shoot_neumann(sys_, (np.array([0.3]), 0.7), newton_tol=1e-9)
+    assert flows[0][2] > 1e-9
+    assert _check_flow_rule(rec, flows, 1e-9) == 1
+    assert rec.iterations == 0
+    assert rec.x_a[0] == 0.3 and rec.u_a == 0.7
