@@ -274,8 +274,7 @@ _NAMESPACE = {
     "_abs": np.abs, "_sign": np.sign, "_arctan": np.arctan, "_power": _power,
     "_round": np.round, "_maximum": np.maximum, "_minimum": np.minimum,
     "_any": _any, "_where": _where, "_pos": _pos,
-    "_gradient": _gradient, "_float": float, "_DomainError": DomainError,
-    "_array": np.array, "_DimensionMismatchError": DimensionMismatchError,
+    "_gradient": _gradient, "_float": float, "_DomainError": DomainError, "_array": np.array,
 }
 
 
@@ -616,7 +615,9 @@ def compile_blocks(blocks, state, combine, tangents=0):
     ``tangents`` = k, z continues with an n-by-k Phi and the array with
     D_z f Phi, both row-major: forward mode in k directions over the partials
     the blocks build forward over forward, row i summed over the nonzero
-    partials of component i alone.  A wrong size of z raises
+    partials of component i alone.  On B points, the columns of a z of
+    shape (size, B), the same lines run on its rows (an array form compiled
+    on the first such call).  A z of another shape raises
     :class:`DimensionMismatchError`."""
     n, k = len(state), tangents
     index = {name: i for i, name in enumerate(state)}
@@ -639,12 +640,22 @@ def compile_blocks(blocks, state, combine, tangents=0):
             for j, p in sorted(t.d.items()):
                 row = c.sum(0, row, "+", c.mul(0, p, _T(f"p{j}_{i}")))
             ret.append((row or _ZERO).text)
-    size = n + n * k
-    unpacked = [f"x{i + 1}" for i in range(n)] + [f"p{j}_{i}" for j in range(n) for i in range(k)]
-    head = [f"if z.shape[-1] != {size}: raise _DimensionMismatchError("
-            f"f'state has size {{z.shape[-1]}}, expected {size}')",
-            f"{', '.join(unpacked)}, = z.tolist()"]
-    return _define("x0, z", head + c.lines, f"_array([{', '.join(ret)}])", _FLOAT_NAMESPACE)
+    size, ret = n + n * k, ", ".join(ret)
+    unpacked = ", ".join([f"x{i + 1}" for i in range(n)]
+                         + [f"p{j}_{i}" for j in range(n) for i in range(k)])
+    by_columns = None
+
+    def columns(t, z):
+        nonlocal by_columns
+        if z.ndim != 2 or len(z) != size:
+            raise DimensionMismatchError(f"state has shape {z.shape}, expected ({size}, [B])")
+        if by_columns is None:  # _gradient fills rows of x1's shape, literals broadcast
+            by_columns = _define("x0, z", [f"{unpacked}, = z"] + c.lines, f"_gradient(x1, [{ret}])")
+        return by_columns(t, z)
+
+    head = [f"if z.shape != ({size},): return _columns(x0, z)", f"{unpacked}, = z.tolist()"]
+    return _define("x0, z", head + c.lines, f"_array([{ret}])",
+                   dict(_FLOAT_NAMESPACE, _columns=columns))
 
 
 def eval_expr(e, binding):

@@ -78,6 +78,8 @@ class CoupledSystem:
     A block built from an expression carries it as ``expr_block``
     (:class:`hamshoot.expr.ExprBlock`), in the variables (t, x1.., y1..) for
     grad_H, (t, x1.., y1.., u, v) for grad_P and (t, u, v) for F.
+    grad_H and grad_P take one point; :func:`assemble_field` takes one state
+    or B states, the columns of a (dim, B) array, at one scalar t.
     """
 
     M: int
@@ -177,6 +179,8 @@ def assemble_field(sys):
     once per system and bitwise equal to the generic assembly below.  Systems
     with a plain-callable block, such as the cutoff-modified ``F_rho`` of
     :func:`modify_system`, take the generic path.
+    ``f(t, z)`` on z of shape (dim, B) gives, in that shape, each column
+    bitwise as ``f(t, column)``; the generic path assembles column by column.
     """
     compiled = _compiled_field(sys)
     if compiled is not None:
@@ -185,8 +189,10 @@ def assemble_field(sys):
     F, grad_H, grad_P = sys.F, sys.grad_H, sys.grad_P
 
     def f(t, z):
-        if z.shape[-1] != dim:
-            raise DimensionMismatchError(f"state has size {z.shape[-1]}, expected {dim}")
+        if z.shape != (dim,):
+            if z.ndim != 2 or len(z) != dim:
+                raise DimensionMismatchError(f"state has shape {z.shape}, expected ({dim}, [B])")
+            return np.array([f(t, column) for column in np.ascontiguousarray(z.T)]).T
         x, y, w = z[:M], z[M:2 * M], z[2 * M:]
         Fw = np.asarray(F(t, w), dtype=float)
         H = None if grad_H is None else grad_H(t, x, y)

@@ -1,3 +1,6 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,9 +9,13 @@ from hamshoot.conditions import (AsymmetricEigenfunction, _simpson, Ball, Resona
                                  classify_resonance, constant_path, estimate_mbar,
                                  fourier_paths, indefinite_twist_check, ll_margin,
                                  scalar_ll, twist_check)
+from hamshoot.config import load_config
+from hamshoot.dynamics import VectorField, integrate
 from hamshoot.errors import DimensionMismatchError, IntegrationOverflowError, SingularMatrixError
 from hamshoot.homogeneous import isotropic, reference_orbit
-from hamshoot.systems import CoupledSystem
+from hamshoot.systems import CoupledSystem, assemble_field
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "pendulum_oscillator.yaml"
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +310,7 @@ def test_twist_invariant_under_2pi_x_shift():
     vals = np.array([s[1] for s in rep.samples])
     from hamshoot.conditions import frozen_subsystem
     from hamshoot.dynamics import integrate
-    f = frozen_subsystem(sys_, ens[0])
+    f = frozen_subsystem(sys_, ens[:1])
     for x0, side_y in [(0.0, -8.0), (np.pi / 2, 8.0)]:
         d1 = integrate(f, np.array([x0, side_y]), 0, 2 * np.pi, 1e-8).ys[-1][0] - x0
         x2 = x0 + 2 * np.pi
@@ -360,6 +367,97 @@ def test_avoiding_rays_sigma_must_be_a_sign(sigma):
     with pytest.raises(ValueError, match="sigma must be \\+1 or -1"):
         avoiding_rays_check(_free_rotator(2), Ball(np.zeros(2), 1.0), sigma,
                             [constant_path([0.0, 0.0])])
+
+
+@pytest.mark.parametrize("sigma", [[0.5], [1.7], [0], [2]])
+def test_twist_sigma_must_be_signs(sigma):
+    # 0.5 used to be truncated to 0 (every sample a violation), 1.7 to 1
+    with pytest.raises(ValueError, match="sigma entries must be \\+1 or -1"):
+        twist_check(_free_rotator(1), [(-1.0, 1.0)], sigma, [constant_path([0.0, 0.0])])
+
+
+def _per_sample_drifts(sys_, ensemble, starts, x_points):
+    """x(T) - x(0) of every (path, y0, x0) of a drift check, in its order, each
+    by a flow of its own at tolerance 1e-8: the reference for the stacked flow."""
+    f, M = assemble_field(sys_).f, sys_.M
+    axis = np.linspace(0.0, 2 * np.pi, x_points, endpoint=False)
+    drifts = []
+    for path in ensemble:
+        frozen = VectorField(2 * M, lambda t, xy, path=path:
+                             f(t, np.concatenate([xy, path(t)]))[:2 * M])
+        for y0 in starts:
+            for x0 in itertools.product(*[axis] * M):
+                end = integrate(frozen, np.concatenate([x0, y0]), 0.0, sys_.T, 1e-8, dense=False)
+                drifts.append(end.ys[-1][:M] - x0)
+    return drifts
+
+
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """The number of states of every flow the drift checks integrate."""
+    import hamshoot.conditions
+    calls = []
+
+    def counted(f, z0, *args, **kwargs):
+        calls.append(len(z0))
+        return integrate(f, z0, *args, **kwargs)
+
+    monkeypatch.setattr(hamshoot.conditions, "integrate", counted)
+    return calls
+
+
+def test_twist_check_is_one_flow_of_every_sample(integrate_calls):
+    cfg = load_config(DEMO_CONFIG)
+    sys_, twist = cfg.system, cfg.conditions["twist"]
+    fr = twist["ensemble"]["fourier"]
+    ens = [constant_path(c) for c in twist["ensemble"]["constants"]]
+    ens += fourier_paths(fr["count"], fr["amplitude"], fr["modes"], sys_.T, seed=cfg.seed)
+    rep = twist_check(sys_, twist["D"], twist["sigma"], ens, x_points=twist["x_points"],
+                      y_points=twist["y_points"])
+    assert integrate_calls == [2 * len(rep.samples)]
+    (a, b), = twist["D"]
+    x0s = np.linspace(0.0, 2 * np.pi, twist["x_points"], endpoint=False)
+    descs = [f"path{p} face y1={side} y0={np.round(np.array([y]), 3)} "
+             f"x0={np.round(np.array([x0]), 3)}"
+             for p in range(len(ens)) for side, y in (("a", a), ("b", b)) for x0 in x0s]
+    drifts = [twist["sigma"][0] * d[0] for d in _per_sample_drifts(sys_, ens, [[a], [b]],
+                                                                   twist["x_points"])]
+    assert [desc for desc, _, _ in rep.samples] == descs
+    assert [ok for _, _, ok in rep.samples] == [(d < 0) == (" y1=a " in desc)
+                                                for d, desc in zip(drifts, descs)]
+    assert np.max(np.abs(np.array([v for _, v, _ in rep.samples]) - drifts)) <= 1e-6
+    assert rep.passed and min(np.abs(drifts)) > 40.0
+
+
+def test_avoiding_rays_is_one_flow_of_every_sample(integrate_calls):
+    sys_ = _free_rotator(2)
+    ens = [constant_path([0.0, 0.0]), constant_path([0.3, -0.2])]
+    ball = Ball(np.zeros(2), 1.0)
+    rep = avoiding_rays_check(sys_, ball, -1, ens, boundary_grid=5, x_points=3)
+    assert integrate_calls == [4 * len(rep.samples)]
+    points, normals = ball.boundary(5)
+    x0s = np.linspace(0.0, 2 * np.pi, 3, endpoint=False)
+    descs = [f"path{p} boundary{b} x0={np.round(np.array(x0), 3)}" for p in range(2)
+             for b in range(5) for x0 in itertools.product(x0s, x0s)]
+    drifts = _per_sample_drifts(sys_, ens, points, 3)
+    angles = [np.arccos(np.clip(np.dot(d, -nu) / np.linalg.norm(d), -1.0, 1.0))
+              for d, nu in zip(drifts, np.tile(np.repeat(normals, 9, axis=0), (2, 1)))]
+    assert [desc for desc, _, _ in rep.samples] == descs
+    assert [ok for _, _, ok in rep.samples] == [a >= 1e-3 for a in angles]
+    assert np.max(np.abs(np.array([v for _, v, _ in rep.samples]) - angles)) <= 1e-6
+
+
+def test_drift_check_names_each_sample_whose_own_flow_fails(integrate_calls):
+    # x' = y, y' = y^2: from y0 = +1, y = 1/(1 - t) blows up at t = 1 < T
+    sys_ = CoupledSystem(M=1, F=lambda t, w: np.zeros(2),
+                         grad_H=lambda t, x, y: (-y * y, y), T=2.0)
+    rep = twist_check(sys_, [(-1.0, 1.0)], [1], [constant_path([0.0, 0.0])])
+    failed = [desc for desc, _, ok in rep.samples if not ok]
+    assert failed == [desc for desc, _, _ in rep.samples if " y0=[1.] " in desc]
+    assert len(failed) == len(rep.violations) == 3
+    assert all(": not defined on [0,T] (" in v for v in rep.violations)
+    # the stacked flow fails, then each sample runs alone
+    assert integrate_calls == [2 * len(rep.samples)] + [2] * len(rep.samples)
 
 
 def test_indefinite_twist():

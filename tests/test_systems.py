@@ -160,6 +160,50 @@ def test_compiled_field_dimension_mismatch():
             f(0.0, np.zeros(size))
 
 
+NEUMANN_CONFIG = DEMO_CONFIG.parents[2] / "bench" / "configs" / "neumann_expr_ll.yaml"
+
+
+def _columns_system(name):
+    if name == "plain":  # the demo's blocks as plain callables: assembled column by column
+        sys_ = load_config(DEMO_CONFIG).system
+        return replace(sys_, F=_plain(sys_.F), grad_H=_plain(sys_.grad_H),
+                       grad_P=_plain(sys_.grad_P))
+    return load_config({"demo": DEMO_CONFIG, "neumann": NEUMANN_CONFIG}[name]).system
+
+
+@pytest.mark.parametrize("name", ["demo", "neumann", "plain"])
+def test_field_on_columns_is_the_field_at_each_column(name):
+    sys_ = _columns_system(name)
+    f = assemble_field(sys_)
+    rng = np.random.default_rng(5)
+    Z = rng.standard_normal((sys_.dim, 40)) * 10.0 ** rng.uniform(-3, 1, 40)
+    Z[2 * sys_.M, :3] = (0.0, -0.0, 1e-300)  # on and next to the kink u = 0
+    for t in (0.0, 0.7, 5.1):
+        out = f(t, Z)
+        assert out.shape == Z.shape
+        columns = np.array([f(t, Z[:, j].copy()) for j in range(Z.shape[1])]).T
+        assert np.array_equal(_bits(out), _bits(columns))
+    if name != "plain":  # the compiled field, array form included, is compiled once
+        assert assemble_field(sys_).f is f.f
+    for shape in ((sys_.dim + 1, 3), (sys_.dim - 1, sys_.dim), (sys_.dim, 2, 2)):
+        with pytest.raises(DimensionMismatchError):
+            f(0.0, np.zeros(shape))
+
+
+def test_field_on_columns_broadcasts_components_that_read_no_state():
+    from hamshoot.errors import DomainError
+    # x' = 0 and u' = 0.5 are literals, v' reads t and u; sqrt(u) needs u >= 0
+    F, _, _ = planar_field_from_expr(components=["sqrt(u) + 0.1*cos(t)", "0.5"])
+    f = assemble_field(CoupledSystem(M=1, F=F, T=1.0))
+    Z = np.array([[0.1, 0.2, 0.3], [1.0, 2.0, 3.0], [0.0, 4.0, 9.0], [1.0, 1.0, 1.0]])
+    out = f(0.3, Z)
+    assert np.array_equal(_bits(out), _bits(np.array([f(0.3, z.copy()) for z in Z.T]).T))
+    assert out[0].tolist() == [0.0] * 3 and out[2].tolist() == [0.5] * 3
+    Z[2, 1] = -1.0  # one column outside the domain
+    with pytest.raises(DomainError):
+        f(0.3, Z)
+
+
 def test_modified_system_assembles_F_rho():
     sys_ = _expr_system("pendulum", "none", "asymmetric_kink", 1)
     mod = modify_system(sys_, 3.0)

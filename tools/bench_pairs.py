@@ -6,7 +6,10 @@
 Per workload of the change's BENCHMARK.json and per seed: ``--pairs`` pairs of
 untraced runs of its ``run_seconds``, the parent first in odd pairs.  Adds to
 ``--out`` every run and, per end-to-end metric, each side's median and
-quartiles and the number of pairs the change won.  Standard library only.
+quartiles and the number of pairs the change won.  A run that exits non-zero
+is recorded in ``--out`` (side, pair, exit code, last line of its standard
+error) with the runs finished before it, and the script exits 1.  Standard
+library only.
 """
 
 import argparse
@@ -20,9 +23,12 @@ SIDES = ("parent", "change")
 
 
 def run(checkout, bench, workload, seed):
+    """The result of one run, or (exit code, last line of standard error)."""
     cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(bench["run_seconds"])]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        return proc.returncode, (proc.stderr.strip().splitlines() or [""])[-1]
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -62,12 +68,22 @@ def main(argv=None):
     for workload in args.workloads or [w["name"] for w in bench["workloads"]]:
         for seed in args.seeds:
             runs = {s: [] for s in SIDES}
+            key = f"{workload} seed {seed}"
             for i in range(args.pairs):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    runs[side].append(run(checkouts[side], bench, workload, seed))
-                    solve = runs[side][-1]["metrics"]["solve_s"]["value"]
-                    print(workload, seed, i + 1, side, solve, file=sys.stderr, flush=True)
-            result["workloads"][f"{workload} seed {seed}"] = {
+                    out = run(checkouts[side], bench, workload, seed)
+                    if isinstance(out, tuple):
+                        result["workloads"][key] = {"runs": runs, "failed_run": {
+                            "side": side, "pair": i + 1, "exit_code": out[0],
+                            "stderr": out[1]}}
+                        args.out.write_text(json.dumps(result, indent=1) + "\n")
+                        print(workload, seed, i + 1, side, "exit", *out, file=sys.stderr)
+                        return 1
+                    runs[side].append(out)
+                    values = " ".join(f"{m['name']}={out['metrics'][m['name']]['value']}"
+                                      for m in bench["end_to_end"])
+                    print(workload, seed, i + 1, side, values, file=sys.stderr, flush=True)
+            result["workloads"][key] = {
                 "pairs": args.pairs, "runs": runs,
                 "correct": {s: all(r["correct"] for r in runs[s]) for s in SIDES},
                 "failed": {s: sum(r["failed"] for r in runs[s]) for s in SIDES},
