@@ -32,7 +32,7 @@ def main():
     fam = oscillator_system((0.0, np.pi))
     for ua in (0.8, -0.5, 2.0):
         rec = shoot_neumann(fam, (np.array([0.2]), ua))
-        print(f"  start u(a) = {ua:+.2f} -> kept u(a) = {rec.u_a:+.6f}, "
+        print(f"  start u(a) = {ua:+.2f} -> kept u(a) = {rec.w0[0]:+.6f}, "
               f"residual {rec.residual:.1e}, iterations {rec.iterations}")
     print("  (every amplitude solves: u = c cos t has v(0) = v(pi) = 0)")
 
@@ -41,10 +41,10 @@ def main():
     result = multistart_neumann(iso_sys, NeumannStartSpec(x_points=6, u_points=5))
     print(f"  {result.stats['attempted']} starts, "
           f"{result.stats['converged']} converged, "
-          f"worst |u(a)| = {max(abs(r.u_a) for r in result.all_records):.1e}")
+          f"worst |u(a)| = {max(abs(r.w0[0]) for r in result.all_records):.1e}")
     print(f"  distinct classes (x(a) mod 2 pi): {result.partition.n_classes}")
     for r in result.records[:6]:
-        print(f"    x(a) = {r.x_a_normalized[0]:.6f}  u(a) = {r.u_a:+.1e}  "
+        print(f"    x(a) = {r.x0_normalized[0]:.6f}  u(a) = {r.w0[0]:+.1e}  "
               f"residual {r.residual:.1e}")
 
     print("\n--- half-period window for an asymmetric pair ---")

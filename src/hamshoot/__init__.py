@@ -26,8 +26,7 @@ from .homogeneous import (PlanarHamiltonian, AsymmetricParams, HalfPeriods,
 from .systems import (CoupledSystem, DecompositionData, CutoffProfile,
                       assemble_field, validate_decomposition, build_cutoff,
                       modify_system, CutoffModification, validate_periodicity)
-from .solvers import (PeriodicSolutionRecord, NeumannSolutionRecord,
-                      DistinctnessPartition, MultistartSpec, NeumannStartSpec,
+from .solvers import (SolutionRecord, DistinctnessPartition, MultistartSpec, NeumannStartSpec,
                       shoot_periodic, multistart_periodic, classify_distinct,
                       shoot_neumann, multistart_neumann, classify_distinct_neumann,
                       revalidate)

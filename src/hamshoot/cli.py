@@ -205,13 +205,13 @@ def _solutions_csv_rows(cfg, records):
                   + ["u0", "v0", "residual", "iterations", "turns"])
 
         def cells(rec):
-            return [*rec.x0_normalized[:M], *rec.y0[:M], rec.w0[0], rec.w0[1], rec.residual,
+            return [*rec.x0_normalized, *rec.y0, rec.w0[0], rec.w0[1], rec.residual,
                     rec.iterations, "" if rec.turns is None else rec.turns]
     else:
         header = [f"xa_{i + 1}" for i in range(M)] + ["u_a", "residual", "iterations"]
 
         def cells(rec):
-            return [*rec.x_a_normalized[:M], rec.u_a, rec.residual, rec.iterations]
+            return [*rec.x0_normalized, rec.w0[0], rec.residual, rec.iterations]
     return (["mode", "class"] + header,
             [[cfg.mode, cls] + cells(rec) for cls, rec in enumerate(records)])
 
@@ -246,7 +246,7 @@ def _solve_stage(cfg, out_dir, seed, dump_trajectories=False):
              **({"x0": list(r.x0_normalized), "y0": list(r.y0),
                  "w0": list(r.w0), "turns": r.turns}
                 if cfg.mode == "periodic" else
-                {"x_a": list(r.x_a_normalized), "u_a": r.u_a}),
+                {"x_a": list(r.x0_normalized), "u_a": r.w0[0]}),
              "residual": r.residual, "iterations": r.iterations}
             for cls, r in enumerate(result.records)],
     }

@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import VectorField, integrate
 from .errors import (DimensionMismatchError, IntegrationError, IntegrationOverflowError,
                      SingularMatrixError)
-from .systems import assemble_field, halton
+from .systems import assemble_field, grid_axis, halton
 
 __all__ = [
     "ResonanceTag", "ResonanceClass", "classify_resonance",
@@ -208,7 +208,7 @@ def ll_margin(sys, which, orbit, theta_grid=None, lambda_schedule=None,
     rows = []
     ts_all = np.tile(ts, len(lam))
     for theta in np.atleast_1d(theta_grid):
-        shifts = theta + np.linspace(-delta, delta, s_points)
+        shifts = theta + grid_axis(-delta, delta, s_points)
         # e has shape (n_s, n_lambda, nt)
         e = np.empty((len(shifts), len(lam), len(ts)))
         for i, s in enumerate(shifts):
@@ -494,23 +494,24 @@ def twist_check(sys, D, sigma, ensemble, x_points=3, y_points=3):
     other coordinates gridded), the drift x_i(T) - x_i(0) of the frozen
     subsystem must satisfy sigma_i * drift_i < 0 on the a_i face and > 0 on
     the b_i face, i.e. sigma_i * drift_i * nu_i > 0 for the outward normal
-    nu = -e_i on the a_i face and +e_i on the b_i face.  Every entry of sigma
-    must be +1 or -1.  The samples run as one flow with shared steps (drifts
-    within 1.3e-7 of one flow per sample on the demo config), and one by one
-    if that flow fails (see :func:`_drift_check`).
+    nu = -e_i on the a_i face and +e_i on the b_i face.  D needs a_i < b_i
+    and sigma entries +1 or -1.  The samples run as one flow with shared
+    steps (drifts within 1.3e-7 of one flow per sample on the demo config),
+    and one by one if that flow fails (see :func:`_drift_check`).
     """
     M = sys.M
     D = [tuple(map(float, r)) for r in D]
     sigma = np.asarray(sigma, dtype=float)
     if len(D) != M or sigma.size != M:
         raise ValueError("D and sigma must have length M")
+    if not all(a < b for a, b in D):
+        raise ValueError(f"D must be ranges [a_i, b_i] with a_i < b_i, got {D}")
     if not np.all(np.abs(sigma) == 1.0):
         raise ValueError(f"sigma entries must be +1 or -1, got {sigma.tolist()}")
     pairs = []
     for i in range(M):
         for side, yi, sign in (("a", D[i][0], -1.0), ("b", D[i][1], 1.0)):
-            other_axes = [np.linspace(D[j][0], D[j][1], y_points) if j != i
-                          else np.array([yi]) for j in range(M)]
+            other_axes = [grid_axis(*D[j], y_points) if j != i else [yi] for j in range(M)]
             for y_combo in itertools.product(*other_axes):
                 y0 = np.array(y_combo)
                 pairs.append((f"face y{i + 1}={side} y0={np.round(y0, 3)}", y0,

@@ -37,11 +37,12 @@ Levenberg-Marquardt with fixed damping 1e-6.  Singular Jacobians are
 expected at resonance (continua of solutions): the LM step then returns a
 point on the continuum instead of failing.
 
+Both problems return a :class:`SolutionRecord`, whose views read its initial
+state z0 (in Neumann mode (x_a, 0, u_a, 0), so u(a) is ``w0[0]``).
 Solutions are geometrically distinct when they are not related by shifting
-some x_i by an integer multiple of 2pi; records are compared by their
-initial state (in Neumann mode: x_a modulo 2pi and u_a), which identifies
-orbits provided the right-hand side is locally Lipschitz (uniqueness of the
-IVP).
+some x_i by an integer multiple of 2pi; records are compared by z0 with x
+modulo 2pi, which identifies orbits provided the right-hand side is locally
+Lipschitz (uniqueness of the IVP).
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ import numpy as np
 from .dynamics import integrate, winding
 from .errors import (DomainError, IntegrationError, MaxIterationsError, OriginTooCloseError,
                      SingularJacobianError)
-from .systems import assemble_field, variational
+from .systems import assemble_field, grid_axis, variational
 
 __all__ = [
-    "PeriodicSolutionRecord", "NeumannSolutionRecord", "DistinctnessPartition",
+    "SolutionRecord", "DistinctnessPartition",
     "MultistartSpec", "NeumannStartSpec", "MultistartResult",
     "shoot_periodic", "multistart_periodic", "classify_distinct",
     "shoot_neumann", "multistart_neumann", "classify_distinct_neumann",
@@ -85,13 +86,16 @@ def wrap_angle_diff(d):
 
 
 @dataclass(frozen=True)
-class PeriodicSolutionRecord:
-    z0: np.ndarray
+class SolutionRecord:
+    z0: np.ndarray             # initial state (x, y, w) at the window's start
     residual: float
     iterations: int
-    turns: int | None          # clockwise turns of w over [0, T]; None if w nears 0
-    x0_normalized: np.ndarray  # x(0) wrapped to [0, 2pi)
     M: int
+    turns: int | None = None   # clockwise turns of w over [0, T] (periodic); None if w nears 0
+
+    @property
+    def x0_normalized(self):   # x wrapped to [0, 2pi)
+        return np.mod(self.z0[:self.M], 2 * np.pi)
 
     @property
     def y0(self):
@@ -100,16 +104,6 @@ class PeriodicSolutionRecord:
     @property
     def w0(self):
         return self.z0[2 * self.M:]
-
-
-@dataclass(frozen=True)
-class NeumannSolutionRecord:
-    x_a: np.ndarray
-    u_a: float
-    residual: float
-    iterations: int
-    z0: np.ndarray             # full state (x_a, 0, u_a, 0)
-    x_a_normalized: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -269,7 +263,7 @@ def _shoot(sys, z_guess, newton_tol, max_iter):
 def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40):
     """Newton shooting for a T-periodic solution from ``z_guess``.
 
-    Returns a :class:`PeriodicSolutionRecord`; raises a
+    Returns a :class:`SolutionRecord`; raises a
     :class:`ShootingError` subclass on failure.
     """
     if sys.mode != "periodic":
@@ -281,16 +275,14 @@ def shoot_periodic(sys, z_guess, newton_tol=1e-9, max_iter=40):
                         _WINDING_MIN_RADIUS).turns
     except OriginTooCloseError:
         turns = None
-    return PeriodicSolutionRecord(
-        z0=z, residual=res, iterations=iters, turns=turns,
-        x0_normalized=np.mod(z[:M], 2 * np.pi), M=M)
+    return SolutionRecord(z0=z, residual=res, iterations=iters, M=M, turns=turns)
 
 
 def shoot_neumann(sys, guess, newton_tol=1e-9, max_iter=40):
     """Newton shooting for the Neumann problem from guess (x_a, u_a).
 
     The initial state is (x_a, 0, u_a, 0) by construction; the residual is
-    (y(b), v(b)) over the free unknowns in R^{M+1}.
+    (y(b), v(b)) over the free unknowns in R^{M+1}; the record's ``turns`` is None.
     """
     if sys.mode != "neumann":
         raise ValueError("shoot_neumann requires a Neumann-mode system")
@@ -298,9 +290,7 @@ def shoot_neumann(sys, guess, newton_tol=1e-9, max_iter=40):
     z = np.zeros(sys.dim)
     z[:M], z[2 * M] = guess
     z, res, iters = _shoot(sys, z, newton_tol, max_iter)
-    return NeumannSolutionRecord(
-        x_a=z[:M], u_a=float(z[2 * M]), residual=res, iterations=iters,
-        z0=z, x_a_normalized=np.mod(z[:M], 2 * np.pi))
+    return SolutionRecord(z0=z, residual=res, iterations=iters, M=M)
 
 
 def revalidate(sys, record):
@@ -349,10 +339,9 @@ def classify_distinct(records, tol=1e-6):
     true equivalence regardless of input order.
     """
     records = list(records)
-    M = records[0].z0.size // 2 - 1 if records else 0
 
     def same(i, j):
-        d = _wrap_x(records[i].z0 - records[j].z0, M)
+        d = _wrap_x(records[i].z0 - records[j].z0, records[i].M)
         return np.max(np.abs(d)) <= tol
 
     labels, classes = _union_find_partition(len(records), same)
@@ -362,8 +351,7 @@ def classify_distinct(records, tol=1e-6):
 
 
 def _canon_key(rec):
-    M = rec.z0.size // 2 - 1
-    return tuple(np.round(np.concatenate([np.mod(rec.z0[:M], 2 * np.pi), rec.z0[M:]]), 9))
+    return tuple(np.round(np.concatenate([rec.x0_normalized, rec.z0[rec.M:]]), 9))
 
 
 def classify_distinct_neumann(records, tol=1e-6):
@@ -409,11 +397,8 @@ class MultistartSpec:
     def starts(self, M, seed=0):
         if len(self.y_ranges) not in (1, M) and M > 0:
             raise ValueError("y_ranges must have length 1 (shared) or M")
-        y_axes = []
-        for i in range(M):
-            lo, hi = self.y_ranges[i] if len(self.y_ranges) == M else self.y_ranges[0]
-            y_axes.append(np.array([0.5 * (lo + hi)]) if self.y_points == 1
-                          else np.linspace(lo, hi, self.y_points))
+        ranges = self.y_ranges if len(self.y_ranges) == M else [self.y_ranges[0]] * M
+        y_axes = [grid_axis(lo, hi, self.y_points) for lo, hi in ranges]
         ws = []
         for r in self.w_radii:
             if r == 0.0:
@@ -438,7 +423,7 @@ class NeumannStartSpec:
     jitter: float = 0.0
 
     def starts(self, M, seed=0):
-        us = np.linspace(self.u_range[0], self.u_range[1], self.u_points)
+        us = grid_axis(*self.u_range, self.u_points)
         grid = _grid(_x_axes(self.x_points, M) + [us], self.budget, self.jitter, seed)
         return ((z[:M], float(z[M])) for z in grid)
 

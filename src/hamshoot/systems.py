@@ -34,8 +34,8 @@ from .errors import DimensionMismatchError, MissingDecompositionError, RhoTooSma
 __all__ = [
     "CoupledSystem", "DecompositionData", "CutoffProfile", "DecompositionReport",
     "assemble_field", "variational", "field_jacobian", "validate_decomposition", "build_cutoff",
-    "modify_system", "CutoffModification", "validate_periodicity", "halton", "gamma_least_squares",
-    "xy_names",
+    "modify_system", "CutoffModification", "validate_periodicity", "halton", "grid_axis",
+    "gamma_least_squares", "xy_names",
 ]
 
 
@@ -517,6 +517,11 @@ def halton(n, d, seed):
             col += rng.permutation(b)[k % b] * f
             k, f = k // b, f / b
     return out
+
+
+def grid_axis(lo, hi, points):
+    """``points`` evenly spaced values from ``lo`` to ``hi``; one point is the centre."""
+    return np.array([0.5 * (lo + hi)]) if points == 1 else np.linspace(lo, hi, points)
 
 
 def validate_periodicity(sys, n_samples=32, tol=1e-8, seed=0, scale=3.0):

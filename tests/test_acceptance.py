@@ -261,14 +261,14 @@ def test_criterion_09_neumann_modes():
     for ua in (0.7, -0.4, 1.5):
         rec = shoot_neumann(fam, (np.array([0.3]), ua), newton_tol=1e-9)
         assert rec.residual < 1e-9
-        assert rec.u_a == pytest.approx(ua)  # the family member is kept
+        assert rec.w0[0] == pytest.approx(ua)  # the family member is kept
 
     iso_sys = osc((0.0, 1.0))
     result = multistart_neumann(iso_sys, NeumannStartSpec(x_points=10, u_points=5),
                                 newton_tol=1e-9)
     assert result.stats["attempted"] == 50
     assert result.stats["converged"] == 50
-    worst_u = max(abs(r.u_a) for r in result.all_records)
+    worst_u = max(abs(r.w0[0]) for r in result.all_records)
     worst_res = max(r.residual for r in result.all_records)
     assert worst_u < 1e-9
     assert worst_res < 1e-9

@@ -237,6 +237,23 @@ def test_ll_margin_upper_mirror(circle_orbit):
     assert rep.min_margin == pytest.approx(2 * np.pi * c0, rel=1e-3)
 
 
+def test_ll_margin_one_shift_is_theta(circle_orbit):
+    c = 1.0
+    F = lambda ts, w: np.stack([np.asarray(w[0], dtype=float)
+                                + c * (2 / np.pi) * np.arctan(w[0]),
+                                np.asarray(w[1], dtype=float)])
+    sys_ = CoupledSystem(M=0, F=F, T=2 * np.pi)
+    grid = [0.3, 2.0]
+    one = ll_margin(sys_, "lower", circle_orbit, theta_grid=grid, s_points=1, t_nodes=64)
+    at_theta = ll_margin(sys_, "lower", circle_orbit, theta_grid=grid, s_halfwidth=0.0,
+                         s_points=3, t_nodes=64)
+    low_end = ll_margin(sys_, "lower", circle_orbit, theta_grid=[t - circle_orbit.tau / 64
+                                                                 for t in grid],
+                        s_halfwidth=0.0, s_points=1, t_nodes=64)
+    assert one.rows == at_theta.rows
+    assert all(r[1] != s[1] for r, s in zip(one.rows, low_end.rows))
+
+
 def test_ll_margin_tail_refinement_consistency(circle_orbit):
     # extending the schedule must not raise the estimate beyond the dispersion
     c = 1.0
@@ -374,6 +391,24 @@ def test_twist_sigma_must_be_signs(sigma):
     # 0.5 used to be truncated to 0 (every sample a violation), 1.7 to 1
     with pytest.raises(ValueError, match="sigma entries must be \\+1 or -1"):
         twist_check(_free_rotator(1), [(-1.0, 1.0)], sigma, [constant_path([0.0, 0.0])])
+
+
+@pytest.mark.parametrize("D", [[(8.0, -8.0)], [(1.0, 1.0)], [(-1.0, 1.0), (2.0, 0.5)]])
+def test_twist_refuses_inverted_faces(D):
+    # (8, -8) swapped the outward normals: 4 violations where (-8, 8) passes
+    sys_ = _free_rotator(len(D))
+    with pytest.raises(ValueError, match="a_i < b_i"):
+        twist_check(sys_, D, [1] * len(D), [constant_path([0.0, 0.0])], x_points=2,
+                    y_points=1)
+
+
+def test_twist_one_face_point_is_the_centre():
+    rep = twist_check(_free_rotator(2), [(-1.0, 1.0), (-0.5, 2.0)], [1, 1],
+                      [constant_path([0.0, 0.0])], x_points=1, y_points=1)
+    faces = [desc.split(" y0=")[1].split(" x0=")[0] for desc, _, _ in rep.samples]
+    assert faces == [str(np.round(np.array(y0), 3))
+                     for y0 in ((-1.0, 0.75), (1.0, 0.75), (0.0, -0.5), (0.0, 2.0))]
+    assert rep.passed
 
 
 def _per_sample_drifts(sys_, ensemble, starts, x_points):

@@ -7,9 +7,8 @@ from hamshoot import solvers
 from hamshoot.config import load_config
 from hamshoot.homogeneous import asymmetric, isotropic
 from hamshoot.presets import planar_field_from_expr
-from hamshoot.solvers import (MultistartSpec, NeumannSolutionRecord, NeumannStartSpec,
-                              PeriodicSolutionRecord, classify_distinct,
-                              classify_distinct_neumann, multistart_neumann,
+from hamshoot.solvers import (MultistartSpec, NeumannStartSpec, SolutionRecord,
+                              classify_distinct, classify_distinct_neumann, multistart_neumann,
                               multistart_periodic, revalidate, shoot_neumann,
                               shoot_periodic, wrap_angle_diff)
 from hamshoot.systems import CoupledSystem
@@ -96,6 +95,27 @@ def test_record_revalidates_at_tighter_tolerance(mode):
     assert abs(res_tight - rec.residual) < 10 * newton_tol
 
 
+def test_both_problems_return_one_record_read_from_z0():
+    # a free rotator at rest beside an oscillator whose every orbit has period T
+    osc = asymmetric(4, 1)
+    rest = CoupledSystem(M=1, F=lambda t, w: np.asarray(osc.grad(w), dtype=float),
+                         grad_H=lambda t, x, y: (np.zeros(1), y.copy()), T=1.5 * np.pi,
+                         w_kink=True)
+    periodic = shoot_periodic(rest, np.array([0.25 + 2 * np.pi, 0.0, 0.4, 0.0]))
+    neumann = shoot_neumann(_neumann_oscillator((0.0, np.pi)), (np.array([0.2 - 2 * np.pi]), 0.7))
+    for rec in (periodic, neumann):
+        assert type(rec) is SolutionRecord and rec.M == 1
+        assert np.array_equal(rec.x0_normalized, np.mod(rec.z0[:1], 2 * np.pi))
+        assert 0.0 <= rec.x0_normalized[0] < 1.0 < abs(rec.z0[0])
+        assert np.shares_memory(rec.y0, rec.z0) and np.array_equal(rec.y0, rec.z0[1:2])
+        assert np.shares_memory(rec.w0, rec.z0) and np.array_equal(rec.w0, rec.z0[2:])
+    assert periodic.turns == 1
+    assert neumann.turns is None
+    assert neumann.y0[0] == neumann.w0[1] == 0.0 and neumann.w0[0] == pytest.approx(0.7)
+    assert not hasattr(solvers, "PeriodicSolutionRecord")
+    assert not hasattr(solvers, "NeumannSolutionRecord")
+
+
 def test_winding_recorded_only_away_from_origin():
     # equilibrium solution has w = 0: turns must be absent
     rec = shoot_periodic(PEND, np.array([0.1, 0.0, 0.0, 0.0]))
@@ -114,9 +134,7 @@ def test_winding_recorded_only_away_from_origin():
 def _record(x, y, w, residual=1e-12):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z0 = np.concatenate([x, np.atleast_1d(y), np.asarray(w, dtype=float)])
-    return PeriodicSolutionRecord(z0=z0, residual=residual, iterations=1,
-                                  turns=None, x0_normalized=np.mod(x, 2 * np.pi),
-                                  M=x.size)
+    return SolutionRecord(z0=z0, residual=residual, iterations=1, M=x.size)
 
 
 def test_classify_2pi_shift_same_class():
@@ -142,8 +160,7 @@ def test_classify_pendulum_equilibria_distinct():
 def _neumann_record(x, u, residual=1e-12):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z0 = np.concatenate([x, np.zeros(x.size), [u, 0.0]])
-    return NeumannSolutionRecord(x_a=x, u_a=u, residual=residual, iterations=1, z0=z0,
-                                 x_a_normalized=np.mod(x, 2 * np.pi))
+    return SolutionRecord(z0=z0, residual=residual, iterations=1, M=x.size)
 
 
 def test_classify_is_equivalence_and_permutation_invariant():
@@ -189,6 +206,30 @@ def test_multistart_zero_field_every_start_fixed():
     assert result.partition.n_classes == 36
 
 
+def test_one_point_on_an_axis_is_its_centre():
+    spec = MultistartSpec(x_points=1, y_ranges=((-1.0, 3.0),), y_points=1,
+                          w_radii=(0.0,))
+    assert [list(z) for z in spec.starts(1)] == [[0.0, 1.0, 0.0, 0.0]]
+    spec = NeumannStartSpec(x_points=1, u_range=(-1.0, 3.0), u_points=1)
+    assert [(list(x), u) for x, u in spec.starts(1)] == [([0.0], 1.0)]
+
+
+def test_jitter_moves_every_start_by_seed():
+    spec = MultistartSpec(x_points=2, y_ranges=((-1.0, 1.0),), y_points=2,
+                          w_radii=(0.5,), w_angles=2)
+    exact = np.array(list(spec.starts(1, seed=3)))
+    grid = [[x, y, *w] for x in (0.0, np.pi) for y in (-1.0, 1.0)
+            for w in ((0.5, 0.0), (0.5 * np.cos(np.pi), 0.5 * np.sin(np.pi)))]
+    assert np.array_equal(exact, grid)
+    jittered = MultistartSpec(**{**spec.__dict__, "jitter": 0.01})
+    a = np.array(list(jittered.starts(1, seed=3)))
+    assert np.array_equal(a, np.array(list(jittered.starts(1, seed=3))))
+    b = np.array(list(jittered.starts(1, seed=4)))
+    assert a.shape == b.shape == exact.shape
+    assert np.all(np.any(a != b, axis=1))
+    assert np.all(a != exact) and np.max(np.abs(a - exact)) < 0.1
+
+
 def test_multistart_budget_cap():
     spec = MultistartSpec(x_points=10, y_ranges=((-1, 1),), y_points=10,
                           w_radii=(0.5,), w_angles=10, budget=17)
@@ -212,7 +253,7 @@ def test_neumann_singular_family_on_half_period_interval():
     for ua in (0.7, -0.3, 2.0):
         rec = shoot_neumann(sys_, (np.array([1.0]), ua))
         assert rec.residual < 1e-9
-        assert rec.u_a == pytest.approx(ua)  # family member preserved
+        assert rec.w0[0] == pytest.approx(ua)  # family member preserved
 
 
 def test_neumann_zero_planar_field_singular_in_x():
@@ -221,7 +262,7 @@ def test_neumann_zero_planar_field_singular_in_x():
                          interval=(0.0, 1.0))
     rec = shoot_neumann(sys_, (np.array([2.0]), 0.0))
     assert rec.residual < 1e-12
-    assert rec.x_a[0] == pytest.approx(2.0)
+    assert rec.z0[:1][0] == pytest.approx(2.0)
 
 
 def test_neumann_nonresonant_interval_forces_zero_oscillator():
@@ -230,7 +271,7 @@ def test_neumann_nonresonant_interval_forces_zero_oscillator():
                                 newton_tol=1e-9)
     assert result.stats["attempted"] == 50
     assert result.stats["converged"] == 50
-    assert all(abs(r.u_a) < 1e-9 for r in result.all_records)
+    assert all(abs(r.w0[0]) < 1e-9 for r in result.all_records)
     assert all(r.residual < 1e-9 for r in result.all_records)
 
 
@@ -250,7 +291,7 @@ def test_neumann_pendulum_type_isolated_solutions():
     result = multistart_neumann(sys_, NeumannStartSpec(x_points=6, u_points=3),
                                 newton_tol=1e-9)
     assert result.partition.n_classes >= 2
-    xs = sorted(r.x_a_normalized[0] for r in result.records)
+    xs = sorted(r.x0_normalized[0] for r in result.records)
     assert any(abs(x) < 1e-6 or abs(x - 2 * np.pi) < 1e-6 for x in xs)
     assert any(abs(x - np.pi) < 1e-6 for x in xs)
 
@@ -427,4 +468,4 @@ def test_start_on_a_family_member_keeps_its_place(monkeypatch):
     assert flows[0][2] > 1e-9
     assert _check_flow_rule(rec, flows, 1e-9) == 1
     assert rec.iterations == 0
-    assert rec.x_a[0] == 0.3 and rec.u_a == 0.7
+    assert rec.z0[:1][0] == 0.3 and rec.w0[0] == 0.7
