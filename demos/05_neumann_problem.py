@@ -6,7 +6,9 @@ The shooting unknowns shrink to (x(a), u(a)); the flow is integrated over
 minimal period is taken by the half-periods tau+ (time between consecutive
 zeros of v): the interval length b - a is measured against multiples of the
 half-period, and when it hits one exactly, a whole family of solutions
-appears and the damped solver parks on a family member instead of failing.
+appears.  The solver's minimum-norm Newton steps have no component along the
+family, which J sees only as integration noise, so it keeps the start's
+member instead of failing.
 """
 
 import numpy as np

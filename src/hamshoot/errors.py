@@ -76,7 +76,8 @@ class MaxIterationsError(ShootingError):
 
 
 class SingularJacobianError(ShootingError):
-    """Levenberg-Marquardt fallback also stalled on a singular Jacobian."""
+    """No minimum-norm Newton step from a fine-flow J decreased the residual;
+    the message gives the residual and cond(J), inf when J is singular."""
 
 
 # --- condition checks --------------------------------------------------------

@@ -19,8 +19,8 @@ residual it is measured against is at least 1e-2, it runs coarse, at
 max(0.1 newton_tol, 1e-6): an inexact Newton step needs the residual only to
 a fraction of its size (Dembo, Eisenstat & Steihaug 1982).  Otherwise it runs
 fine, at 0.1 newton_tol.  An iterate evaluated coarse is re-evaluated fine
-once its residual is below 1e-2, so every step near a solution, every LM
-step there and every accepted residual come from fine flows.
+once its residual is below 1e-2, so every step near a solution and every
+accepted residual come from fine flows.
 
 An expression-built system computes f and D_z f Phi in one compiled
 function (0 at a pos/neg/abs kink, the one-sided value elsewhere); a
@@ -30,12 +30,14 @@ The field is continuous across the kink u = 0, so Phi needs no jump there, and
 the one-sided Jacobian makes the iteration a semismooth Newton method, which
 converges superlinearly at kinks too.
 
-Damped Newton with Armijo backtracking; the line search keeps the Jacobian
-of the point it accepts.  A Jacobian with condition number beyond 1e12, or
-a Newton step that needs more than 4 halvings, switches the step to
-Levenberg-Marquardt with fixed damping 1e-6.  Singular Jacobians are
-expected at resonance (continua of solutions): the LM step then returns a
-point on the continuum instead of failing.
+Newton steps are minimum-norm steps of a truncated SVD of J (Ben-Israel
+1966; Deuflhard 2004), damped by Armijo backtracking; the line search keeps
+the Jacobian of the point it accepts.  Singular values at the noise level of
+the flow that gave J are dropped: at resonance solutions come in continua,
+Phi - I is integration noise along the family, and a step with no component
+there keeps the start's member of the family.  Weak singular values, below
+1e-3 sigma_max, are dropped first unless they hold most of the residual; the
+full step is the fallback, so an isolated root along them is still reached.
 
 Both problems return a :class:`SolutionRecord`, whose views read its initial
 state z0 (in Neumann mode (x_a, 0, u_a, 0), so u(a) is ``w0[0]``).
@@ -65,14 +67,16 @@ __all__ = [
     "wrap_angle_diff", "solution_flow",
 ]
 
-_COND_LIMIT = 1e12
-_LM_DAMPING = 1e-6
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 30
-# A Newton step that needs more halvings than this is taken as stalled and
-# replaced by the LM step: near a continuum of solutions the step follows a
-# near-null direction of J and the line search would crawl.
-_NEWTON_BACKTRACKS = 4
+# Singular values of J at or below _NOISE_RATIO * the tolerance of the flow
+# that gave J are noise; those above it but at or below _RELATIVE_CUTOFF *
+# sigma_max are weak.  1e-3 is sqrt(1e-6), the filter of Marquardt damping
+# 1e-6 diag(J^T J).  Near a degenerate solution, or along the time shift of an
+# autonomous rotating orbit (sigma ~ 4e-7 against 14), a step along a weak
+# direction overshoots and a damped one crawls.
+_NOISE_RATIO = 10.0
+_RELATIVE_CUTOFF = 1e-3
 _WINDING_MIN_RADIUS = 1e-8
 _FLOW_TOL_RATIO = 0.1  # fine shooting flows run at 0.1 newton_tol, below the residual goal
 _COARSE_FLOW_TOL = 1e-6  # coarse flows run at max(fine tolerance, this) ...
@@ -121,24 +125,34 @@ class DistinctnessPartition:
 # Newton core
 # --------------------------------------------------------------------------
 
-def _lm_step(J, R):
-    """Levenberg-Marquardt step with Marquardt-scaled fixed damping 1e-6.
+def _min_norm_steps(J, R, noise):
+    """The nonzero Newton steps to try from J, in order, and cond(J).
 
-    The damping multiplies diag(J^T J) so it stays proportionate to the
-    local curvature; a tiny floor keeps the system solvable when columns
-    vanish (neutral directions on a solution continuum get a zero step).
+    A step -V_k S_k^-1 U_k^T R keeps some singular values of J and has no
+    component along the right singular vectors of the others.  The full step
+    keeps those above ``noise``; the strong step also drops the weak ones
+    (see ``_RELATIVE_CUTOFF``) and goes first unless they hold more than half
+    of the residual, which only the full step can remove.
     """
-    JtJ = J.T @ J
-    d = np.diag(JtJ)
-    floor = 1e-16 * max(1.0, float(np.max(d, initial=0.0)))
-    A = JtJ + np.diag(_LM_DAMPING * np.maximum(d, floor))
-    return np.linalg.solve(A, -J.T @ R)
+    U, s, Vt = np.linalg.svd(J)
+    coef = U.T @ R
+    full = s > noise
+    strong = s > max(noise, _RELATIVE_CUTOFF * s[0])
+    weak = full & ~strong
+    if not weak.any():
+        keeps = [full]
+    elif np.linalg.norm(coef[weak]) > 0.5 * np.linalg.norm(coef):
+        keeps = [full, strong]
+    else:
+        keeps = [strong, full]
+    steps = [-Vt[k].T @ (coef[k] / s[k]) for k in keeps]
+    return [d for d in steps if d.any()], (s[0] / s[-1] if s[-1] > 0.0 else np.inf)
 
 
-def _line_search(evaluate, z, delta, nR, flow_tol, backtracks=_MAX_BACKTRACKS):
+def _line_search(evaluate, z, delta, nR, flow_tol):
     """Armijo backtracking along ``delta``; (z, R, J, |R|) of the accepted point."""
     alpha = 1.0
-    for _ in range(backtracks):
+    for _ in range(_MAX_BACKTRACKS):
         z_try = z + alpha * delta
         R_try, J_try = evaluate(z_try, flow_tol)
         n_try = float(np.linalg.norm(R_try))
@@ -149,7 +163,7 @@ def _line_search(evaluate, z, delta, nR, flow_tol, backtracks=_MAX_BACKTRACKS):
 
 
 def _newton(evaluate, z0, tol, max_iter):
-    """Damped Newton with LM fallback; returns (z, |R|, iterations).
+    """Damped minimum-norm Newton; returns (z, |R|, iterations).
 
     ``evaluate(z, flow_tol)`` returns the residual and its Jacobian at z from
     a flow integrated at ``flow_tol``.  The fine flow tolerance is
@@ -157,9 +171,12 @@ def _newton(evaluate, z0, tol, max_iter):
     serves the start's first evaluation and every line-search trial from an
     iterate with |R| >= ``_FAR_RESIDUAL``.  An iterate evaluated coarse whose
     |R| is below ``_FAR_RESIDUAL`` is re-evaluated fine before it is tested
-    for convergence or stepped from, so every Newton or LM step near a
-    solution and every accepted residual come from fine flows, exactly as
-    with fine flows throughout.  Re-evaluations are not iterations.
+    for convergence or stepped from, so every step near a solution and every
+    accepted residual come from fine flows.  Re-evaluations are not
+    iterations.  The steps are :func:`_min_norm_steps` of the current J, with
+    the noise set by the tolerance of the flow that gave J, each searched with
+    up to ``_MAX_BACKTRACKS`` halvings.  When none decreases |R|, a coarse J is
+    re-evaluated fine; a fine one raises :class:`SingularJacobianError`.
     """
     fine = _FLOW_TOL_RATIO * tol
     coarse = max(fine, _COARSE_FLOW_TOL)
@@ -167,7 +184,8 @@ def _newton(evaluate, z0, tol, max_iter):
     flow_tol = coarse
     R, J = evaluate(z, flow_tol)
     nR = float(np.linalg.norm(R))
-    for it in range(max_iter + 1):
+    it = 0
+    while True:
         if flow_tol > fine and nR < _FAR_RESIDUAL:
             flow_tol = fine
             R, J = evaluate(z, flow_tol)
@@ -175,30 +193,27 @@ def _newton(evaluate, z0, tol, max_iter):
         if nR <= tol:
             return z, nR, it
         if it == max_iter:
-            break
-        use_lm = False
-        cond = np.linalg.cond(J)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            use_lm = True
+            raise MaxIterationsError(
+                f"no convergence in {max_iter} iterations; residual {nR:.3e}")
+        steps, cond = _min_norm_steps(J, R, _NOISE_RATIO * flow_tol)
+        trial_tol = coarse if nR >= _FAR_RESIDUAL else fine
+        step = None
+        for delta in steps:
+            step = _line_search(evaluate, z, delta, nR, trial_tol)
+            if step is not None:
+                break
+        if step is not None:
+            z, R, J, nR = step
+            flow_tol = trial_tol
+            it += 1
+        elif flow_tol > fine:
+            # a coarse J may drop a direction that a fine one resolves
+            flow_tol = fine
+            R, J = evaluate(z, flow_tol)
+            nR = float(np.linalg.norm(R))
         else:
-            try:
-                delta = np.linalg.solve(J, -R)
-            except np.linalg.LinAlgError:
-                use_lm = True
-        if use_lm:
-            delta = _lm_step(J, R)
-
-        flow_tol = coarse if nR >= _FAR_RESIDUAL else fine
-        step = _line_search(evaluate, z, delta, nR, flow_tol,
-                            _MAX_BACKTRACKS if use_lm else _NEWTON_BACKTRACKS)
-        if step is None and not use_lm:
-            # stalled Newton direction: retry the same iteration with LM
-            step = _line_search(evaluate, z, _lm_step(J, R), nR, flow_tol)
-        if step is None:
             raise SingularJacobianError(
-                f"LM fallback stalled at residual {nR:.3e} (cond ~ {cond:.3e})")
-        z, R, J, nR = step
-    raise MaxIterationsError(f"no convergence in {max_iter} iterations; residual {nR:.3e}")
+                f"line search stalled at residual {nR:.3e} (cond ~ {cond:.3e})")
 
 
 # --------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def test_criterion_09_neumann_modes():
     worst_res = max(r.residual for r in result.all_records)
     assert worst_u < 1e-9
     assert worst_res < 1e-9
-    assert any(r.iterations > 0 for r in result.all_records)  # LM actually moved
+    assert any(r.iterations > 0 for r in result.all_records)  # Newton actually moved
     _ok(9, f"singular family kept; 50/50 nonresonant starts -> u = 0 "
            f"(worst |u| {worst_u:.1e}, worst residual {worst_res:.1e})")
 

@@ -1,3 +1,5 @@
+import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from hamshoot import solvers
 from hamshoot.config import load_config
+from hamshoot.errors import SingularJacobianError
 from hamshoot.homogeneous import asymmetric, isotropic
 from hamshoot.presets import planar_field_from_expr
 from hamshoot.solvers import (MultistartSpec, NeumannStartSpec, SolutionRecord,
@@ -55,6 +58,21 @@ def test_shoot_converges_to_saddle():
     assert abs(rec.z0[1]) < 1e-6
 
 
+@pytest.mark.parametrize("A, T, offset", [(2.0, 2 * np.pi, 1e-4), (1.0, 2.4 * np.pi, 1e-3),
+                                          (4.0, 1.2 * np.pi, 1e-3)])
+def test_shoot_converges_to_strongly_hyperbolic_saddle(A, T, offset):
+    # at x = pi, Phi - I has singular values ~ e^{sqrt(A) T} > 1e3 and ~ 1, so
+    # the stable direction is weak; the full Newton step must still remove the
+    # residual along it.  The w block turns 1.5 times over T: nonresonant.
+    # (From pi - 0.01 the start is drawn to the orbits of period T instead.)
+    sys_ = CoupledSystem(M=1, F=lambda t, w: 1.5 * np.asarray(w, dtype=float),
+                         grad_H=_grad_pendulum(A), T=T)
+    rec = shoot_periodic(sys_, np.array([np.pi - offset, 0.0, 0.1, 0.05]))
+    assert rec.residual < 1e-9
+    assert abs(rec.z0[0] - np.pi) < 1e-8
+    assert np.max(np.abs(rec.z0[1:])) < 1e-8
+
+
 def test_shoot_finds_running_solution_outside_saddle_basin():
     # farther starts converge to rotating orbits: x advances by 2 pi over T,
     # periodic on the cylinder thanks to the angular wrap
@@ -71,8 +89,9 @@ def test_identity_poincare_map_zero_iterations():
     assert rec.residual < 1e-9
 
 
-def test_lm_fallback_on_singular_jacobian_with_nonzero_residual():
-    # pendulum block off-solution + identity w-block: J singular, LM converges
+def test_min_norm_step_on_singular_jacobian_with_nonzero_residual():
+    # pendulum block off-solution + identity w-block: J singular; the step
+    # drops the w block's null directions and the pendulum block converges
     mix = CoupledSystem(M=1, F=_iso_field(), grad_H=_grad_pendulum(), T=2 * np.pi)
     rec = shoot_periodic(mix, np.array([0.4, 0.25, 0.3, -0.1]))
     assert rec.residual < 1e-9
@@ -256,6 +275,83 @@ def test_neumann_singular_family_on_half_period_interval():
         assert rec.w0[0] == pytest.approx(ua)  # family member preserved
 
 
+def _demo_module(name):
+    path = Path(__file__).resolve().parents[1] / "demos" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"demo_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("ua", [0.8, -0.5, 2.0, -1.25, 0.35, 1.6])
+def test_demo_family_start_keeps_its_member(ua):
+    # demos/05's family part: the oscillator on [0, pi], where every u(a)
+    # solves, beside a pendulum x block that needs Newton steps from x(a) = 0.2.
+    # J sees the family coordinate only as flow noise, so it must not move
+    fam = _demo_module("05_neumann_problem").oscillator_system((0.0, np.pi))
+    rec = shoot_neumann(fam, (np.array([0.2]), ua), newton_tol=1e-9)
+    assert rec.iterations > 0
+    assert rec.residual <= 1e-9
+    assert abs(rec.w0[0] - ua) <= 1e-8
+
+
+def test_periodic_family_start_keeps_its_member():
+    # every orbit of asymmetric(4, 1) has period 1.5 pi = T: a family in w,
+    # beside a pendulum x block that needs Newton steps
+    osc = asymmetric(4, 1)
+    sys_ = CoupledSystem(M=1, F=lambda t, w: np.asarray(osc.grad(w), dtype=float),
+                         grad_H=lambda t, x, y: (2 * np.sin(x), y.copy()), T=1.5 * np.pi,
+                         w_kink=True)
+    rec = shoot_periodic(sys_, np.array([0.25, 0.1, 0.4, 0.0]))
+    assert rec.iterations > 0 and rec.residual <= 1e-9
+    assert np.max(np.abs(rec.w0 - [0.4, 0.0])) <= 1e-8
+    assert rec.turns == 1
+
+
+def _with_singular_values(sigma, seed):
+    """(J, U, V) with J = U diag(sigma) V^T for random orthogonal U and V."""
+    rng = np.random.default_rng(seed)
+    n = len(sigma)
+    U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return U @ np.diag(sigma) @ V.T, U, V
+
+
+def test_min_norm_step_has_no_component_along_a_dropped_direction():
+    J, U, V = _with_singular_values([5.0, 1.0, 1e-12], seed=3)
+    R = np.random.default_rng(4).standard_normal(3)
+    steps, cond = solvers._min_norm_steps(J, R, noise=1e-9)
+    assert len(steps) == 1
+    delta = steps[0]
+    assert abs(V[:, 2] @ delta) <= 1e-12 * np.linalg.norm(delta)
+    # along the kept directions it is the Newton step
+    assert np.allclose(U[:, :2].T @ (J @ delta), -U[:, :2].T @ R, rtol=0.0, atol=1e-12)
+    assert cond == pytest.approx(5e12, rel=1e-3)
+
+
+def test_min_norm_step_is_the_newton_step_on_a_well_conditioned_jacobian():
+    J, _, _ = _with_singular_values([3.0, 2.0, 1.0, 0.5], seed=5)
+    R = np.random.default_rng(6).standard_normal(4)
+    steps, cond = solvers._min_norm_steps(J, R, noise=1e-9)
+    ref = np.linalg.solve(J, -R)
+    assert len(steps) == 1
+    assert np.linalg.norm(steps[0] - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert cond == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("weak_share", [0.1, 0.9])
+def test_weak_direction_is_dropped_first_unless_it_holds_most_of_the_residual(weak_share):
+    # sigma = 1e-4 is weak (below 1e-3 sigma_max) but far above the noise: J is
+    # nonsingular, and the full Newton step is always one of the two tried
+    J, U, V = _with_singular_values([2.0, 1.0, 1e-4], seed=7)
+    R = U @ np.array([np.sqrt(1 - weak_share**2), 0.0, weak_share])
+    steps, cond = solvers._min_norm_steps(J, R, noise=1e-9)
+    strong, full = steps if weak_share < 0.5 else steps[::-1]
+    assert abs(V[:, 2] @ strong) <= 1e-12 * np.linalg.norm(strong)
+    ref = np.linalg.solve(J, -R)
+    assert np.linalg.norm(full - ref) <= 1e-10 * np.linalg.norm(ref)  # cond 2e4 x eps
+    assert cond == pytest.approx(2e4)
+
+
 def test_neumann_zero_planar_field_singular_in_x():
     sys_ = CoupledSystem(M=1, F=_zero_field(),
                          grad_H=lambda t, x, y: (np.zeros(1), y.copy()),
@@ -349,12 +445,46 @@ def _failed_starts(sys_, spec, **kw):
     return {k: v for k, v in result.stats.items() if v}
 
 
+# bench/checks.py's _STALL, which classifies stalled starts by this message
+_STALL = re.compile(r"stalled at residual ([0-9.eE+-]+) \(cond ~ ([0-9.eE+-]+)\)")
+
+
 def test_multistart_counts_singular_stalls():
     # a constant F = (1, 0) moves w by (0, -T) from every start, and Phi - I = 0:
-    # the LM step is 0, so the line search stalls
+    # every singular value is dropped, the step is 0, so the search stalls
     sys_ = CoupledSystem(M=0, F=lambda t, w: np.array([1.0, 0.0]), T=1.0)
     assert _failed_starts(sys_, MultistartSpec(w_radii=(0.5,), w_angles=2)) == \
         {"attempted": 2, "singular_stall": 2}
+    with pytest.raises(SingularJacobianError) as err:
+        shoot_periodic(sys_, np.array([0.5, 0.0]))
+    assert str(err.value).endswith("stalled at residual 1.000e+00 (cond ~ inf)")
+    # u' = 1 + 5e-10 u: the u direction of Phi - I is below the noise of a fine
+    # flow (10 x 1e-10), so no step removes the residual along it; the search
+    # stalls at a finite cond that the bench's message reads
+    for z in ([0.5, 0.0], [0.5, 0.3]):
+        with pytest.raises(SingularJacobianError) as err:
+            shoot_periodic(_drift_system(5e-10), np.array(z))
+        m = _STALL.search(str(err.value))
+        assert m is not None, str(err.value)
+        assert float(m.group(1)) == pytest.approx(1.0, rel=1e-4)
+        assert float(m.group(2)) >= 1e9
+
+
+def _drift_system(eps):
+    """u' = 1 + eps u, v' = ln(2) v: Phi - I = diag(eps, 1), root at u = -1 / eps."""
+    lam = np.log(2.0)
+    return CoupledSystem(M=0, F=lambda t, w: np.array([-lam * w[1], 1.0 + eps * w[0]]), T=1.0)
+
+
+@pytest.mark.parametrize("z", [[0.5, 0.0], [0.5, 0.3]])
+def test_weak_direction_above_the_noise_converges(z):
+    # sigma = 1e-5 is weak (below 1e-3 sigma_max) and holds all of the residual:
+    # the full Newton step reaches the isolated root.  From (0.5, 0) the first,
+    # coarse flow puts it at its noise level (10 x 1e-6), and the step is taken
+    # from a fine re-evaluation
+    rec = shoot_periodic(_drift_system(1e-5), np.array(z))
+    assert rec.residual <= 1e-9
+    assert rec.w0 == pytest.approx([-1e5, 0.0], rel=0.0, abs=1e-6)
 
 
 def test_multistart_counts_integration_failures():

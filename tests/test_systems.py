@@ -326,11 +326,15 @@ def test_plain_callable_jacobian_is_one_sided_at_the_kink():
 
 def _numpy_system(M, H=True, P=True):
     """A plain-callable system with numpy blocks: F the asymmetric (4, 1)
-    oscillator plus a forcing, grad_H and grad_P present or not."""
+    oscillator plus a forcing, grad_H and grad_P present or not.  F and grad_Q
+    take w of shape (2,) or (2, n), as CoupledSystem documents."""
     osc = asymmetric(4.0, 1.0)
 
     def F(t, w):
-        return np.asarray(osc.grad(w), dtype=float) + np.array([0.1 * np.sin(t), 0.0])
+        g = np.asarray(osc.grad(w), dtype=float)
+        forcing = np.zeros_like(g)
+        forcing[0] = 0.1 * np.sin(t)
+        return g + forcing
 
     def grad_H(t, x, y):
         return np.sin(x) * np.cos(t), y * np.arange(1.0, M + 1.0)
@@ -342,7 +346,32 @@ def _numpy_system(M, H=True, P=True):
     return CoupledSystem(M=M, F=F, grad_H=grad_H if H else None, grad_P=grad_P if P else None,
                          T=2 * np.pi, w_kink=True,
                          decomposition=DecompositionData(osc, asymmetric(1.0, 4.0),
-                                                         lambda t, w: np.zeros(2)))
+                                                         lambda t, w: np.zeros(np.shape(w))))
+
+
+def test_numpy_system_forcing_broadcasts_over_points():
+    """The helper's F keeps its point values bit for bit (the forcing added as
+    (0.1 sin t, 0.0), so -0.0 + 0.0 stays +0.0) and, like every F, takes w of
+    shape (2, n), t a scalar or one per point, one column at a time; so does
+    its F_rho on points that straddle the cutoff regions."""
+    osc = asymmetric(4.0, 1.0)
+    F = _numpy_system(1).F
+    rng = np.random.default_rng(5)
+    W = rng.standard_normal((2, 3))
+    W[1, 1] = -0.0
+    ts = rng.uniform(0.0, 7.0, 3)
+    for t, w in zip(ts, W.T):
+        old = np.asarray(osc.grad(w), dtype=float) + np.array([0.1 * np.sin(t), 0.0])
+        assert np.array_equal(_bits(F(t, w)), _bits(old))
+    F_rho = modify_system(_numpy_system(1), 3.0).F
+    W_rho = W * np.array([0.5, 5.0, 40.0]) / np.hypot(*W)   # |w| <= 3, the band, >= 27
+    for f, pts in ((F, W), (F_rho, W_rho)):
+        for n in (1, 2, 3):
+            for t in (ts[0], ts[:n]):
+                cols = [f(np.broadcast_to(t, n)[j], pts[:, j]) for j in range(n)]
+                out = f(t, pts[:, :n])
+                assert out.shape == (2, n)
+                assert np.array_equal(_bits(out), _bits(np.column_stack(cols)))
 
 
 def _forward_differences(f, t, z):
