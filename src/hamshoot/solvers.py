@@ -19,8 +19,8 @@ residual it is measured against is at least 1e-2, it runs coarse, at
 max(0.1 newton_tol, 1e-6): an inexact Newton step needs the residual only to
 a fraction of its size (Dembo, Eisenstat & Steihaug 1982).  Otherwise it runs
 fine, at 0.1 newton_tol.  An iterate evaluated coarse is re-evaluated fine
-once its residual is below 1e-2, so every step near a solution and every
-accepted residual come from fine flows.
+only at its noise floor, |R| <= 10 x the coarse tolerance, so no coarse
+residual is accepted; above it Newton steps from the coarse Jacobian.
 
 An expression-built system computes f and D_z f Phi in one compiled
 function (0 at a pos/neg/abs kink, the one-sided value elsewhere); a
@@ -169,13 +169,13 @@ def _newton(evaluate, z0, tol, max_iter):
     a flow integrated at ``flow_tol``.  The fine flow tolerance is
     ``_FLOW_TOL_RATIO * tol``; the coarse one, max(fine, ``_COARSE_FLOW_TOL``),
     serves the start's first evaluation and every line-search trial from an
-    iterate with |R| >= ``_FAR_RESIDUAL``.  An iterate evaluated coarse whose
-    |R| is below ``_FAR_RESIDUAL`` is re-evaluated fine before it is tested
-    for convergence or stepped from, so every step near a solution and every
-    accepted residual come from fine flows.  Re-evaluations are not
-    iterations.  The steps are :func:`_min_norm_steps` of the current J, with
-    the noise set by the tolerance of the flow that gave J, each searched with
-    up to ``_MAX_BACKTRACKS`` halvings.  When none decreases |R|, a coarse J is
+    iterate with |R| >= ``_FAR_RESIDUAL``.  An iterate evaluated coarse is
+    stepped from unless |R| is at its noise floor, at most ``_NOISE_RATIO``
+    times the coarse tolerance; then it is re-evaluated fine first, so no
+    coarse residual is accepted.  Re-evaluations are not iterations.  The
+    steps are :func:`_min_norm_steps` of the current J, with the noise set by
+    the tolerance of the flow that gave J, each searched with up to
+    ``_MAX_BACKTRACKS`` halvings.  When none decreases |R|, a coarse J is
     re-evaluated fine; a fine one raises :class:`SingularJacobianError`.
     """
     fine = _FLOW_TOL_RATIO * tol
@@ -186,7 +186,7 @@ def _newton(evaluate, z0, tol, max_iter):
     nR = float(np.linalg.norm(R))
     it = 0
     while True:
-        if flow_tol > fine and nR < _FAR_RESIDUAL:
+        if flow_tol > fine and nR <= _NOISE_RATIO * flow_tol:
             flow_tol = fine
             R, J = evaluate(z, flow_tol)
             nR = float(np.linalg.norm(R))

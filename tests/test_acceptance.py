@@ -23,9 +23,10 @@ from hamshoot.homogeneous import (AsymmetricParams, asym_period, asymmetric,
                                   minimal_period)
 from hamshoot.presets import planar_field_from_expr
 from hamshoot.solvers import (MultistartSpec, NeumannStartSpec, multistart_neumann,
-                              multistart_periodic, shoot_neumann)
+                              multistart_periodic, revalidate, shoot_neumann)
 from hamshoot.systems import (CoupledSystem, DecompositionData, assemble_field,
-                              build_cutoff, modify_system, variational)
+                              build_cutoff, modify_system, validate_decomposition,
+                              variational)
 
 GRID = (0.25, 1.0, 4.0, 9.0)
 
@@ -144,6 +145,11 @@ def test_criterion_05_landesman_lazer_benchmark():
     _ok(5, "margins 4c reproduced for c in {0.5, 1, 2}")
 
 
+def _zero_grad_Q(t, w):
+    """grad Q = 0, taking and returning points (2,) or stacked (2, k) as F does."""
+    return np.zeros_like(w, dtype=float)
+
+
 def _corollary_system(eps=0.1):
     """Pendulum (A=1, no forcing) + asymmetric oscillator (4,1), P = eps sin x sin u."""
     H41 = asymmetric(4.0, 1.0)
@@ -162,7 +168,22 @@ def _corollary_system(eps=0.1):
     return CoupledSystem(M=1, F=F, grad_H=grad_H, grad_P=grad_P, T=2 * np.pi,
                          w_kink=True,
                          decomposition=DecompositionData(
-                             H41, H41, lambda t, w: np.zeros(2)))
+                             H41, H41, _zero_grad_Q))
+
+
+def test_corollary_decomposition_takes_points_as_F_does():
+    # H1 = H2 = H41 and grad Q = 0: F is its own decomposition and its own cutoff
+    # modification, on one point and on stacked points inside, across and
+    # beyond the cutoff annulus [rho, rho^3]
+    sys_ = _corollary_system()
+    assert validate_decomposition(sys_).passed
+    w = np.array([[0.5, -5.0, 0.0], [0.0, 0.0, 40.0]])
+    F_rho = modify_system(sys_, 3.0).F
+    stacked = F_rho(0.0, w)
+    assert stacked.shape == w.shape
+    for k in range(w.shape[1]):
+        assert np.array_equal(stacked[:, k], F_rho(0.0, w[:, k]))
+    assert np.allclose(stacked, sys_.F(0.0, w), rtol=1e-12, atol=0.0)
 
 
 def test_criterion_06_multiplicity_desk_scale():
@@ -182,6 +203,8 @@ def test_criterion_06_multiplicity_desk_scale():
     worst = max(r.residual for r in result.all_records)
     assert worst < 1e-9
     assert elapsed < 120.0, f"took {elapsed:.1f} s"
+    for r in result.all_records:
+        assert revalidate(sys_, r) <= 1e-9
     _ok(6, f"{result.partition.n_classes} distinct classes from "
            f"{result.stats['attempted']} starts, worst residual {worst:.1e}, "
            f"{elapsed:.1f} s")
@@ -203,7 +226,7 @@ def test_criterion_07_cutoff_construction():
     H1, H2 = asymmetric(4, 1), asymmetric(9, 4)
     sys_ = CoupledSystem(M=0, F=lambda t, w: np.asarray(H1.grad(w), dtype=float),
                          T=2 * np.pi,
-                         decomposition=DecompositionData(H1, H2, lambda t, w: np.zeros(2)))
+                         decomposition=DecompositionData(H1, H2, _zero_grad_Q))
     rho = 5.0
     mod_sys = modify_system(sys_, rho)
     rng = np.random.default_rng(11)
