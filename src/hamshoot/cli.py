@@ -12,8 +12,10 @@ Subcommands::
 
 Common flags: ``--seed N`` (overrides the config seed) and
 ``--dump-trajectories``.  Exit codes: 0 ok, 2 config error (also an
-expression that a stage evaluates outside its domain), 3 integration
-failure, 4 solver found no solutions.
+expression that a stage evaluates outside its domain, or a planar H1 that is
+not positive on the unit circle), 3 integration failure (also a field that
+overflows in the LL margins), 4 solver found no solutions.  After a stage
+fails, results.json still holds the stages that finished.
 
 Identical config + seed give identical CSV bytes; results.json is identical
 up to the metadata timestamp/wall-time fields.
@@ -35,7 +37,7 @@ from .conditions import (Ball, avoiding_rays_check, classify_resonance,
                          constant_path, estimate_mbar, fourier_paths,
                          indefinite_twist_check, ll_margin, twist_check, SampleBox)
 from .config import load_config, read_top_key
-from .errors import ConfigError, DomainError, IntegrationError
+from .errors import ConfigError, DomainError, IntegrationError, NonpositiveHamiltonianError
 from .homogeneous import asym_period, half_periods, minimal_period, reference_orbit
 from .solvers import multistart_neumann, multistart_periodic, solution_flow
 from .systems import validate_periodicity
@@ -334,6 +336,9 @@ def main(argv=None):
         code = EXIT_INTEGRATION
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        code = EXIT_CONFIG
+    except NonpositiveHamiltonianError as exc:
+        print(f"nonpositive Hamiltonian: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
 
     results["metadata"]["wall_time_s"] = time.time() - t_start

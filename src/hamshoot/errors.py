@@ -82,7 +82,7 @@ class SingularJacobianError(ShootingError):
 
 # --- condition checks --------------------------------------------------------
 
-class IntegrationOverflowError(HamshootError):
+class IntegrationOverflowError(IntegrationError):
     """Field evaluation overflowed at large amplitude during a limit estimate."""
 
 

@@ -14,13 +14,12 @@ Each Newton evaluation is one flow of the variational field
 (:func:`~hamshoot.systems.variational`): the state and its sensitivity Phi
 to the unknowns, Phi' = D_z f Phi, integrated together.  It gives the defect
 and the exact Jacobian Phi[rows] - I[rows, cols] along the actual trajectory.
-The flow runs at one of two tolerances.  Far from a solution, where the
-residual it is measured against is at least 1e-2, it runs coarse, at
-max(0.1 newton_tol, 1e-6): an inexact Newton step needs the residual only to
-a fraction of its size (Dembo, Eisenstat & Steihaug 1982).  Otherwise it runs
-fine, at 0.1 newton_tol.  An iterate evaluated coarse is re-evaluated fine
-only at its noise floor, |R| <= 10 x the coarse tolerance, so no coarse
-residual is accepted; above it Newton steps from the coarse Jacobian.
+A start's flows run coarse, at max(0.1 newton_tol, 1e-6), until a coarse
+residual is at its noise floor, 10 x the coarse tolerance, or no step from a
+coarse Jacobian decreases it: an inexact Newton step needs the residual only
+to a fraction of its size (Dembo, Eisenstat & Steihaug 1982).  That state is
+then re-evaluated fine, at 0.1 newton_tol, and every later flow runs fine, so
+only fine residuals are accepted and only a fine stall is singular.
 
 An expression-built system computes f and D_z f Phi in one compiled
 function (0 at a pos/neg/abs kink, the one-sided value elsewhere); a
@@ -79,8 +78,7 @@ _NOISE_RATIO = 10.0
 _RELATIVE_CUTOFF = 1e-3
 _WINDING_MIN_RADIUS = 1e-8
 _FLOW_TOL_RATIO = 0.1  # fine shooting flows run at 0.1 newton_tol, below the residual goal
-_COARSE_FLOW_TOL = 1e-6  # coarse flows run at max(fine tolerance, this) ...
-_FAR_RESIDUAL = 1e-2     # ... while the residual they are measured against is at least this
+_COARSE_FLOW_TOL = 1e-6  # coarse flows run at max(fine tolerance, this)
 
 
 def wrap_angle_diff(d):
@@ -166,48 +164,39 @@ def _newton(evaluate, z0, tol, max_iter):
     """Damped minimum-norm Newton; returns (z, |R|, iterations).
 
     ``evaluate(z, flow_tol)`` returns the residual and its Jacobian at z from
-    a flow integrated at ``flow_tol``.  The fine flow tolerance is
-    ``_FLOW_TOL_RATIO * tol``; the coarse one, max(fine, ``_COARSE_FLOW_TOL``),
-    serves the start's first evaluation and every line-search trial from an
-    iterate with |R| >= ``_FAR_RESIDUAL``.  An iterate evaluated coarse is
-    stepped from unless |R| is at its noise floor, at most ``_NOISE_RATIO``
-    times the coarse tolerance; then it is re-evaluated fine first, so no
-    coarse residual is accepted.  Re-evaluations are not iterations.  The
-    steps are :func:`_min_norm_steps` of the current J, with the noise set by
-    the tolerance of the flow that gave J, each searched with up to
-    ``_MAX_BACKTRACKS`` halvings.  When none decreases |R|, a coarse J is
-    re-evaluated fine; a fine one raises :class:`SingularJacobianError`.
+    a flow integrated at ``flow_tol``.  Flows run coarse, at max(fine,
+    ``_COARSE_FLOW_TOL``), until |R| is at its noise floor, at most
+    ``_NOISE_RATIO`` times the coarse tolerance, or no step decreases it; that
+    state is re-evaluated fine, at ``_FLOW_TOL_RATIO * tol``, and every later
+    flow is fine.  The re-evaluation is not an iteration.  The steps are
+    :func:`_min_norm_steps` of the current J, with the noise set by the flow
+    tolerance, each searched with up to ``_MAX_BACKTRACKS`` halvings.  When
+    none decreases a fine |R|, :class:`SingularJacobianError` is raised.
     """
     fine = _FLOW_TOL_RATIO * tol
-    coarse = max(fine, _COARSE_FLOW_TOL)
+    flow_tol = max(fine, _COARSE_FLOW_TOL)
     z = np.asarray(z0, dtype=float).copy()
-    flow_tol = coarse
     R, J = evaluate(z, flow_tol)
     nR = float(np.linalg.norm(R))
     it = 0
     while True:
-        if flow_tol > fine and nR <= _NOISE_RATIO * flow_tol:
-            flow_tol = fine
-            R, J = evaluate(z, flow_tol)
-            nR = float(np.linalg.norm(R))
-        if nR <= tol:
-            return z, nR, it
-        if it == max_iter:
-            raise MaxIterationsError(
-                f"no convergence in {max_iter} iterations; residual {nR:.3e}")
-        steps, cond = _min_norm_steps(J, R, _NOISE_RATIO * flow_tol)
-        trial_tol = coarse if nR >= _FAR_RESIDUAL else fine
         step = None
-        for delta in steps:
-            step = _line_search(evaluate, z, delta, nR, trial_tol)
-            if step is not None:
-                break
+        if flow_tol == fine or nR > _NOISE_RATIO * flow_tol:
+            if nR <= tol:
+                return z, nR, it
+            if it == max_iter:
+                raise MaxIterationsError(
+                    f"no convergence in {max_iter} iterations; residual {nR:.3e}")
+            steps, cond = _min_norm_steps(J, R, _NOISE_RATIO * flow_tol)
+            for delta in steps:
+                step = _line_search(evaluate, z, delta, nR, flow_tol)
+                if step is not None:
+                    break
         if step is not None:
             z, R, J, nR = step
-            flow_tol = trial_tol
             it += 1
         elif flow_tol > fine:
-            # a coarse J may drop a direction that a fine one resolves
+            # the coarse phase ends at its noise floor or stall
             flow_tol = fine
             R, J = evaluate(z, flow_tol)
             nR = float(np.linalg.norm(R))

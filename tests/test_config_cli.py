@@ -766,3 +766,34 @@ def test_no_scipy_at_runtime(tmp_path, config):
                           capture_output=True, text=True, env=_cli_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 [] []"
+
+
+def _stage_failure(tmp_path, capsys, raw):
+    """Run ``full`` in process on ``raw``: its exit code, stderr and results.json keys."""
+    cfg = tmp_path / "fail.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "o"
+    code = cli.main(["full", "--config", str(cfg), "--out", str(out)])
+    return code, capsys.readouterr().err, sorted(json.loads((out / "results.json").read_text()))
+
+
+def test_cli_ll_overflow_exit_code(tmp_path, capsys):
+    # exp(u) overflows at the LL stage's largest amplitudes; the stages before it stay
+    bench = Path(__file__).resolve().parents[1] / "bench" / "configs" / "neumann_expr_ll.yaml"
+    raw = yaml.safe_load(bench.read_text())
+    raw["planar"]["K"] += " + exp(u)"
+    code, err, keys = _stage_failure(tmp_path, capsys, raw)
+    assert code == cli.EXIT_INTEGRATION
+    assert err == "integration failure: field evaluation overflowed at amplitude 10000\n"
+    assert keys == ["conditions", "metadata", "periods", "resonance"]
+
+
+def test_cli_indefinite_planar_hamiltonian_exit_code(tmp_path, capsys):
+    # H1 = (v^2 - u^2) / 2 is not positive on the unit circle, so no period exists
+    H1 = "0.5*(v^2 - u^2)"
+    raw = _edited("", {"planar": {"preset": "expr", "K": H1, "H1": H1, "H2": H1, "Q": "0"}})
+    code, err, keys = _stage_failure(tmp_path, capsys, raw)
+    assert code == cli.EXIT_CONFIG
+    assert err == ("nonpositive Hamiltonian: H(cos t, sin t) = -5.000e-01 <= 0 "
+                   "at theta = 0.00539679\n")
+    assert keys == ["metadata"]

@@ -480,8 +480,8 @@ def _drift_system(eps):
 def test_weak_direction_above_the_noise_converges(z):
     # sigma = 1e-5 is weak (below 1e-3 sigma_max) and holds all of the residual:
     # the full Newton step reaches the isolated root.  From (0.5, 0) the first,
-    # coarse flow puts it at its noise level (10 x 1e-6), and the step is taken
-    # from a fine re-evaluation
+    # coarse flow puts it at its noise level (10 x 1e-6): no coarse step exists,
+    # and the step is taken from a fine re-evaluation
     rec = shoot_periodic(_drift_system(1e-5), np.array(z))
     assert rec.residual <= 1e-9
     assert rec.w0 == pytest.approx([-1e5, 0.0], rel=0.0, abs=1e-6)
@@ -511,7 +511,7 @@ def test_multistart_counts_max_iterations():
 
 
 # ---------------------------------------------------------------------------
-# flow tolerances: coarse far from a solution, fine near one
+# flow tolerances: coarse until the coarse noise floor or a coarse stall, then fine
 # ---------------------------------------------------------------------------
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -551,33 +551,38 @@ def _shoot_each(cfg, monkeypatch):
 
 
 def _check_flow_rule(rec, flows, newton_tol):
-    """Check one start's flows against the two-tolerance rule of ``solvers._newton``.
+    """Check one start's flows against the phase rule of ``solvers._newton``.
 
-    Returns (refined, near): the number of coarse evaluations re-evaluated fine
-    at their own state, and the number stepped from below the far residual.
+    Replays the Armijo test of the coarse phase to find its iterates.  Returns
+    (switch, near): what ended the coarse phase, "floor" or "stall", and the
+    number of coarse trials taken from an iterate below 1e-2.
     """
     fine = solvers._FLOW_TOL_RATIO * newton_tol
     coarse = max(fine, solvers._COARSE_FLOW_TOL)
     floor = solvers._NOISE_RATIO * coarse
-    assert {tol for tol, _, _ in flows} <= {fine, coarse}
-    assert flows[0][0] == coarse   # a start's first evaluation counts as far
-    # the accepted residual comes from a fine flow at the reported state
+    # a coarse prefix, then a fine suffix that holds the accepted residual
+    k = sum(tol == coarse for tol, _, _ in flows)
+    assert k >= 1 and [tol for tol, _, _ in flows] == [coarse] * k + [fine] * (len(flows) - k)
     tol, z, nR = flows[-1]
     assert tol == fine and np.array_equal(z, rec.z0) and nR == rec.residual
-    # a coarse (R, J) at its noise floor is re-evaluated fine before any step;
-    # one above it never is
-    refined = near = 0
-    for (tol, z, nR), (tol_next, z_next, _) in zip(flows, flows[1:]):
-        if tol != coarse:
-            continue
-        same = np.array_equal(z_next, z)
-        if nR <= floor:
-            assert tol_next == fine and same
-            refined += 1
+    # no iterate before the switch is at the floor; trials from it run coarse
+    (_, z_it, n_it), trials, near = flows[0], 0, 0
+    for _, z, nR in flows[1:k]:
+        assert n_it > floor
+        near += n_it < 1e-2
+        alpha = 0.5 ** (trials % solvers._MAX_BACKTRACKS)
+        if nR <= (1.0 - solvers._ARMIJO_C * alpha) * n_it:
+            z_it, n_it, trials = z, nR, 0
         else:
-            assert not same
-            near += nR < solvers._FAR_RESIDUAL and tol_next == fine
-    return refined, near
+            trials += 1
+    # the first fine flow re-evaluates the last coarse iterate, which is at its
+    # noise floor or was left by every step it had
+    assert np.array_equal(flows[k][1], z_it)
+    if n_it <= floor:
+        assert trials == 0
+        return "floor", near
+    assert trials % solvers._MAX_BACKTRACKS == 0
+    return "stall", near
 
 
 @pytest.mark.parametrize("config", _SOLVE_CONFIGS)
@@ -587,8 +592,8 @@ def test_coarse_far_flows_give_the_classes_of_fine_flows(config, monkeypatch):
     for rec, flows in _shoot_each(cfg, monkeypatch):
         near += _check_flow_rule(rec, flows, cfg.newton_tol)[1]
         mixed.append(rec)
-    # some start steps from a coarse J below the far residual (the demo's at
-    # 9e-3, the Neumann config's at 5e-3) instead of re-evaluating it fine
+    # the coarse phase ends at no fixed residual: some start takes coarse
+    # trials from an iterate below 1e-2
     assert near >= 1
     monkeypatch.setattr(solvers, "_COARSE_FLOW_TOL", 0.0)   # every flow fine
     fine = [rec for rec, _ in _shoot_each(cfg, monkeypatch)]
@@ -604,6 +609,19 @@ def test_coarse_far_flows_give_the_classes_of_fine_flows(config, monkeypatch):
         assert move <= (1e-4 if getattr(r, "turns", None) else tol)
 
 
+def test_stall_hands_the_coarse_state_to_a_fine_flow(monkeypatch):
+    # u' = 1 + 5e-10 u from u = 0.5: the residual lies along the direction that
+    # both noise levels drop, so the coarse flow has no step, its state is
+    # re-evaluated fine once, and only that stall raises
+    sys_ = _drift_system(5e-10)
+    flows = _record_newton_flows(monkeypatch, sys_)
+    with pytest.raises(SingularJacobianError, match="stalled at residual"):
+        shoot_periodic(sys_, np.array([0.5, 0.0]))
+    assert [tol for tol, _, _ in flows] == [solvers._COARSE_FLOW_TOL,
+                                            solvers._FLOW_TOL_RATIO * 1e-9]
+    assert np.array_equal(flows[0][1], flows[1][1])
+
+
 def test_start_on_a_family_member_keeps_its_place(monkeypatch):
     # the coarse first flow alone leaves a residual above newton_tol; the fine
     # re-evaluation accepts the start as it is
@@ -611,14 +629,14 @@ def test_start_on_a_family_member_keeps_its_place(monkeypatch):
     flows = _record_newton_flows(monkeypatch, sys_)
     rec = shoot_neumann(sys_, (np.array([0.3]), 0.7), newton_tol=1e-9)
     assert flows[0][2] > 1e-9
-    assert _check_flow_rule(rec, flows, 1e-9)[0] == 1
+    assert _check_flow_rule(rec, flows, 1e-9)[0] == "floor" and len(flows) == 2
     assert rec.iterations == 0
     assert rec.z0[:1][0] == 0.3 and rec.w0[0] == 0.7
 
 
 def test_demo_newton_flow_counts(monkeypatch):
-    # the Newton flows of the demo's 8 starts: a coarse J above its noise floor
-    # is stepped from, not re-evaluated fine
+    # the Newton flows of the demo's 8 starts: every flow, line-search trials
+    # included, stays coarse until the coarse noise floor or a coarse stall
     cfg = load_config(_ROOT / "demos/configs/pendulum_oscillator.yaml")
     n, nfev = cfg.system.dim, []
 
@@ -632,7 +650,7 @@ def test_demo_newton_flow_counts(monkeypatch):
     res = multistart_periodic(cfg.system, cfg.multistart, newton_tol=cfg.newton_tol,
                               max_iter=cfg.max_iter, seed=cfg.seed)
     assert res.stats["attempted"] == res.stats["converged"] == 8
-    assert (len(nfev), sum(nfev)) == (58, 18267)
+    assert (len(nfev), sum(nfev)) == (66, 16212)
 
 
 def test_neumann_bench_config_records_revalidate():
