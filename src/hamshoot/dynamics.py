@@ -9,8 +9,14 @@ on its steps.  The fields treated here grow at most linearly, so no stiff
 fallback is provided; a collapsing step size raises instead.
 
 Kinked fields split steps where one state component changes sign (u = 0 for
-the planar blocks); a stored trajectory is read through one evaluator of the
-dense output, :meth:`Trajectory.query_many`.
+the planar blocks), so that a crossing costs about one cut step: the step
+after a cut resumes the step that the split shortened, and a step accepted
+right after a rejection does not grow.  The sensitivity never integrates the
+Jacobian of the wrong side: a cut step's last weighted stage takes it from
+the side the step started on, and a step that starts on the surface (after
+a cut that ended in its dead band) takes its first stage's Jacobian from the
+new side and is not split again.  A stored trajectory is read through one
+evaluator of the dense output, :meth:`Trajectory.query_many`.
 """
 
 from __future__ import annotations
@@ -147,7 +153,15 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
     ``switch`` is the index of a state component, or None; accepted steps
     across which that component changes sign are cut at the crossing, so a
     piecewise smooth field with its kink on the component's zero set keeps
-    full accuracy.
+    full accuracy.  The step after a cut resumes the step that the split
+    shortened instead of regrowing from the cut, and, as in Hairer's DOPRI5,
+    a step accepted right after a rejection does not grow.  A cut that ends
+    within 1e-10 (1 + |z_i|) of the surface, z_i at the cut step's start,
+    puts the next step on the surface: that step is not split again.  For a
+    :class:`VariationalField` the sensitivity part of a stage on or beyond
+    the surface comes from the side it belongs to (:func:`_nudge`): the
+    cut step's last weighted stage (c = 1) from the side the step started
+    on, the first stage of a step on the surface from the new side.
 
     Finiteness contract: ``f`` is only ever called on finite states.  A stage
     state that is not finite rejects the step (the step size is quartered)
@@ -191,20 +205,21 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
     ts = [t0]
     ys = [y]
     interpolants = []
-    forced_h = None
+    # cut: the try ends on the switch surface, shortened by a split from the
+    # try h_split; on_switch: the step starts on the surface (it follows a
+    # cut); after_reject: a try at this step's start was rejected for error
+    cut = on_switch = after_reject = False
 
     while t < t1:
         h = min(h, t1 - t)
-        cut = forced_h is not None and forced_h <= h  # the step ends on a switch surface
-        if forced_h is not None:
-            h = min(h, forced_h)
-            forced_h = None
         h_min = _TINY * max(abs(t), abs(t1 - t0))
         if h < h_min:
             raise StepUnderflowError(
                 f"step size {h:.3e} underflowed at t={t:.6g}; suspected blowup or stiffness")
         if stats.steps + stats.rejected + stats.splits > _MAX_STEPS:
             raise StepUnderflowError(f"exceeded {_MAX_STEPS} steps")
+        # the side of the surface that a cut step starts on
+        side = math.copysign(1.0, y[switch]) if cut else 0.0
 
         ratio = math.inf  # stays so, rejecting the step, if a stage is not finite
         for i in range(1, 7):
@@ -213,6 +228,12 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
                 break
             stats.nfev += 1
             K[i] = rhs(t + _C_FLOAT[i] * h, zi)
+            if i == 5 and cut and m < n:
+                # the last weighted stage (c = 1) keeps the Jacobian of the start side
+                e = _nudge(switch, side, zi, K[5], h_min)
+                if e:
+                    stats.nfev += 1
+                    K[5, m:] = rhs(t + h + e, zi + e * K[5])[m:]
         else:
             # K[6] feeds no later stage state; without this check b_7 = 0 would
             # turn it into NaN with an invalid-value warning
@@ -226,14 +247,15 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
         if not math.isfinite(ratio):
             stats.rejected += 1
             h *= 0.25
+            cut = False
             continue
 
         if ratio <= 1.0:
-            if switch is not None:
+            if switch is not None and not on_switch:
                 t_cross = _first_switch_crossing(switch, t, h, y, y_new, K, h_min)
                 if t_cross is not None:
                     stats.splits += 1
-                    forced_h = t_cross - t
+                    h_split, h, cut = h_split if cut else h, t_cross - t, True
                     continue
             if dense:
                 interpolants.append((t, h, y, KT.dot(_P)))
@@ -246,20 +268,28 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
                     f"state magnitude exceeded {_MAX_STATE:.0e} at t={t_new:.6g}; suspected blowup")
             stats.steps += 1
             K[0] = K[6]  # FSAL
-            if cut and m < n:
-                k0 = _beyond_switch(rhs, switch, t_new, y, y_new, K[6], h_min)
-                if k0 is not None:
+            # the next step starts on the surface if this cut ended in its dead band
+            on_switch = cut and _on_surface(y_new[switch], y[switch])
+            if on_switch and m < n:
+                # then its first stage takes the Jacobian from the new side
+                e = _nudge(switch, -side, y_new, K[6], h_min)
+                if e:
                     stats.nfev += 1
-                    K[0, m:] = k0[m:]
+                    K[0, m:] = rhs(t_new + e, y_new + e * K[6])[m:]
             t, y, abs_y = t_new, y_new, abs_new
             ts.append(t)
             ys.append(y)
-            factor = _MAX_FACTOR if ratio == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * ratio ** -0.2))
-            h *= factor
+            # a step right after a rejection does not grow; one after a cut
+            # resumes the try that the split shortened
+            grow = 1.0 if after_reject else _MAX_FACTOR
+            factor = grow if ratio == 0.0 else min(
+                grow, max(_MIN_FACTOR, _SAFETY * ratio ** -0.2))
+            h = h_split if cut else h * factor
+            cut = after_reject = False
         else:
             stats.rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * ratio ** -0.2)
+            cut, after_reject = False, True
 
     return Trajectory(ts, ys, interpolants if dense else [], stats)
 
@@ -276,16 +306,15 @@ def _first_switch_crossing(i, t, h, y, y_new, K, h_min):
 
     The crossing is located on the step's own interpolant; truncating the
     step there keeps each accepted step on one smooth side of the switch
-    surface.  Crossings closer to ``t`` than a few ``h_min`` are ignored
-    (the step already starts at the surface).
+    surface.  Crossings closer to ``t`` than a few ``h_min`` are ignored.
     """
     s0, s1 = y[i], y_new[i]
     if s0 == 0.0 or s1 == 0.0 or np.sign(s0) == np.sign(s1):
         return None
-    # dead band: steps that start or end (numerically) on the surface are
-    # the product of an earlier truncation; re-splitting them would recurse
-    # forever
-    if abs(s0) <= 1e-10 * (1.0 + abs(s1)) or abs(s1) <= 1e-10 * (1.0 + abs(s0)):
+    # dead band: a step that ends (numerically) on the surface is kept whole;
+    # integrate never asks about a step that starts there (after a cut that
+    # ended in this band), so one rule, _on_surface, decides both
+    if _on_surface(s1, s0):
         return None
     Q = K.T @ _P
 
@@ -296,6 +325,12 @@ def _first_switch_crossing(i, t, h, y, y_new, K, h_min):
 
     tc = _brentq(component, t, t + h, max(h_min, 1e-15))
     return tc if tc is not None and tc - t > 4 * h_min else None
+
+
+def _on_surface(s, s0):
+    """Whether the switch component ``s`` of a step's end, started at ``s0``,
+    lies (numerically) on the surface: in the dead band 1e-10 (1 + |s0|)."""
+    return abs(s) <= 1e-10 * (1.0 + abs(s0))
 
 
 def _brentq(f, a, b, xtol):
@@ -343,25 +378,21 @@ def _brentq(f, a, b, xtol):
                            f"after {maxiter} iterations")
 
 
-def _beyond_switch(rhs, i, t, y0, y, k, h_min):
-    """The field just past the switch surface that the step from ``y0`` ended on at ``y``.
+def _nudge(i, side, z, k, h_min):
+    """The offset e that puts z_i + e k_i on ``side`` (+1 or -1) of the switch surface.
 
     The field is continuous across the surface z_i = 0, but its Jacobian is
-    not, so the sensitivity part of the first stage after a crossing comes
-    from the new side: the field at (t + e, y + e k) for the smallest
-    e = 4 h_min 16^j, j < 6, that puts z_i on its new side; None if there is
-    none or the step did not end on the surface.
+    not, so a stage on or beyond the surface whose sensitivity part must come
+    from one side takes it at (t + e, z + e k).  e is 0 if z_i is on ``side``,
+    else the e = +-4 h_min 16^j, j < 6, of least size whose sign moves z_i
+    along ``k`` toward that side and puts it there; None if none does.
     """
-    s0 = y0[i]
-    if s0 == 0.0 or abs(y[i]) > 1e-10 * (1.0 + abs(s0)):
-        return None
-    side = -math.copysign(1.0, s0)
-    e = 4 * h_min
-    for _ in range(6):
-        z = y + e * k
-        if z[i] * side > 0.0:
-            return rhs(t + e, z)
-        e *= 16.0
+    de = math.copysign(4 * h_min, side * k[i])
+    e = 0.0
+    for j in range(7):
+        if (z[i] + e * k[i]) * side > 0.0:
+            return e
+        e = de * 16.0 ** j
     return None
 
 

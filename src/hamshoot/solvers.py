@@ -124,13 +124,15 @@ class DistinctnessPartition:
 # --------------------------------------------------------------------------
 
 def _min_norm_steps(J, R, noise):
-    """The nonzero Newton steps to try from J, in order, and cond(J).
+    """The Newton steps to try from J, in order, and cond(J).
 
     A step -V_k S_k^-1 U_k^T R keeps some singular values of J and has no
     component along the right singular vectors of the others.  The full step
     keeps those above ``noise``; the strong step also drops the weak ones
     (see ``_RELATIVE_CUTOFF``) and goes first unless they hold more than half
-    of the residual, which only the full step can remove.
+    of the residual, which only the full step can remove.  A step d whose
+    linear model predicts no Armijo decrease, |R + J d| > (1 - ``_ARMIJO_C``)
+    |R|, is not tried: its line search could only halve it into the noise.
     """
     U, s, Vt = np.linalg.svd(J)
     coef = U.T @ R
@@ -144,7 +146,9 @@ def _min_norm_steps(J, R, noise):
     else:
         keeps = [strong, full]
     steps = [-Vt[k].T @ (coef[k] / s[k]) for k in keeps]
-    return [d for d in steps if d.any()], (s[0] / s[-1] if s[-1] > 0.0 else np.inf)
+    bound = (1.0 - _ARMIJO_C) * np.linalg.norm(R)
+    return ([d for d in steps if np.linalg.norm(R + J @ d) <= bound],
+            s[0] / s[-1] if s[-1] > 0.0 else np.inf)
 
 
 def _line_search(evaluate, z, delta, nR, flow_tol):

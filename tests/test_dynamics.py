@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hamshoot import dynamics
 from hamshoot.config import load_config
 from hamshoot.dynamics import (_P, IntegrationStats, VectorField, _brentq, integrate,
                                variational_field, winding)
@@ -170,6 +171,75 @@ def test_monodromy_with_switches_vs_central_differences():
         assert np.max(np.abs(phi - oracle)) < 1e-5
 
 
+@pytest.mark.parametrize("amplitude", [2.05, 0.55])
+def test_monodromy_carries_the_field_across_crossings(amplitude):
+    """Phi(t) f(z0) = f(z(t)) at every step end of an autonomous flow: across
+    each crossing Phi integrates the Jacobian of the side it is on (from 0.55,
+    a cut step's last weighted stage lands beyond the surface)."""
+    sys_, field, switch = _oscillator()
+    z0 = amplitude * np.array([np.cos(1.0), np.sin(1.0)])
+    aug = variational(sys_, [0, 1])
+    traj = integrate(aug, np.r_[z0, 1.0, 0.0, 0.0, 1.0], 0.0, sys_.T, 1e-10, dense=False,
+                     switch=switch)
+    assert traj.stats.splits >= 2
+    f0 = field(0.0, z0)
+    carried = traj.ys[:, 2:].reshape(-1, 2, 2) @ f0
+    drift = np.max(np.abs(carried - field(0.0, traj.ys[:, :2].T).T))
+    assert drift / (1.0 + np.max(np.abs(f0))) <= 1e-9
+
+
+def _tries(monkeypatch, f, z0, T, tol):
+    """Every try of a plain flow of ``f`` with the switch u: its step size and
+    outcome, "accepted", "split" or "rejected", in order; and the flow."""
+    calls, splits = [], {}
+
+    def crossing(i, t, h, *args, _orig=dynamics._first_switch_crossing):
+        tc = _orig(i, t, h, *args)
+        splits[t + h] = h if tc is not None else None
+        return tc
+
+    monkeypatch.setattr(dynamics, "_first_switch_crossing", crossing)
+    traj = integrate(lambda t, z: calls.append(t) or f(t, z), z0, 0.0, T, tol,
+                     dense=False, switch=0)
+    # two calls choose the first step; each try then makes six, the fifth at t + h
+    assert (len(calls) - 2) % 6 == 0
+    ends, t, tries = set(traj.ts.tolist()), 0.0, []
+    for end in calls[6::6]:
+        if end in ends:
+            tries.append((end - t, "accepted"))
+            t = end
+        elif splits.get(end) is not None:
+            tries.append((splits[end], "split"))
+        else:
+            tries.append((end - t, "rejected"))
+    return tries, traj
+
+
+def test_step_rules_at_crossings_and_rejections(monkeypatch):
+    """The step after a cut resumes the try that the split shortened, and no
+    step is longer than a rejected try until a step after the retry."""
+    H = asymmetric(4.0, 1.0)
+    f = VectorField(2, lambda t, w: np.array([H.grad(w)[1], -H.grad(w)[0]]))
+    T = 3 * np.pi
+    tries, traj = _tries(monkeypatch, f, [0.5, 0.0], T, 1e-10)
+    assert len(tries) == traj.stats.steps + traj.stats.rejected + traj.stats.splits
+    assert traj.stats.splits >= 4 and traj.stats.rejected >= 1
+    slack = 1.0 + 1e-9
+    cuts = rejects = 0
+    for k, (h, outcome) in enumerate(tries[:-2]):
+        after = [h2 for h2, o in tries[k + 1:] if o != "split"]
+        if outcome == "split" and tries[k + 1][1] == "accepted":
+            # the cut is accepted: the next try is the split one, or ends the flow
+            cuts += 1
+            assert after[1] * slack >= h or traj.ts[-1] == T and after[1] == tries[-1][0]
+        if outcome == "rejected":
+            # the accepted retry and the try after it
+            rejects += 1
+            retry = next(i for i, (_, o) in enumerate(tries[k + 1:]) if o == "accepted")
+            assert max(h2 for h2, _ in tries[k + 1:k + retry + 3]) <= h * slack
+    assert cuts >= 4 and rejects >= 1
+
+
 def test_winding_clockwise_circle():
     traj = integrate(CENTER, [1.0, 0.0], 0.0, 2 * np.pi, 1e-10)
     rep = winding(traj, (0, 1), 1e-8)
@@ -279,7 +349,7 @@ def test_demo_period_flow_counts():
     sys_ = load_config(DEMO_CONFIG).system
     traj = integrate(assemble_field(sys_), [1.0, 0.2, 0.25, 0.0], 0.0, 2 * np.pi, 1e-10,
                      dense=False, switch=sys_.switch)
-    assert traj.stats == IntegrationStats(steps=219, rejected=46, nfev=1610, splits=3)
+    assert traj.stats == IntegrationStats(steps=219, rejected=24, nfev=1478, splits=3)
     assert traj.ys[-1] == pytest.approx(
         [0.7822632656787634, 0.47286246172068974, -0.5326905724879536, -0.4836420723482581],
         abs=1e-9)

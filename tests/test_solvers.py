@@ -622,6 +622,18 @@ def test_stall_hands_the_coarse_state_to_a_fine_flow(monkeypatch):
     assert np.array_equal(flows[0][1], flows[1][1])
 
 
+def test_stall_on_noise_tries_no_step_without_a_predicted_decrease(monkeypatch):
+    # from (0.5, 0.3) the v part of the residual goes in one coarse step; what
+    # is left lies along the dropped direction, and the steps still returned
+    # there (noise-size leftovers of the kept direction) predict no Armijo
+    # decrease, so neither phase line-searches them (63 flows if it did)
+    sys_ = _drift_system(5e-10)
+    flows = _record_newton_flows(monkeypatch, sys_)
+    with pytest.raises(SingularJacobianError, match="stalled at residual 1.000e"):
+        shoot_periodic(sys_, np.array([0.5, 0.3]))
+    assert len(flows) == 3
+
+
 def test_start_on_a_family_member_keeps_its_place(monkeypatch):
     # the coarse first flow alone leaves a residual above newton_tol; the fine
     # re-evaluation accepts the start as it is
@@ -650,7 +662,7 @@ def test_demo_newton_flow_counts(monkeypatch):
     res = multistart_periodic(cfg.system, cfg.multistart, newton_tol=cfg.newton_tol,
                               max_iter=cfg.max_iter, seed=cfg.seed)
     assert res.stats["attempted"] == res.stats["converged"] == 8
-    assert (len(nfev), sum(nfev)) == (66, 16212)
+    assert (len(nfev), sum(nfev)) == (66, 13313)
 
 
 def test_neumann_bench_config_records_revalidate():

@@ -13,7 +13,12 @@ fine tolerance, the plain flows (the winding flow of a periodic record), the
 RHS evaluations of all of them, the record's ``revalidate`` residual, which
 is computed outside the counts, and what ended the start's coarse phase:
 ``floor`` (a coarse residual at its noise floor) or ``stall`` (no step from a
-coarse Jacobian decreased |R|).  Totals, per-start means and the class count follow.
+coarse Jacobian decreased |R|).  A failed start returns no record, so its
+iterations and ``revalidate`` read ``-``.  The totals sum each column over the
+starts that have a value there (iterations: the returned records only; flows
+and evaluations: every start, failed ones included), and the means divide them
+by the number of those starts (``-`` if there are none); the class count
+follows.
 Counts do not depend on timing, so one run is enough.
 """
 
@@ -80,7 +85,8 @@ def main(argv=None):
         return traj
 
     def counted_shoot(system, guess, **kw):
-        rows.append(dict.fromkeys(COLUMNS, 0) | {"outcome": "converged", "switch": "-"})
+        rows.append(dict.fromkeys(COLUMNS, 0) | {"iterations": None, "outcome": "converged",
+                                                  "switch": "-"})
         try:
             rec = shoot(system, guess, **kw)
         except Exception as exc:
@@ -104,13 +110,15 @@ def main(argv=None):
         rec = row.get("record")
         check = solvers.revalidate(sys_, rec) if rec is not None else None
         above += check is not None and check > newton_tol
-        print(f"{i:>5} {row['outcome']:<22}" + "".join(f"{row[c]:>11}" for c in COLUMNS)
+        print(f"{i:>5} {row['outcome']:<22}"
+              + "".join(f"{'-' if row[c] is None else row[c]:>11}" for c in COLUMNS)
               + (f"{check:>12.3e}" if check is not None else f"{'-':>12}")
               + f"{row['switch']:>8}")
-    totals = {c: sum(row[c] for row in rows) for c in COLUMNS}
-    print(f"{'total':>5} {'':<22}" + "".join(f"{totals[c]:>11}" for c in COLUMNS))
-    print(f"{'mean':>5} {'':<22}" + "".join(f"{totals[c] / len(rows):>11.2f}"
-                                              for c in COLUMNS))
+    values = {c: [row[c] for row in rows if row[c] is not None] for c in COLUMNS}
+    print(f"{'total':>5} {'':<22}" + "".join(f"{sum(values[c]):>11}" for c in COLUMNS))
+    print(f"{'mean':>5} {'':<22}" + "".join(
+        f"{sum(values[c]) / len(values[c]):>11.2f}" if values[c] else f"{'-':>11}"
+        for c in COLUMNS))
     print(f"{result.stats['converged']} of {len(rows)} converge into "
           f"{result.partition.n_classes} classes; {above} records revalidate above "
           f"newton_tol {newton_tol:g}")
