@@ -1,14 +1,16 @@
 """Scalar expression language for specifying Hamiltonians and couplings.
 
 Systems are written as plain text, e.g. ``"0.5*(mu*pos(u)^2 + nu*neg(u)^2 + v^2)"``,
-parsed once into an immutable AST and compiled once (:func:`compile_expr`) into
-straight-line numpy code returning either the value or the exact forward-mode
-gradient with respect to chosen variables; :func:`compile_blocks` also emits
-second derivatives, forward over forward.  Each operation has one rule, which
-emits its value line and builds its partials by calling the rules again; an
-operation on literals alone is computed at compile time.  The compiled
-functions accept floats or numpy arrays alike, and an array gives, element by
-element, bitwise what its elements give one by one.
+parsed once into an immutable AST.  An :class:`ExprBlock` describes a block
+of expressions once; :func:`compile_blocks` compiles it, alone into the
+block's callable or with others into a system's fused field, as straight-line
+numpy code of (t, z) that returns values or exact forward-mode gradients, and
+second derivatives forward over forward.  :func:`compile_expr` compiles one
+expression for :func:`eval_expr` and :func:`grad_expr`.  Each operation has
+one rule, which emits its value line and builds its partials by calling the
+rules again; an operation on literals alone is computed at compile time.  The
+compiled functions accept floats or numpy arrays alike, and an array gives,
+element by element, bitwise what its elements give one by one.
 
 Grammar (EBNF), whitespace-insensitive::
 
@@ -273,7 +275,7 @@ _NAMESPACE = {
     "_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt,
     "_abs": np.abs, "_sign": np.sign, "_arctan": np.arctan, "_power": _power,
     "_round": np.round, "_maximum": np.maximum, "_minimum": np.minimum,
-    "_any": _any, "_where": _where, "_pos": _pos,
+    "_any": _any, "_where": _where, "_pos": _pos, "_empty": np.empty,
     "_gradient": _gradient, "_float": float, "_DomainError": DomainError, "_array": np.array,
 }
 
@@ -282,11 +284,13 @@ _NAMESPACE = {
 # floats too: the same IEEE operations as on numpy scalars, at a fraction of
 # the cost.  A float division by zero would raise, but no emitted division
 # divides by zero: a node's divisor is checked first, and a partial divides
-# only by such a divisor, by a checked ln or sqrt, or by 1 + a * a.
+# only by such a divisor, by a checked ln or sqrt, or by 1 + a * a.  The
+# wrappers take fixed arguments, which Python calls faster than ``*args``.
 _FLOAT_NAMESPACE = dict(_NAMESPACE, **{
-    name: (lambda f: lambda *a: float(f(*a)))(_NAMESPACE[name]) for name in (
-        "_sin", "_cos", "_exp", "_log", "_sqrt", "_abs", "_sign", "_arctan", "_power",
-        "_maximum", "_minimum")})
+    name: (lambda f: lambda a: float(f(a)))(_NAMESPACE[name]) for name in (
+        "_sin", "_cos", "_exp", "_log", "_sqrt", "_abs", "_sign", "_arctan")}, **{
+    name: (lambda f: lambda a, b: float(f(a, b)))(_NAMESPACE[name]) for name in (
+        "_power", "_maximum", "_minimum")})
 
 
 def _literal(v):
@@ -562,11 +566,13 @@ def _define(signature, lines, ret, namespace=_NAMESPACE):
 
 @dataclass(frozen=True, eq=False)
 class ExprBlock:
-    """The expressions behind a compiled block, kept for :func:`compile_blocks`.
+    """One block of expressions, as :func:`compile_blocks` compiles it.
 
     The block computes the values of ``exprs`` or, with ``wrt``, the gradient
     of its single expression, as a function of ``args`` with ``params`` folded
-    in, exactly as ``compile_expr(exprs[0], args, wrt, params)`` does.
+    in.  It is the one description behind both the block's own callable,
+    ``compile_blocks([block], ...)``, and the fused field of a system that
+    compiles it with other blocks.
     """
 
     exprs: tuple
@@ -606,18 +612,18 @@ Term.ZERO = Term(_ZERO, {})
 def compile_blocks(blocks, state, combine, tangents=0):
     """Compile ``blocks`` into one straight-line function ``compiled(t, z)``.
 
-    ``z`` is a 1-D array whose first entries, named by ``state``, are
-    unpacked to floats; each block's ``args`` are ``t`` and names from
-    ``state``.  ``combine`` gets, per block, the :class:`Term` of each output
-    (the value of each expression, or each partial of its gradient) and
-    returns the field's terms, whose values, bitwise what each block's own
-    :func:`compile_expr` gives, the function returns as one array.  With
-    ``tangents`` = k, z continues with an n-by-k Phi and the array with
-    D_z f Phi, both row-major: forward mode in k directions over the partials
-    the blocks build forward over forward, row i summed over the nonzero
-    partials of component i alone.  On B points, the columns of a z of
-    shape (size, B), the same lines run on its rows (an array form compiled
-    on the first such call).  A z of another shape raises
+    ``z`` is a 1-D array or a list of floats, whose first entries, named by
+    ``state`` (possibly empty), are unpacked to floats; each block's ``args``
+    are ``t`` and names from ``state``.  ``combine`` gets, per block, the
+    :class:`Term` of each output (the value of each expression, or each
+    partial of its gradient) and returns the field's terms, whose values,
+    bitwise what each block compiled alone gives, the function returns as
+    one array.  With ``tangents`` = k, z continues with an n-by-k Phi and the
+    array with D_z f Phi, both row-major: forward mode in k directions over
+    the partials the blocks build forward over forward, row i summed over the
+    nonzero partials of component i alone.  On B points, the columns of a z
+    of shape (size, B), the same lines run on its rows (an array form
+    compiled on the first such call).  A z of another shape raises
     :class:`DimensionMismatchError`."""
     n, k = len(state), tangents
     index = {name: i for i, name in enumerate(state)}
@@ -643,18 +649,21 @@ def compile_blocks(blocks, state, combine, tangents=0):
     size, ret = n + n * k, ", ".join(ret)
     unpacked = ", ".join([f"x{i + 1}" for i in range(n)]
                          + [f"p{j}_{i}" for j in range(n) for i in range(k)])
+    unpack = [f"{unpacked}, = z"] if size else []  # an empty state has nothing to unpack
     by_columns = None
 
     def columns(t, z):
         nonlocal by_columns
         if z.ndim != 2 or len(z) != size:
             raise DimensionMismatchError(f"state has shape {z.shape}, expected ({size}, [B])")
-        if by_columns is None:  # _gradient fills rows of x1's shape, literals broadcast
-            by_columns = _define("x0, z", [f"{unpacked}, = z"] + c.lines, f"_gradient(x1, [{ret}])")
+        if by_columns is None:  # _gradient fills rows of one column each, literals broadcast
+            by_columns = _define("x0, z", unpack + c.lines,
+                                 f"_gradient(_empty(z.shape[1:]), [{ret}])")
         return by_columns(t, z)
 
-    head = [f"if z.shape != ({size},): return _columns(x0, z)", f"{unpacked}, = z.tolist()"]
-    return _define("x0, z", head + c.lines, f"_array([{ret}])",
+    head = ["if z.__class__ is not list:", f"    if z.shape != ({size},): return _columns(x0, z)",
+            "    z = z.tolist()"]
+    return _define("x0, z", head + unpack + c.lines, f"_array([{ret}])",
                    dict(_FLOAT_NAMESPACE, _columns=columns))
 
 

@@ -98,10 +98,10 @@ def hamiltonian_from_expr(src, params=None):
     """Build a PlanarHamiltonian from an expression in (u, v)."""
     ast = src if isinstance(src, xp.Expr) else xp.parse_expr(str(src))
     names = ("u", "v")
-    value_uv = xp.compile_expr(ast, names, params=params)
-    grad_uv = xp.compile_expr(ast, names, names, params)
-    # w of shape (2,) or (2, n) unpacks to its two components
-    return PlanarHamiltonian(lambda w: value_uv(*w), lambda w: grad_uv(*w),
+    # functions of (t, w) that read no t
+    value, grad = (xp.compile_blocks([xp.ExprBlock((ast,), names, wrt, params)], names,
+                                     lambda outputs: outputs[0]) for wrt in (None, names))
+    return PlanarHamiltonian(lambda w: value(0.0, w)[0], lambda w: grad(0.0, w),
                              kink_on_u_axis=xp.has_kinks(ast), label=str(src))
 
 
@@ -164,8 +164,8 @@ def _gauss(H, lo, hi):
     panels [lo_i, hi_i], from one call of H on all their nodes."""
     half = 0.5 * (hi - lo)
     theta = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    h = np.broadcast_to(np.asarray(H.value(np.stack([np.cos(theta), np.sin(theta)])),
-                                   dtype=float), theta.shape)
+    nodes = np.stack([np.cos(theta), np.sin(theta)]).reshape(2, -1)
+    h = np.asarray(H.value(nodes), dtype=float).reshape(theta.shape)
     if not (h > 0.0).all():
         k = np.argmin(np.where(h > 0.0, np.inf, theta))
         raise NonpositiveHamiltonianError(

@@ -1,10 +1,14 @@
 """Ready-made building blocks for the coupled-system examples.
 
-Every block is a compiled expression.  The pendulum-type block, the free
-rotator and the asymmetric-oscillator planar block are expression templates
-with their parameters spliced in; the expression-backed builders take any
-source.  Expression variables: the angular block uses (t, x1..xM, y1..yM),
-planar expressions use (t, u, v); for M = 1 the aliases x, y are accepted.
+Every block is an :class:`hamshoot.expr.ExprBlock` that
+:func:`hamshoot.expr.compile_blocks` compiles into a function of (t, z),
+which carries it as ``expr_block`` for a system's fused field to compile.
+The pendulum-type block, the free rotator and the asymmetric-oscillator
+planar block are expression templates with their parameters spliced in; the
+expression-backed builders take any source.  Expression variables: the
+angular block uses (t, x1..xM, y1..yM), planar expressions use (t, u, v);
+for M = 1 the aliases x, y are accepted.  Like the planar callables, grad_H
+and grad_P take one point or a column per point.
 """
 
 from __future__ import annotations
@@ -29,20 +33,13 @@ def _parsed(src):
     return src if isinstance(src, xp.Expr) else xp.parse_expr(str(src))
 
 
-def _uv(w):
-    # one point as Python floats, on which scalar arithmetic is faster than
-    # on numpy scalars; points of shape (2, n) as their two rows
-    return w.tolist() if w.ndim == 1 else w
-
-
-def _on_w(fn):
-    # fn(t, u, v) as a function of (t, w), with a column per point also where
-    # fn does not depend on the points (the gradient of a constant)
-    def on_w(t, w):
-        g = fn(t, *_uv(w))
-        return g if g.shape == w.shape else np.broadcast_to(g[:, None], w.shape)
-
-    return on_w
+def _compiled(srcs, args, wrt, params):
+    """The block of the expressions ``srcs`` in ``args``, t and then the
+    state, compiled into a function of (t, z) that carries it as ``expr_block``."""
+    block = xp.ExprBlock(tuple(map(_parsed, srcs)), args, wrt, params)
+    fn = xp.compile_blocks([block], args[1:], lambda outputs: outputs[0])
+    fn.expr_block = block
+    return fn
 
 
 def _part(name, src, allowed, params):
@@ -60,21 +57,6 @@ def _template(src, **parts):
     return xp.substitute(xp.parse_expr(src), {
         name: part if isinstance(part, xp.Expr) else xp.Num(float(part))
         for name, part in parts.items()})
-
-
-def _components_field(components, params):
-    """F(t, w) whose rows are the component expressions in (t, u, v)."""
-    asts = [_parsed(c) for c in components]
-    fns = [xp.compile_expr(a, _TUV, params=params) for a in asts]
-
-    def F(t, w):
-        uv = _uv(w)
-        rows = [f(t, *uv) for f in fns]
-        # on arrays a constant component still gives a scalar
-        return np.array(rows) if w.ndim == 1 else np.stack(np.broadcast_arrays(*rows))
-
-    F.expr_block = xp.ExprBlock(tuple(asts), _TUV, None, params)
-    return F
 
 
 def pendulum_hamiltonian(A=1.0, E_src="0", params=None):
@@ -96,38 +78,41 @@ def free_rotator(M):
 
 
 def _angular_gradient(src, M, planar, params):
-    # gradient in (x1.., y1..) and, if ``planar``, (u, v); x, y alias x1, y1 for M = 1;
-    # returned compiled and as the block it compiles
+    # gradient in (x1.., y1..) and, if ``planar``, (u, v); x, y alias x1, y1 for M = 1
     xn, yn = xy_names(M)
     names = tuple(xn + yn + ["u", "v"] * planar)
     ast = _parsed(src)
     if M == 1:
         ast = xp.substitute(ast, {"x": "x1", "y": "y1"})
-    block = xp.ExprBlock((ast,), ("t",) + names, names, params)
-    return xp.compile_expr(ast, block.args, names, params), block
+    return _compiled([ast], ("t",) + names, names, params)
 
+
+# One point is joined as Python floats, which the compiled function unpacks
+# as they are; a column per point is joined as one array of columns.
 
 def hamiltonian_block_from_expr(src, M, params=None):
-    """grad_H(t, x, y), x and y arrays, of an expression in (t, x1.., y1..)."""
-    grad, block = _angular_gradient(src, M, False, params)
+    """grad_H(t, x, y), at one point or a column per point, of an expression in (t, x1.., y1..)."""
+    grad = _angular_gradient(src, M, False, params)
 
     def grad_H(t, x, y):
-        g = grad(t, *x.tolist(), *y.tolist())
+        g = grad(t, [*x.tolist(), *y.tolist()] if x.ndim == 1 else np.concatenate((x, y)))
         return g[:M], g[M:]
 
-    grad_H.expr_block = block
+    grad_H.expr_block = grad.expr_block
     return grad_H
 
 
 def coupling_from_expr(src, M, params=None):
-    """grad_P(t, x, y, w), x, y and w arrays, of an expression in (t, x1.., y1.., u, v)."""
-    grad, block = _angular_gradient(src, M, True, params)
+    """grad_P(t, x, y, w), at one point or a column per point, of an expression in
+    (t, x1.., y1.., u, v)."""
+    grad = _angular_gradient(src, M, True, params)
 
     def grad_P(t, x, y, w):
-        g = grad(t, *x.tolist(), *y.tolist(), *w.tolist())
+        g = grad(t, [*x.tolist(), *y.tolist(), *w.tolist()] if w.ndim == 1
+                 else np.concatenate((x, y, w)))
         return g[:M], g[M:2 * M], g[2 * M:]
 
-    grad_P.expr_block = block
+    grad_P.expr_block = grad.expr_block
     return grad_P
 
 
@@ -164,7 +149,7 @@ def asymmetric_field(mu1, nu1, mu2=None, nu2=None, h_src="0", params=None):
     F, _, w_kink = planar_field_from_expr(components=(F_u, "v"), params=params)
     mode = "global" if (mu1 == mu2 and nu1 == nu2) else "quadrant"
     dec = DecompositionData(asymmetric(mu1, nu1), asymmetric(mu2, nu2),
-                            _components_field((h, "0"), params), mode=mode)
+                            _compiled((h, "0"), _TUV, None, params), mode=mode)
     return F, dec, w_kink
 
 
@@ -183,22 +168,14 @@ def planar_field_from_expr(K_src=None, components=None, params=None,
         raise ValidationError([f"components must be a list [F_u, F_v], got {components!r}"])
     if (H1_src is None) != (H2_src is None):
         raise ValidationError(["H1 and H2 make a decomposition only together"])
-    if K_src is not None:
-        ast = _parsed(K_src)
-        kinky = xp.has_kinks(ast)
-        F = _on_w(xp.compile_expr(ast, _TUV, ("u", "v"), params))
-        F.expr_block = xp.ExprBlock((ast,), _TUV, ("u", "v"), params)
-    else:
-        asts = [_parsed(c) for c in components]
-        kinky = any(xp.has_kinks(a) for a in asts)
-        F = _components_field(asts, params)
-
+    F = _compiled([K_src] if components is None else components, _TUV,
+                  None if K_src is None else ("u", "v"), params)
+    kinky = any(map(xp.has_kinks, F.expr_block.exprs))
     dec = None
     if H1_src is not None:
         H1 = hamiltonian_from_expr(H1_src, params=params)
         H2 = hamiltonian_from_expr(H2_src, params=params)
-        grad_Q = xp.compile_expr(_parsed(Q_src if Q_src is not None else "0"),
-                                 _TUV, ("u", "v"), params)
-        dec = DecompositionData(H1, H2, _on_w(grad_Q))
+        dec = DecompositionData(H1, H2, _compiled(["0" if Q_src is None else Q_src], _TUV,
+                                                  ("u", "v"), params))
         kinky = kinky or H1.kink_on_u_axis or H2.kink_on_u_axis
     return F, dec, kinky

@@ -444,7 +444,7 @@ class MultistartResult:
     stats: dict
 
 
-def _multistart(sys, starts, shoot, **kw):
+def _multistart(sys, starts, shoot, newton_tol, max_iter):
     """Run ``shoot`` from every start and deduplicate.
 
     Failures are dropped and counted in ``stats`` by reason; a start whose
@@ -458,7 +458,7 @@ def _multistart(sys, starts, shoot, **kw):
     for guess in starts:
         stats["attempted"] += 1
         try:
-            successes.append(shoot(sys, guess, **kw))
+            successes.append(shoot(sys, guess, newton_tol=newton_tol, max_iter=max_iter))
             stats["converged"] += 1
         except SingularJacobianError:
             stats["singular_stall"] += 1
@@ -475,15 +475,13 @@ def _multistart(sys, starts, shoot, **kw):
                             all_records=tuple(successes), stats=stats)
 
 
-def multistart_periodic(sys, spec=None, newton_tol=1e-9, max_iter=40, seed=0, **kw):
+def multistart_periodic(sys, spec=None, newton_tol=1e-9, max_iter=40, seed=0):
     """Run :func:`shoot_periodic` from every grid start and deduplicate."""
     starts = (spec or MultistartSpec()).starts(sys.M, seed=seed)
-    return _multistart(sys, starts, shoot_periodic, newton_tol=newton_tol,
-                       max_iter=max_iter, **kw)
+    return _multistart(sys, starts, shoot_periodic, newton_tol, max_iter)
 
 
-def multistart_neumann(sys, spec=None, newton_tol=1e-9, max_iter=40, seed=0, **kw):
+def multistart_neumann(sys, spec=None, newton_tol=1e-9, max_iter=40, seed=0):
     """Run :func:`shoot_neumann` from every grid start and deduplicate."""
     starts = (spec or NeumannStartSpec()).starts(sys.M, seed=seed)
-    return _multistart(sys, starts, shoot_neumann, newton_tol=newton_tol,
-                       max_iter=max_iter, **kw)
+    return _multistart(sys, starts, shoot_neumann, newton_tol, max_iter)

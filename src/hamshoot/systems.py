@@ -78,8 +78,10 @@ class CoupledSystem:
     A block built from an expression carries it as ``expr_block``
     (:class:`hamshoot.expr.ExprBlock`), in the variables (t, x1.., y1..) for
     grad_H, (t, x1.., y1.., u, v) for grad_P and (t, u, v) for F.
-    grad_H and grad_P take one point; :func:`assemble_field` takes one state
-    or B states, the columns of a (dim, B) array, at one scalar t.
+    Expression-built grad_H and grad_P take one point or a column per point
+    (x and y of shape (M, B), w of shape (2, B)), plain-callable ones one
+    point; :func:`assemble_field` takes one state or B states, the columns of
+    a (dim, B) array, at one scalar t.
     """
 
     M: int

@@ -185,6 +185,16 @@ def test_second_derivatives_match_central_differences():
         assert np.max(np.abs(H - fd)) / max(1.0, float(np.max(np.abs(H)))) < 1e-6, src
 
 
+def test_compile_blocks_takes_an_empty_state():
+    """A block over no state variable (the gradient of an M = 0 angular block)
+    compiles, and gives no rows at one point, on a list and on columns."""
+    block = ExprBlock((parse_expr("0.5*t"),), ("t",), ())
+    fn = compile_blocks([block], (), lambda o: o[0])
+    for z, shape in ((np.zeros(0), (0,)), ([], (0,)), (np.zeros((0, 3)), (0, 3))):
+        out = fn(0.3, z)
+        assert out.shape == shape and out.dtype == np.float64
+
+
 def test_unread_values_keep_their_domain_checks():
     """Compiled code drops values no output reads, but not the checks on them."""
     block = ExprBlock((parse_expr("x + 0*ln(y) + sqrt(y - 1)"),), ("t", "x", "y"), ("x",))

@@ -58,6 +58,21 @@ def test_arc_quadrature_matches_closed_form(mu, nu):
     assert hp.tau_minus == pytest.approx(half, rel=1e-12)
 
 
+def test_periods_call_H_on_points_of_shape_2_n():
+    """The period quadrature calls H.value on w of shape (2, n), as the
+    PlanarHamiltonian contract promises, and gets the same periods."""
+    base = asymmetric(4.0, 1.0)
+
+    def value(w):
+        if np.ndim(w) > 2:
+            raise ValueError(f"w of shape {np.shape(w)}")
+        return base.value(w)
+
+    H = PlanarHamiltonian(value, base.grad, kink_on_u_axis=True)
+    assert minimal_period(H) == minimal_period(base)
+    assert half_periods(H) == half_periods(base)
+
+
 def test_arc_quadrature_panel_budget_raises():
     # 1 / (2H) peaks at 1e8 at theta = 0.3, off the quadrant boundaries
     H = PlanarHamiltonian(lambda w: 0.5 * (1e-8 + (w[0] * np.sin(0.3) - w[1] * np.cos(0.3)) ** 2),

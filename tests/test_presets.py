@@ -3,6 +3,8 @@ import pytest
 
 from hamshoot.dynamics import integrate
 from hamshoot.errors import ValidationError
+from hamshoot.expr import compile_expr, parse_expr
+from hamshoot.homogeneous import hamiltonian_from_expr
 from hamshoot.presets import (asymmetric_field, coupling_from_expr, free_rotator,
                               hamiltonian_block_from_expr, pendulum_hamiltonian,
                               planar_field_from_expr)
@@ -168,6 +170,86 @@ def test_planar_callables_give_a_column_per_point():
     assert np.array_equal(F(ts, w), w)
     sys_ = CoupledSystem(M=0, F=F, T=1.0, decomposition=dec)
     assert validate_decomposition(sys_).passed
+
+
+def _reference(srcs, names, wrt=None, params=None):
+    """A compile_expr twin of a block in (t, *names): its outputs as rows,
+    (n,) at one point and (n, B) on B points."""
+    fns = [compile_expr(parse_expr(s), ("t",) + names, wrt, params) for s in srcs]
+
+    def ref(t, *z):
+        rows = [r for f in fns for r in (f(t, *z) if wrt else [f(t, *z)])]
+        return np.array([np.broadcast_to(r, np.shape(z[-1])) for r in rows], dtype=float)
+
+    return ref
+
+
+def _angular(fn, M, planar):
+    # the block on a joined state z = (x, y[, w]), its outputs as rows
+    return lambda t, z: np.concatenate(fn(t, z[:M], z[M:2 * M], *[z[2 * M:]] * planar))
+
+
+def _expression_callables():
+    """label -> (block on (t, z) with its outputs as rows, state names, whether
+    t is one per point, compile_expr reference) for every expression-built callable."""
+    params = {"eps": 0.3}
+    K = "0.5*(u^2 + v^2) + eps*sin(t)*cos(u)*v"
+    comps = ("4*pos(u) - neg(u) + eps*sin(t)", "v")
+    Q = "eps*sin(t)*u*v"
+    F_K, _, _ = planar_field_from_expr(K_src=K, params=params)
+    F_c, dec, _ = planar_field_from_expr(components=comps, params=params, Q_src=Q,
+                                         H1_src="0.5*(u^2 + v^2)", H2_src="2*(u^2 + v^2)")
+    h = "0.3*sin(t)*atan(u)"
+    _, dec_a, _ = asymmetric_field(1.0, 2.0, 4.0, 9.0, h_src=h)
+    H_src = "0.5*(4*pos(u)^2 + neg(u)^2 + v^2) + 0.1*u*v"
+    H = hamiltonian_from_expr(H_src)
+    uv = ("u", "v")
+    cases = {
+        "K field": (F_K, uv, True, _reference([K], uv, uv, params)),
+        "components field": (F_c, uv, True, _reference(comps, uv, None, params)),
+        "decomposition grad_Q": (dec.grad_Q, uv, True, _reference([Q], uv, uv, params)),
+        "asymmetric grad_Q": (dec_a.grad_Q, uv, True, _reference([h, "0"], uv)),
+        "H value": (lambda t, w: np.reshape(H.value(w), (1,) + w.shape[1:]), uv, False,
+                    _reference([H_src], uv)),
+        "H grad": (lambda t, w: H.grad(w), uv, False, _reference([H_src], uv, uv)),
+    }
+    for M, H_src, P_src in ((1, "0.5*y^2 + 0.2*cos(t)*y - 1.5*cos(x)",
+                             "eps*sin(x)*sin(u) + 0.1*y*u*v"),
+                            (2, "0.5*(y1^2 + y2^2) - cos(x1 - x2) + 0.1*sin(t)*y1",
+                             "eps*(sin(x1)*pos(u) + cos(x2)*y1*v)")):
+        xy = ("x", "y") if M == 1 else ("x1", "x2", "y1", "y2")
+        cases[f"grad_H M={M}"] = (_angular(hamiltonian_block_from_expr(H_src, M, params), M, 0),
+                                  xy, False, _reference([H_src], xy, xy, params))
+        cases[f"grad_P M={M}"] = (_angular(coupling_from_expr(P_src, M, params), M, 1),
+                                  xy + uv, False, _reference([P_src], xy + uv, xy + uv, params))
+    return cases
+
+
+_CALLABLES = _expression_callables()
+
+
+@pytest.mark.parametrize("label", list(_CALLABLES))
+def test_expression_callables_take_a_column_per_point(label):
+    """On B stacked points each expression-built callable gives bitwise its calls
+    on the points one by one, and both give bitwise what compile_expr gives."""
+    fn, names, t_per_point, ref = _CALLABLES[label]
+    rng = np.random.default_rng(25)
+    z = rng.uniform(-2.0, 2.0, (len(names), 9))
+    z[:, 0], z[:, 1] = 0.0, -0.0  # on the kinks of pos and neg
+    ts = rng.uniform(0.0, 6.0, 9) if t_per_point else np.full(9, 0.7)
+    t = ts if t_per_point else 0.7
+    stacked = fn(t, z)
+    one_by_one = np.stack([fn(ts[i], z[:, i]) for i in range(9)], axis=1)
+    assert stacked.dtype == np.float64 and stacked.shape == one_by_one.shape
+    assert _bits(stacked) == _bits(one_by_one)
+    assert _bits(stacked) == _bits(ref(t, *z))
+    for i in range(9):
+        assert _bits(fn(ts[i], z[:, i])) == _bits(ref(ts[i], *z[:, i].tolist()))
+
+
+def test_free_rotator_without_angles():
+    hx, hy = free_rotator(0)(0.0, np.zeros(0), np.zeros(0))
+    assert hx.shape == hy.shape == (0,) and hx.dtype == hy.dtype == np.float64
 
 
 def test_planar_field_needs_exactly_one_source():

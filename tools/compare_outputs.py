@@ -3,10 +3,11 @@
 
     python3 tools/compare_outputs.py --parent ../parent --change . --seeds 0 1
 
-Per config and seed, each checkout runs ``hamshoot full`` from its own
-``src/`` on its own copy of the config: by default the demo config and every
-``bench/configs/*.yaml`` of the change.  Reports, per run, whether every CSV
-and stdout are byte-identical and the exit codes equal, and lists every
+Per config and seed, each checkout runs ``hamshoot full --dump-trajectories``
+from its own ``src/`` on its own copy of the config: by default the demo
+config and every ``bench/configs/*.yaml`` of the change.  Reports, per run,
+whether every CSV (the dumped ``trajectories/class_*.csv`` included) and
+stdout are byte-identical and the exit codes equal, and lists every
 ``results.json`` difference outside the metadata fields ``wall_time_s``,
 ``timestamp_utc`` and ``config_path``.  Exits 1 on any difference.  Outputs
 go to a temporary directory and no bytecode is written, so neither checkout
@@ -31,7 +32,7 @@ def run(checkout, config, seed, out_dir):
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     cmd = [sys.executable, "-m", "hamshoot.cli", "full", "--config", str(checkout / config),
-           "--out", str(out_dir), "--seed", str(seed)]
+           "--out", str(out_dir), "--seed", str(seed), "--dump-trajectories"]
     proc = subprocess.run(cmd, cwd=out_dir.parent, env=env, capture_output=True)
     return proc.returncode, proc.stdout
 
