@@ -357,6 +357,6 @@ def _build_system(top, problems):
 
     if problems:
         return None, None
-    F, dec, w_kink = block
+    F, dec = block
     return CoupledSystem(M=M, F=F, grad_H=grad_H, grad_P=grad_P, T=top["T"],
-                         interval=top["interval"], decomposition=dec, w_kink=w_kink), stiffness
+                         interval=top["interval"], decomposition=dec), stiffness

@@ -8,15 +8,16 @@ state along; error control reads the state alone, and the sensitivity rides
 on its steps.  The fields treated here grow at most linearly, so no stiff
 fallback is provided; a collapsing step size raises instead.
 
-Kinked fields split steps where one state component changes sign (u = 0 for
-the planar blocks), so that a crossing costs about one cut step: the step
-after a cut resumes the step that the split shortened, and a step accepted
-right after a rejection does not grow.  The sensitivity never integrates the
-Jacobian of the wrong side: a cut step's last weighted stage takes it from
-the side the step started on, and a step that starts on the surface (after
-a cut that ended in its dead band) takes its first stage's Jacobian from the
-new side and is not split again.  A stored trajectory is read through one
-evaluator of the dense output, :meth:`Trajectory.query_many`.
+Kinked fields split steps where an entry of a switch function g(t, z), the
+argument of a kink, changes sign, so that a crossing costs about one cut
+step: the step after a cut resumes the step that the split shortened, and a
+step accepted right after a rejection does not grow.  The sensitivity never
+integrates the Jacobian of the wrong side: a cut step's last weighted stage
+takes it from the side the step started on, and a step that starts on the
+surface (after a cut that ended in its dead band) takes its first stage's
+Jacobian from the new side and is not split there again.  A stored
+trajectory is read through one evaluator of the dense output,
+:meth:`Trajectory.query_many`.
 """
 
 from __future__ import annotations
@@ -150,14 +151,15 @@ class WindingReport:
 def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
     """Adaptive DOPRI5(4) integration of ``f`` from ``z0`` over [t0, t1].
 
-    ``switch`` is the index of a state component, or None; accepted steps
-    across which that component changes sign are cut at the crossing, so a
-    piecewise smooth field with its kink on the component's zero set keeps
-    full accuracy.  The step after a cut resumes the step that the split
+    ``switch(t, z)``, or None, returns the values g_k, read from z[:state_n],
+    whose sign changes mark the field's kink surfaces; it is evaluated at step
+    ends.  An accepted step across which some g_k changes sign is cut at the
+    first crossing on its interpolant, so a field smooth between its surfaces
+    keeps full accuracy.  The step after a cut resumes the step that the split
     shortened instead of regrowing from the cut, and, as in Hairer's DOPRI5,
     a step accepted right after a rejection does not grow.  A cut that ends
-    within 1e-10 (1 + |z_i|) of the surface, z_i at the cut step's start,
-    puts the next step on the surface: that step is not split again.  For a
+    within 1e-10 (1 + |g_k|) of its surface, g_k at the cut step's start,
+    puts the next step on that surface, where it is not split again.  For a
     :class:`VariationalField` the sensitivity part of a stage on or beyond
     the surface comes from the side it belongs to (:func:`_nudge`): the
     cut step's last weighted stage (c = 1) from the side the step started
@@ -205,10 +207,12 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
     ts = [t0]
     ys = [y]
     interpolants = []
-    # cut: the try ends on the switch surface, shortened by a split from the
-    # try h_split; on_switch: the step starts on the surface (it follows a
-    # cut); after_reject: a try at this step's start was rejected for error
-    cut = on_switch = after_reject = False
+    # g: switch values at the step's start; cut: the surface the try ends on,
+    # shortened by a split from the try h_split; on_switch: the surface the step
+    # starts on (after a cut); after_reject: a try here was rejected for error
+    g = g_new = None if switch is None else switch(t, y)
+    cut = on_switch = None
+    after_reject = False
 
     while t < t1:
         h = min(h, t1 - t)
@@ -219,7 +223,7 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
         if stats.steps + stats.rejected + stats.splits > _MAX_STEPS:
             raise StepUnderflowError(f"exceeded {_MAX_STEPS} steps")
         # the side of the surface that a cut step starts on
-        side = math.copysign(1.0, y[switch]) if cut else 0.0
+        side = 0.0 if cut is None else math.copysign(1.0, g[cut])
 
         ratio = math.inf  # stays so, rejecting the step, if a stage is not finite
         for i in range(1, 7):
@@ -228,9 +232,9 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
                 break
             stats.nfev += 1
             K[i] = rhs(t + _C_FLOAT[i] * h, zi)
-            if i == 5 and cut and m < n:
+            if i == 5 and cut is not None and m < n:
                 # the last weighted stage (c = 1) keeps the Jacobian of the start side
-                e = _nudge(switch, side, zi, K[5], h_min)
+                e = _nudge(switch, cut, side, t + h, zi, K[5], h_min)
                 if e:
                     stats.nfev += 1
                     K[5, m:] = rhs(t + h + e, zi + e * K[5])[m:]
@@ -247,15 +251,16 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
         if not math.isfinite(ratio):
             stats.rejected += 1
             h *= 0.25
-            cut = False
+            cut = None
             continue
 
         if ratio <= 1.0:
-            if switch is not None and not on_switch:
-                t_cross = _first_switch_crossing(switch, t, h, y, y_new, K, h_min)
-                if t_cross is not None:
+            if switch is not None:
+                g_new = switch(t + h, y_new)
+                crossing = _first_switch_crossing(switch, t, h, y, K, g, g_new, on_switch, h_min)
+                if crossing is not None:
                     stats.splits += 1
-                    h_split, h, cut = h_split if cut else h, t_cross - t, True
+                    h_split, (h, cut) = h if cut is None else h_split, crossing
                     continue
             if dense:
                 interpolants.append((t, h, y, KT.dot(_P)))
@@ -269,14 +274,14 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
             stats.steps += 1
             K[0] = K[6]  # FSAL
             # the next step starts on the surface if this cut ended in its dead band
-            on_switch = cut and _on_surface(y_new[switch], y[switch])
-            if on_switch and m < n:
+            on_switch = cut if cut is not None and _on_surface(g_new[cut], g[cut]) else None
+            if on_switch is not None and m < n:
                 # then its first stage takes the Jacobian from the new side
-                e = _nudge(switch, -side, y_new, K[6], h_min)
+                e = _nudge(switch, cut, -side, t_new, y_new, K[6], h_min)
                 if e:
                     stats.nfev += 1
                     K[0, m:] = rhs(t_new + e, y_new + e * K[6])[m:]
-            t, y, abs_y = t_new, y_new, abs_new
+            t, y, abs_y, g = t_new, y_new, abs_new, g_new
             ts.append(t)
             ys.append(y)
             # a step right after a rejection does not grow; one after a cut
@@ -284,12 +289,12 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
             grow = 1.0 if after_reject else _MAX_FACTOR
             factor = grow if ratio == 0.0 else min(
                 grow, max(_MIN_FACTOR, _SAFETY * ratio ** -0.2))
-            h = h_split if cut else h * factor
-            cut = after_reject = False
+            h = h * factor if cut is None else h_split
+            cut, after_reject = None, False
         else:
             stats.rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * ratio ** -0.2)
-            cut, after_reject = False, True
+            cut, after_reject = None, True
 
     return Trajectory(ts, ys, interpolants if dense else [], stats)
 
@@ -301,35 +306,32 @@ def _finite(a):
     return math.isfinite(sum(a.tolist())) or bool(np.isfinite(a).all())
 
 
-def _first_switch_crossing(i, t, h, y, y_new, K, h_min):
-    """Time of a strict sign change of component ``i`` inside the step, or None.
-
-    The crossing is located on the step's own interpolant; truncating the
-    step there keeps each accepted step on one smooth side of the switch
-    surface.  Crossings closer to ``t`` than a few ``h_min`` are ignored.
+def _first_switch_crossing(switch, t, h, y, K, g0, g1, skip, h_min):
+    """(h_c, k) of the first strict sign change of an entry g_k of ``switch``,
+    g0 at the step's start and g1 at its end, located at t + h_c on the step's
+    interpolant; or None.  A step that ends (numerically) on a surface is kept
+    whole, and one that starts there, on ``skip``, is not split there: one rule,
+    _on_surface, decides both.  Crossings within a few ``h_min`` of t are ignored.
     """
-    s0, s1 = y[i], y_new[i]
-    if s0 == 0.0 or s1 == 0.0 or np.sign(s0) == np.sign(s1):
-        return None
-    # dead band: a step that ends (numerically) on the surface is kept whole;
-    # integrate never asks about a step that starts there (after a cut that
-    # ended in this band), so one rule, _on_surface, decides both
-    if _on_surface(s1, s0):
+    ks = [k for k, (s0, s1) in enumerate(zip(g0, g1))
+          if k != skip and s0 * s1 < 0.0 and not _on_surface(s1, s0)]
+    if not ks:
         return None
     Q = K.T @ _P
 
-    def component(tt):
+    def entry(tt, k):
         s = (tt - t) / h
-        p = np.array([s, s * s, s ** 3, s ** 4])
-        return (y + h * (Q @ p))[i]
+        return switch(tt, y + h * (Q @ np.array([s, s * s, s ** 3, s ** 4])))[k]
 
-    tc = _brentq(component, t, t + h, max(h_min, 1e-15))
-    return tc if tc is not None and tc - t > 4 * h_min else None
+    roots = [(tc - t, k) for k in ks
+             for tc in [_brentq(lambda tt: entry(tt, k), t, t + h, max(h_min, 1e-15))]
+             if tc is not None and tc - t > 4 * h_min]
+    return min(roots, default=None)
 
 
 def _on_surface(s, s0):
-    """Whether the switch component ``s`` of a step's end, started at ``s0``,
-    lies (numerically) on the surface: in the dead band 1e-10 (1 + |s0|)."""
+    """Whether the switch value ``s`` of a step's end, started at ``s0``,
+    lies (numerically) on its surface: in the dead band 1e-10 (1 + |s0|)."""
     return abs(s) <= 1e-10 * (1.0 + abs(s0))
 
 
@@ -378,21 +380,19 @@ def _brentq(f, a, b, xtol):
                            f"after {maxiter} iterations")
 
 
-def _nudge(i, side, z, k, h_min):
-    """The offset e that puts z_i + e k_i on ``side`` (+1 or -1) of the switch surface.
+def _nudge(switch, k, side, t, z, dz, h_min):
+    """The offset e that puts g_k of ``switch`` at (t + e, z + e dz) on ``side``
+    (+1 or -1) of its surface.
 
-    The field is continuous across the surface z_i = 0, but its Jacobian is
-    not, so a stage on or beyond the surface whose sensitivity part must come
-    from one side takes it at (t + e, z + e k).  e is 0 if z_i is on ``side``,
-    else the e = +-4 h_min 16^j, j < 6, of least size whose sign moves z_i
-    along ``k`` toward that side and puts it there; None if none does.
+    The field is continuous across the surface, but its Jacobian is not, so
+    a stage on or beyond the surface whose sensitivity part must come from
+    one side takes it at (t + e, z + e dz).  e is 0 if g_k(t, z) is on
+    ``side``, else the e = +-4 h_min 16^j, j < 6, of least size that puts it
+    there, + first (for g_k affine in z only one sign can); None if none does.
     """
-    de = math.copysign(4 * h_min, side * k[i])
-    e = 0.0
-    for j in range(7):
-        if (z[i] + e * k[i]) * side > 0.0:
+    for e in (0.0, *(sign * 4 * h_min * 16.0 ** j for j in range(6) for sign in (1.0, -1.0))):
+        if switch(t + e, z + e * dz)[k] * side > 0.0:
             return e
-        e = de * 16.0 ** j
     return None
 
 
@@ -423,7 +423,7 @@ def variational_field(n, fjac, cols):
     built ones compile f and D_z f Phi into one function instead).  Started
     from ``(z0, I[:, cols])``, one :func:`integrate` of it gives the flow and
     the columns ``cols`` of its Jacobian (the monodromy block), error-controlled
-    by z alone.  z comes first, so a switch component index applies unchanged.
+    by z alone.  z comes first, so a switch that reads z[:n] applies unchanged.
     """
     c = len(cols)
 

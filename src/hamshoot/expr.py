@@ -44,7 +44,7 @@ from .errors import DimensionMismatchError, DomainError, ExprSyntaxError, Unboun
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call", "ExprBlock",
     "parse_expr", "compile_expr", "compile_blocks", "Term", "eval_expr", "grad_expr", "unparse",
-    "free_variables", "has_kinks",
+    "free_variables",
 ]
 
 
@@ -339,7 +339,7 @@ class _Compiler:
     """
 
     def __init__(self, args, wrt, params):
-        self.lines, self.names = [], {}
+        self.lines, self.names, self.kinks = [], {}, {}  # kinks: argument operands, once each
         self.block({name: f"x{i}" for i, name in enumerate(args)}, wrt, params, 1)
 
     def block(self, args, wrt, params, order):
@@ -472,7 +472,10 @@ class _Compiler:
             return self.neg(m, a)
         if isinstance(e, Call):
             if e.fn in ("min", "max"):
+                self.kinks[self.emit("{} - {}", a, b)] = None
                 return self.extremum(m, e.fn, a, b)
+            if e.fn in ("pos", "neg", "abs"):
+                self.kinks[a.text] = None
             if e.fn == "ln":
                 self.check("ln of a nonpositive value", "{} <= 0.0", a)
             if e.fn == "sqrt":
@@ -624,7 +627,10 @@ def compile_blocks(blocks, state, combine, tangents=0):
     nonzero partials of component i alone.  On B points, the columns of a z
     of shape (size, B), the same lines run on its rows (an array form
     compiled on the first such call).  A z of another shape raises
-    :class:`DimensionMismatchError`."""
+    :class:`DimensionMismatchError`.  Its ``switch(t, z)``, None if no block
+    kinks, returns at the state z[:n] the arguments of the blocks' pos, neg
+    and abs nodes and a - b of their min(a, b) and max(a, b), once per line
+    and none on literals alone: the field kinks where one changes sign."""
     n, k = len(state), tangents
     index = {name: i for i, name in enumerate(state)}
     names = dict(zip(("t",) + tuple(state), (f"x{i}" for i in range(n + 1))))
@@ -663,8 +669,14 @@ def compile_blocks(blocks, state, combine, tangents=0):
 
     head = ["if z.__class__ is not list:", f"    if z.shape != ({size},): return _columns(x0, z)",
             "    z = z.tolist()"]
-    return _define("x0, z", head + unpack + c.lines, f"_array([{ret}])",
-                   dict(_FLOAT_NAMESPACE, _columns=columns))
+    fn = _define("x0, z", head + unpack + c.lines, f"_array([{ret}])",
+                 dict(_FLOAT_NAMESPACE, _columns=columns))
+    # literals never change sign; the domain checks are the field's to raise
+    kinks = [g for g in c.kinks if g.isidentifier()]
+    values = [f"{''.join(f'x{i + 1}, ' for i in range(n))}= z[:{n}].tolist()"] * (n > 0)
+    fn.switch = _define("x0, z", values + [line for line in c.lines if line[:3] != "if "],
+                        f"({', '.join(kinks)},)", _FLOAT_NAMESPACE) if kinks else None
+    return fn
 
 
 def eval_expr(e, binding):
@@ -732,12 +744,6 @@ def substitute(e, mapping):
         return Call(node.fn, tuple(args)) if isinstance(node, Call) else node
 
     return _fold(e, rebuild)
-
-
-def has_kinks(e):
-    """True if ``e`` contains a non-smooth node (pos, neg, abs, min, max)."""
-    return _fold(e, lambda node, args: any(args) or (
-        isinstance(node, Call) and node.fn in ("pos", "neg", "abs", "min", "max")))
 
 
 def free_variables(e):

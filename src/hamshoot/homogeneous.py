@@ -46,9 +46,9 @@ class PlanarHamiltonian:
 
     value: callable
     grad: callable
-    # gradient has a kink across the u = 0 axis (e.g. asymmetric stiffness);
-    # flows then split integration steps at u-axis crossings
-    kink_on_u_axis: bool = False
+    # g(t, w), the values whose sign changes mark the gradient's kinks, or
+    # None: flows split integration steps where one changes sign
+    switch: callable = None
     label: str = ""
 
 
@@ -90,8 +90,8 @@ def asymmetric(mu, nu):
         um = np.maximum(-w[0], 0.0)
         return np.array([p.mu * up - p.nu * um, w[1]], dtype=float)
 
-    return PlanarHamiltonian(value, grad, kink_on_u_axis=(mu != nu),
-                             label=f"asymmetric(mu={mu} nu={nu})")
+    return PlanarHamiltonian(value, grad, (lambda t, w: w[:1].tolist()) if mu != nu else None,
+                             f"asymmetric(mu={mu} nu={nu})")
 
 
 def hamiltonian_from_expr(src, params=None):
@@ -102,7 +102,7 @@ def hamiltonian_from_expr(src, params=None):
     value, grad = (xp.compile_blocks([xp.ExprBlock((ast,), names, wrt, params)], names,
                                      lambda outputs: outputs[0]) for wrt in (None, names))
     return PlanarHamiltonian(lambda w: value(0.0, w)[0], lambda w: grad(0.0, w),
-                             kink_on_u_axis=xp.has_kinks(ast), label=str(src))
+                             switch=grad.switch, label=str(src))
 
 
 # --------------------------------------------------------------------------
@@ -279,8 +279,7 @@ def reference_orbit(H, tol=1e-10):
     w0 = e / np.sqrt(2.0 * h_e)
     tau = minimal_period(H)
 
-    traj = integrate(_planar_flow_field(H), w0, 0.0, tau, 0.05 * tol,
-                     switch=0 if H.kink_on_u_axis else None)
+    traj = integrate(_planar_flow_field(H), w0, 0.0, tau, 0.05 * tol, switch=H.switch)
 
     ts_check = np.linspace(0.0, tau, 257)
     energies = np.asarray(H.value(traj.query_many(ts_check).T), dtype=float)

@@ -125,9 +125,9 @@ def asymmetric_field(mu1, nu1, mu2=None, nu2=None, h_src="0", params=None):
              - ((nu1+nu2)/2 + (nu2-nu1)/2 sin(u^3)) u-,
 
     so mu1 <= f(u)/u <= mu2 on u > 0 and nu1 <= -f(-u)/u <= nu2, and h is a
-    bounded remainder.  Returns (F, DecompositionData, w_kink) with
-    F(t, w) = (f(u) + h(t, u), v) and Q the primitive of h.  The emitted
-    source has pos/neg, and w_kink is set, unless all four stiffnesses agree.
+    bounded remainder.  Returns (F, DecompositionData) with F(t, w) =
+    (f(u) + h(t, u), v) and Q the primitive of h.  Unless all four stiffnesses
+    agree, the source has pos/neg, and F's ``switch`` the surface u = 0.
     """
     mu2 = mu1 if mu2 is None else mu2
     nu2 = nu1 if nu2 is None else nu2
@@ -146,11 +146,11 @@ def asymmetric_field(mu1, nu1, mu2=None, nu2=None, h_src="0", params=None):
     h = _part("h", h_src, ("t", "u"), params)
     F_u = _template(f"{f} + h", mu1=mu1, nu1=nu1, a=0.5 * (mu1 + mu2), b=0.5 * (mu2 - mu1),
                     c=0.5 * (nu1 + nu2), d=0.5 * (nu2 - nu1), h=h)
-    F, _, w_kink = planar_field_from_expr(components=(F_u, "v"), params=params)
+    F, _ = planar_field_from_expr(components=(F_u, "v"), params=params)
     mode = "global" if (mu1 == mu2 and nu1 == nu2) else "quadrant"
     dec = DecompositionData(asymmetric(mu1, nu1), asymmetric(mu2, nu2),
                             _compiled((h, "0"), _TUV, None, params), mode=mode)
-    return F, dec, w_kink
+    return F, dec
 
 
 def planar_field_from_expr(K_src=None, components=None, params=None,
@@ -159,7 +159,7 @@ def planar_field_from_expr(K_src=None, components=None, params=None,
 
     With ``K_src`` the field is F = grad_w K (the natural gradient form);
     ``components`` gives (F_u_src, F_v_src) directly.  Optional H1/H2/Q
-    expressions attach a decomposition.  Returns (F, dec_or_None, w_kink).
+    expressions attach a decomposition.  Returns (F, dec_or_None).
     """
     if (K_src is None) == (components is None):
         raise ValidationError(["preset expr needs exactly one of K or components"])
@@ -170,12 +170,10 @@ def planar_field_from_expr(K_src=None, components=None, params=None,
         raise ValidationError(["H1 and H2 make a decomposition only together"])
     F = _compiled([K_src] if components is None else components, _TUV,
                   None if K_src is None else ("u", "v"), params)
-    kinky = any(map(xp.has_kinks, F.expr_block.exprs))
     dec = None
     if H1_src is not None:
         H1 = hamiltonian_from_expr(H1_src, params=params)
         H2 = hamiltonian_from_expr(H2_src, params=params)
         dec = DecompositionData(H1, H2, _compiled(["0" if Q_src is None else Q_src], _TUV,
                                                   ("u", "v"), params))
-        kinky = kinky or H1.kink_on_u_axis or H2.kink_on_u_axis
-    return F, dec, kinky
+    return F, dec

@@ -25,9 +25,10 @@ An expression-built system computes f and D_z f Phi in one compiled
 function (0 at a pos/neg/abs kink, the one-sided value elsewhere); a
 plain-callable block is differenced forward, F over w, grad_H over (x, y)
 and grad_P over all of z.
-The field is continuous across the kink u = 0, so Phi needs no jump there, and
-the one-sided Jacobian makes the iteration a semismooth Newton method, which
-converges superlinearly at kinks too.
+The field is continuous across its kink surfaces (``sys.switch``, where flows
+split steps), so Phi needs no jump there, and the one-sided Jacobian makes
+the iteration a semismooth Newton method, which converges superlinearly at
+kinks too.
 
 Newton steps are minimum-norm steps of a truncated SVD of J (Ben-Israel
 1966; Deuflhard 2004), damped by Armijo backtracking; the line search keeps
@@ -134,7 +135,7 @@ def _min_norm_steps(J, R, noise):
     linear model predicts no Armijo decrease, |R + J d| > (1 - ``_ARMIJO_C``)
     |R|, is not tried: its line search could only halve it into the noise.
     """
-    U, s, Vt = np.linalg.svd(J)
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
     coef = U.T @ R
     full = s > noise
     strong = s > max(noise, _RELATIVE_CUTOFF * s[0])

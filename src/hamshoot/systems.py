@@ -72,9 +72,9 @@ class CoupledSystem:
     and returns the field at each point, shape (2,) or (2, n).
     ``grad_H(t, x, y) -> (dx array, dy array)`` and
     ``grad_P(t, x, y, w) -> (dx, dy, dw)`` may be None for absent blocks.
-    ``w_kink`` marks a planar field with a gradient kink across u = 0
-    (asymmetric stiffness); flows then split steps where the state component
-    ``switch``, u, changes sign.
+    Flows split steps at the kink surfaces of :attr:`switch`.  ``w_kink``
+    declares a kink across u = 0 where a plain-callable block hides it from
+    the compiler; an expression-built system ignores it.
     A block built from an expression carries it as ``expr_block``
     (:class:`hamshoot.expr.ExprBlock`), in the variables (t, x1.., y1..) for
     grad_H, (t, x1.., y1.., u, v) for grad_P and (t, u, v) for F.
@@ -117,8 +117,13 @@ class CoupledSystem:
 
     @property
     def switch(self):
-        """Index of the state component u that splits steps, or None."""
-        return 2 * self.M if self.w_kink else None
+        """g(t, z) of :func:`hamshoot.dynamics.integrate`, or None: the compiled
+        field's kinks if every present block carries its expression, else u
+        if ``w_kink``."""
+        compiled = _compiled_field(self)
+        if compiled is not None:
+            return compiled.switch
+        return (lambda t, z: z[2 * self.M:2 * self.M + 1].tolist()) if self.w_kink else None
 
     @cached_property
     def _compiled(self):
@@ -486,9 +491,10 @@ def modify_system(sys, rho):
     """System with F replaced by the cutoff-modified field F_rho.
 
     Identical to ``sys`` for |w| <= rho; equal to the averaged homogeneous
-    field plus grad Q for |w| >= rho^3.
+    field plus grad Q for |w| >= rho^3.  F_rho is a plain callable, so the
+    modified system declares ``w_kink`` (u = 0) where ``sys`` has a switch.
     """
-    return replace(sys, F=CutoffModification(sys, rho).F_rho)
+    return replace(sys, F=CutoffModification(sys, rho).F_rho, w_kink=sys.switch is not None)
 
 
 # --------------------------------------------------------------------------

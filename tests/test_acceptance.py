@@ -248,7 +248,7 @@ def test_criterion_07_cutoff_construction():
 
 def test_criterion_08_flow_jacobian_cross_validation():
     """Variational time-T monodromy vs a central-difference oracle on the pendulum < 1e-5."""
-    F, _, _ = planar_field_from_expr(K_src="0.5*v^2 - cos(u)")
+    F, _ = planar_field_from_expr(K_src="0.5*v^2 - cos(u)")
     pend = CoupledSystem(M=0, F=F, T=2 * np.pi)   # u' = v, v' = -sin u
     field = assemble_field(pend)
     aug = variational(pend, [0, 1])   # the fused compiled function that shooting integrates

@@ -53,7 +53,8 @@ def test_minimal_config_loads():
     assert cfg.M == 1
     sys_ = cfg.system
     assert sys_.dim == 4
-    assert sys_.w_kink
+    # the surface u = 0 of the asymmetric preset
+    assert sys_.switch(0.0, np.array([0.1, 0.2, -0.3, 0.4])) == (-0.3,)
     assert sys_.decomposition is not None
 
 
@@ -172,7 +173,7 @@ def test_template_parts_are_checked_at_load():
         loads_config(MINIMAL.replace("nu1: 1.0}", 'nu1: 1.0, h: "eps*u"}'))
     assert any(p.endswith("found eps") for p in ei.value.problems)
     assert loads_config(MINIMAL.replace("nu1: 1.0}", 'nu1: 1.0, h: "eps*u"}')
-                        + "params: {eps: 0.2}\n").system.w_kink
+                        + "params: {eps: 0.2}\n").system.switch is not None
 
 
 def test_planar_expr_block_problems():

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hamshoot.errors import DomainError, ExprSyntaxError, UnboundVariableError
 from hamshoot.expr import (ExprBlock, compile_blocks, compile_expr, eval_expr, free_variables,
-                           grad_expr, has_kinks, parse_expr, substitute, unparse)
+                           grad_expr, parse_expr, substitute, unparse)
 
 ASYM = "0.5*(mu*pos(u)^2 + nu*neg(u)^2 + v^2)"
 
@@ -110,9 +110,44 @@ def test_passive_array_binding():
     assert np.allclose(g, [[0.0, 1.0]])
 
 
-def test_has_kinks():
-    assert has_kinks(parse_expr("pos(u)^2"))
-    assert not has_kinks(parse_expr("sin(u)*exp(v)"))
+def _switch(*srcs, wrt=None, state=("u", "v"), tangents=0):
+    """The switch of ``srcs`` in (t, *state) compiled as one block."""
+    block = ExprBlock(tuple(map(parse_expr, srcs)), ("t",) + state, wrt)
+    return compile_blocks([block], state, lambda o: o[0], tangents).switch
+
+
+def test_switch_is_none_without_a_kink_on_a_state():
+    assert _switch("sin(u)*exp(v)") is None
+    assert _switch("0.5*(u^2 + v^2)", wrt=("u", "v")) is None
+    # arguments on literals alone never change sign
+    assert _switch("pos(2.0)*u + abs(-1.5)*v + max(1.0, 3.0) + min(0.5, 0.25)") is None
+
+
+def test_switch_has_one_surface_per_kink_argument():
+    # pos(u) and neg(u) are one surface u = 0, in the value and in the gradient
+    for wrt in (None, ("u", "v")):
+        g = _switch("0.5*(4*pos(u)^2 + neg(u)^2 + v^2)", wrt=wrt)
+        assert g(0.0, np.array([-0.3, 2.0])) == (-0.3,)
+    g = _switch("pos(u - v)^2 + abs(u)", "neg(u)")
+    assert g(0.0, np.array([0.5, 2.0])) == (0.5 - 2.0, 0.5)
+
+
+def test_switch_of_min_and_max_is_the_difference_of_their_arguments():
+    g = _switch("min(u, 0.2) + max(2*v, u^2)")
+    u, v = 0.7, -0.4
+    assert g(0.0, np.array([u, v])) == (u - 0.2, 2 * v - u * u)
+
+
+def test_switch_reads_t_and_the_state_only():
+    g = _switch("pos(u - sin(t)) + v", state=("u", "v"), tangents=2)
+    # on a variational state z continues with Phi, which the switch ignores
+    z = np.array([0.5, 9.0, 1.0, 0.0, 0.0, 1.0])
+    assert g(1.0, z) == (0.5 - np.sin(1.0),)
+    assert g(0.0, z) == (0.5,)
+    # the domain checks are left out: the switch of sqrt(u) * pos(v) reads v alone
+    g = _switch("sqrt(u)*pos(v)")
+    assert "_DomainError" not in g.source
+    assert g(0.0, np.array([4.0, -1.0])) == (-1.0,)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_periods_call_H_on_points_of_shape_2_n():
             raise ValueError(f"w of shape {np.shape(w)}")
         return base.value(w)
 
-    H = PlanarHamiltonian(value, base.grad, kink_on_u_axis=True)
+    H = PlanarHamiltonian(value, base.grad, switch=base.switch)
     assert minimal_period(H) == minimal_period(base)
     assert half_periods(H) == half_periods(base)
 
@@ -98,7 +98,7 @@ def test_check_homogeneous_detects_affine_offset():
 
 def test_expr_hamiltonian_matches_builtin():
     H = hamiltonian_from_expr("0.5*(4*pos(u)^2 + neg(u)^2 + v^2)")
-    assert H.kink_on_u_axis
+    assert H.switch(0.0, np.array([-0.5, 2.0])) == (-0.5,)
     ref = asymmetric(4, 1)
     rng = np.random.default_rng(3)
     w = rng.uniform(-2, 2, (2, 64))
@@ -112,6 +112,17 @@ def test_reference_orbit_circle():
     assert np.allclose(orb.point(0.0), [1.0, 0.0], atol=1e-12)
     assert np.allclose(orb.point(np.pi / 2), [0.0, -1.0], atol=1e-9)
     assert orb.tau == pytest.approx(2 * np.pi, abs=1e-12)
+
+
+def test_reference_orbit_splits_steps_at_a_kink_off_the_u_axis():
+    """0.5 |w|^2 + 0.45 pos(u - v)^2 kinks on the line u = v.  Its orbit splits
+    steps where it crosses that line, so it meets the energy-drift and closure
+    checks at tol 1e-10; split where u changes sign instead, the energy drifts
+    by 1.9e-10."""
+    H = hamiltonian_from_expr("0.5*(u^2+v^2)+0.45*pos(u-v)*pos(u-v)")
+    assert H.switch(0.0, np.array([0.3, 0.5])) == (0.3 - 0.5,)
+    orb = reference_orbit(H, tol=1e-10)
+    assert orb.trajectory.stats.splits == 2  # one turn crosses u = v twice
 
 
 def test_reference_orbit_scaling_rule():
@@ -172,7 +183,7 @@ def test_period_scaling_invariance():
     for c in (0.25, 1.0, 4.0):
         Hc = PlanarHamiltonian(lambda w, c=c: c * base.value(w),
                                lambda w, c=c: c * np.asarray(base.grad(w)),
-                               kink_on_u_axis=True)
+                               switch=base.switch)
         assert minimal_period(Hc) == pytest.approx(tau / c, rel=1e-11)
 
 

@@ -56,7 +56,7 @@ def _interpolated_force(mu1, nu1, mu2, nu2, u):
                                          ((1.0, 2.0, 4.0, 9.0), 1e-12)])
 def test_asymmetric_template_matches_interpolated_force(pairs, rtol):
     # bitwise for equal pairs; otherwise u^3 inside sin(u^3) may differ by an ulp
-    F, dec, _ = asymmetric_field(*pairs, h_src="0.3*sin(t)*atan(u)")
+    F, dec = asymmetric_field(*pairs, h_src="0.3*sin(t)*atan(u)")
     rng = np.random.default_rng(12)
     ts, us, vs = rng.uniform(-20.0, 20.0, (3, 2000))
     points = list(zip(ts.tolist(), us.tolist(), vs.tolist()))
@@ -74,13 +74,13 @@ def test_asymmetric_template_matches_interpolated_force(pairs, rtol):
     np.testing.assert_allclose(F(ts, np.array([us, vs])).T, got, rtol=rtol, atol=0.0)
 
 
-def test_asymmetric_field_kink_flag_follows_the_force():
+def test_asymmetric_field_switch_follows_the_force():
     # stiffness pairs (1, 1) and (4, 4): f has slope 4 at u = 0+ and 2.5 at u = 0-
-    F, _, w_kink = asymmetric_field(1.0, 1.0, 4.0, 4.0)
-    assert w_kink
-    assert not asymmetric_field(1.0, 1.0, 1.0, 1.0)[2]
-    # with the kink flagged the flow splits its steps at u = 0
-    sys_ = CoupledSystem(M=0, F=F, T=6.0, w_kink=w_kink)
+    F, _ = asymmetric_field(1.0, 1.0, 4.0, 4.0)
+    assert F.switch(0.0, np.array([-0.3, 1.0])) == (-0.3,)
+    assert asymmetric_field(1.0, 1.0, 1.0, 1.0)[0].switch is None
+    # the system takes the surface u = 0 from F, and its flow splits steps there
+    sys_ = CoupledSystem(M=0, F=F, T=6.0)
     f = assemble_field(sys_)
     z0 = np.array([0.3, 0.0])
     ref = integrate(f, z0, 0.0, 6.0, 1e-13, switch=sys_.switch).ys[-1]
@@ -109,8 +109,8 @@ def test_coupling_alias_and_gradients():
 
 def test_asymmetric_field_stiffness_stays_between_pairs():
     mu1, nu1, mu2, nu2 = 1.0, 2.0, 4.0, 9.0
-    F, dec, w_kink = asymmetric_field(mu1, nu1, mu2, nu2)
-    assert w_kink
+    F, dec = asymmetric_field(mu1, nu1, mu2, nu2)
+    assert F.switch is not None
     assert dec.mode == "quadrant"
     us = np.linspace(-20, 20, 2001)
     us = us[np.abs(us) > 1e-9]
@@ -121,7 +121,7 @@ def test_asymmetric_field_stiffness_stays_between_pairs():
 
 
 def test_asymmetric_field_reduces_to_plain_oscillator():
-    F, dec, w_kink = asymmetric_field(4.0, 1.0)
+    F, dec = asymmetric_field(4.0, 1.0)
     assert dec.mode == "global"
     w = np.array([0.5, -0.2])
     assert np.allclose(F(0.0, w), [2.0, -0.2])
@@ -130,7 +130,7 @@ def test_asymmetric_field_reduces_to_plain_oscillator():
 
 
 def test_asymmetric_field_bounded_remainder():
-    F, dec, _ = asymmetric_field(4.0, 1.0, h_src="0.3*sin(t)*atan(u)")
+    F, dec = asymmetric_field(4.0, 1.0, h_src="0.3*sin(t)*atan(u)")
     gq = dec.grad_Q(0.5, np.array([100.0, 0.0]))
     assert abs(gq[0]) <= 0.3 * np.pi / 2 + 1e-12
     assert gq[1] == 0.0
@@ -146,8 +146,8 @@ def test_asymmetric_field_validation():
 
 
 def test_planar_field_from_K_expr():
-    F, dec, kinky = planar_field_from_expr(K_src="0.5*(u^2+v^2) + 0.1*u*sin(t)")
-    assert not kinky
+    F, dec = planar_field_from_expr(K_src="0.5*(u^2+v^2) + 0.1*u*sin(t)")
+    assert F.switch is None
     assert dec is None
     w = np.array([0.4, -0.3])
     out = F(0.5, w)
@@ -156,13 +156,13 @@ def test_planar_field_from_K_expr():
 
 
 def test_planar_field_from_components():
-    F, _, _ = planar_field_from_expr(components=("u + v", "v - u"))
+    F, _ = planar_field_from_expr(components=("u + v", "v - u"))
     assert np.allclose(F(0.0, np.array([1.0, 2.0])), [3.0, 1.0])
 
 
 def test_planar_callables_give_a_column_per_point():
     # Q absent is Q = 0, whose compiled gradient does not depend on the points
-    F, dec, _ = planar_field_from_expr(K_src="0.5*(u^2+v^2)", H1_src="0.5*(u^2+v^2)",
+    F, dec = planar_field_from_expr(K_src="0.5*(u^2+v^2)", H1_src="0.5*(u^2+v^2)",
                                        H2_src="u^2+v^2")
     ts, w = np.linspace(0.0, 1.0, 3), np.arange(6.0).reshape(2, 3)
     assert np.array_equal(dec.grad_Q(ts, w), np.zeros((2, 3)))
@@ -196,11 +196,11 @@ def _expression_callables():
     K = "0.5*(u^2 + v^2) + eps*sin(t)*cos(u)*v"
     comps = ("4*pos(u) - neg(u) + eps*sin(t)", "v")
     Q = "eps*sin(t)*u*v"
-    F_K, _, _ = planar_field_from_expr(K_src=K, params=params)
-    F_c, dec, _ = planar_field_from_expr(components=comps, params=params, Q_src=Q,
+    F_K, _ = planar_field_from_expr(K_src=K, params=params)
+    F_c, dec = planar_field_from_expr(components=comps, params=params, Q_src=Q,
                                          H1_src="0.5*(u^2 + v^2)", H2_src="2*(u^2 + v^2)")
     h = "0.3*sin(t)*atan(u)"
-    _, dec_a, _ = asymmetric_field(1.0, 2.0, 4.0, 9.0, h_src=h)
+    _, dec_a = asymmetric_field(1.0, 2.0, 4.0, 9.0, h_src=h)
     H_src = "0.5*(4*pos(u)^2 + neg(u)^2 + v^2) + 0.1*u*v"
     H = hamiltonian_from_expr(H_src)
     uv = ("u", "v")

@@ -338,6 +338,24 @@ def test_min_norm_step_is_the_newton_step_on_a_well_conditioned_jacobian():
     assert cond == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("shape", [(5, 4), (4, 5)])
+def test_min_norm_step_of_a_rectangular_jacobian_is_the_least_squares_step(shape):
+    """A bordered system has more rows or columns than unknowns: the full
+    step is then the minimum-norm least-squares solution of J d = -R."""
+    rng = np.random.default_rng(8)
+    m, n = shape
+    U, V = (np.linalg.qr(rng.standard_normal((d, d)))[0] for d in shape)
+    k = min(m, n)
+    J = U[:, :k] @ np.diag([3.0, 2.0, 1.0, 0.5]) @ V[:, :k].T
+    # R mostly in the range of J, so the least-squares step decreases |R|
+    R = J @ rng.standard_normal(n) + (0.1 * U[:, -1] if m > n else 0.0)
+    steps, cond = solvers._min_norm_steps(J, R, noise=1e-9)
+    ref = np.linalg.lstsq(J, -R, rcond=None)[0]
+    assert len(steps) == 1
+    assert np.linalg.norm(steps[0] - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert cond == pytest.approx(6.0)
+
+
 @pytest.mark.parametrize("weak_share", [0.1, 0.9])
 def test_weak_direction_is_dropped_first_unless_it_holds_most_of_the_residual(weak_share):
     # sigma = 1e-4 is weak (below 1e-3 sigma_max) but far above the noise: J is

@@ -113,9 +113,9 @@ _PLANARS = {
 
 
 def _expr_system(ham, coupling, planar, M):
-    F, dec, w_kink = _PLANARS[planar]()
+    F, dec = _PLANARS[planar]()
     return CoupledSystem(M=M, F=F, grad_H=_HAMILTONIANS[ham](M), grad_P=_COUPLINGS[coupling](M),
-                         T=2 * np.pi, decomposition=dec, w_kink=w_kink)
+                         T=2 * np.pi, decomposition=dec)
 
 
 def _plain(fn):
@@ -151,6 +151,22 @@ def test_compiled_field_bitwise_equals_generic_assembly(ham, coupling, planar, M
 def test_compiled_field_is_compiled_once_per_system():
     sys_ = _expr_system("pendulum", "P", "asymmetric_kink", 1)
     assert assemble_field(sys_).f is assemble_field(sys_).f
+
+
+def test_switch_comes_from_the_expressions_or_from_w_kink():
+    """An expression-built system's switch holds its compiled kinks, the same
+    whichever compiled form of the field was made first, and ignores w_kink;
+    one with a plain-callable block has u if w_kink and no switch otherwise."""
+    z = np.array([0.3, -0.2, 0.7, -1.1])
+    first, second = (_expr_system("pendulum", "P", "asymmetric_kink", 1) for _ in range(2))
+    variational(first, [0, 1, 2, 3])
+    assemble_field(second)
+    assert first.switch(0.0, z) == second.switch(0.0, z) == (0.7,)
+    smooth = CoupledSystem(M=0, F=asymmetric_field(2.0, 2.0)[0], T=1.0, w_kink=True)
+    assert smooth.switch is None
+    plain = CoupledSystem(M=1, F=lambda t, w: w, grad_H=_grad_pendulum(), T=1.0, w_kink=True)
+    assert plain.switch(0.0, z) == [0.7]
+    assert replace(plain, w_kink=False).switch is None
 
 
 def test_compiled_field_dimension_mismatch():
@@ -193,7 +209,7 @@ def test_field_on_columns_is_the_field_at_each_column(name):
 def test_field_on_columns_broadcasts_components_that_read_no_state():
     from hamshoot.errors import DomainError
     # x' = 0 and u' = 0.5 are literals, v' reads t and u; sqrt(u) needs u >= 0
-    F, _, _ = planar_field_from_expr(components=["sqrt(u) + 0.1*cos(t)", "0.5"])
+    F, _ = planar_field_from_expr(components=["sqrt(u) + 0.1*cos(t)", "0.5"])
     f = assemble_field(CoupledSystem(M=1, F=F, T=1.0))
     Z = np.array([[0.1, 0.2, 0.3], [1.0, 2.0, 3.0], [0.0, 4.0, 9.0], [1.0, 1.0, 1.0]])
     out = f(0.3, Z)
@@ -214,6 +230,8 @@ def test_modified_system_assembles_F_rho():
     out = assemble_field(mod)(0.5, z)
     assert np.array_equal(out[2:], [F_rho[1], -F_rho[0]])
     assert not np.array_equal(out[2:], assemble_field(sys_)(0.5, z)[2:])
+    # F_rho hides the kink u = 0 from the compiler, so the modified system declares it
+    assert mod.switch(0.5, z) == [30.0]
 
 
 _GRID = [(ham, coupling, planar, M) for ham in _HAMILTONIANS for coupling in _COUPLINGS
@@ -285,9 +303,9 @@ def test_fused_variational_function(ham, coupling, planar, M, mode):
 def test_jacobian_kink_convention(planar):
     """D_u F_u of 4 pos(u) - neg(u): 4 for u > 0, 1 for u < 0, 0 at u = 0 of either sign."""
     if planar == "components":
-        F, _, _ = planar_field_from_expr(components=["4*pos(u) - neg(u)", "v"])
+        F, _ = planar_field_from_expr(components=["4*pos(u) - neg(u)", "v"])
     else:
-        F, _, _ = planar_field_from_expr(K_src="0.5*(4*pos(u)^2 + neg(u)^2 + v^2)")
+        F, _ = planar_field_from_expr(K_src="0.5*(4*pos(u)^2 + neg(u)^2 + v^2)")
     sys_ = CoupledSystem(M=0, F=F, T=1.0)
     for u, expected in ((0.0, 0.0), (-0.0, 0.0), (1e-12, 4.0), (-1e-12, 1.0), (0.5, 4.0)):
         J = _fused_jacobian(sys_, 0.0, np.array([u, 0.3]))[1]

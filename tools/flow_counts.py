@@ -4,10 +4,14 @@
     python3 tools/flow_counts.py demos/configs/pendulum_oscillator.yaml
     python3 tools/flow_counts.py --grid baseline
     python3 tools/flow_counts.py --grid numpy
+    python3 tools/flow_counts.py --grid forced
 
 Runs the multistart of a config (at its seed), of the 48-start Baseline grid
-(ROADMAP: the demo system, seed 1) or of the ``periodic-numpy`` bench workload
-(seed 1), from ``src/`` next to this directory.  Per start it prints the
+(ROADMAP: the demo system, seed 1), of the ``periodic-numpy`` bench workload
+(seed 1) or of the forced 360-start grid (ROADMAP: the demo config with
+``E: "0.2*sin(t)"``, x at 8 points, y in [-1.2, 1.2] at 5, w at the origin and
+at radii 0.25 and 0.6 at 4 angles each, seed 1), from ``src/`` next to this
+directory.  Per start it prints the
 outcome, the Newton iterations, the variational flows at the coarse and at the
 fine tolerance, the plain flows (the winding flow of a periodic record), the
 RHS evaluations of all of them, the record's ``revalidate`` residual, which
@@ -36,6 +40,8 @@ from hamshoot import config, solvers  # noqa: E402
 DEMO_CONFIG = ROOT / "demos" / "configs" / "pendulum_oscillator.yaml"
 BASELINE = solvers.MultistartSpec(x_points=6, y_ranges=((-0.6, 0.6),), y_points=2,
                                   w_radii=(0.25, 0.6), w_angles=2)
+FORCED = solvers.MultistartSpec(x_points=8, y_ranges=((-1.2, 1.2),), y_points=5,
+                                w_radii=(0.0, 0.25, 0.6), w_angles=4)
 COLUMNS = ("iterations", "coarse", "fine", "plain", "nfev")
 
 
@@ -44,6 +50,11 @@ def problem(args):
     if args.grid == "numpy":
         import workloads   # bench/workloads.py, read only
         return workloads.corollary_system(), workloads.SPEC, workloads.checks.NEWTON_TOL, 40, 1
+    if args.grid == "forced":
+        text = DEMO_CONFIG.read_text()
+        assert 'E: "0"' in text
+        cfg = config.loads_config(text.replace('E: "0"', 'E: "0.2*sin(t)"'), str(DEMO_CONFIG))
+        return cfg.system, FORCED, cfg.newton_tol, cfg.max_iter, 1
     cfg = config.load_config(DEMO_CONFIG if args.grid else args.config)
     if args.grid:
         return cfg.system, BASELINE, cfg.newton_tol, cfg.max_iter, 1
@@ -54,7 +65,7 @@ def problem(args):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("config", nargs="?", type=Path)
-    p.add_argument("--grid", choices=("baseline", "numpy"))
+    p.add_argument("--grid", choices=("baseline", "numpy", "forced"))
     args = p.parse_args(argv)
     if (args.config is None) == (args.grid is None):
         p.error("give a config or --grid")

@@ -47,8 +47,7 @@ def drift(sys_, z0, tol):
 
 def sweeps():
     """(name, tol, bound in units of tol, starts) of both sweeps."""
-    F, _, w_kink = asymmetric_field(4.0, 1.0)
-    osc = CoupledSystem(M=0, F=F, T=np.pi / 2 + np.pi, w_kink=w_kink)
+    osc = CoupledSystem(M=0, F=asymmetric_field(4.0, 1.0)[0], T=np.pi / 2 + np.pi)
     starts = [a * np.array([np.cos(th), np.sin(th)])
               for a in np.linspace(0.05, 3.0, 60) for th in (0.0, 1.0, 2.0)]
     for tol in (1e-6, 1e-8, 1e-9, 1e-10):
