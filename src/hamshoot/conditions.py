@@ -447,11 +447,13 @@ def _drift_check(sys, name, pairs, ensemble, x_points, judge):
     on the demo config).  If it fails, each sample runs alone, and one whose
     flow fails violates the solutions being defined on [0, T].  A check with
     no x0, no path or no face/boundary sample raises ValueError: it would
-    pass on zero samples.
+    pass on zero samples.  So does M = 0, where there is no x to drift.
     """
     if sys.mode != "periodic":
         raise ValueError(f"{name} check applies to periodic mode")
     M = sys.M
+    if M == 0:
+        raise ValueError(f"{name} check needs M >= 1: with M = 0 there is no x to drift")
     grid = _x_grid(M, x_points)
     if not (grid and ensemble and pairs):
         raise ValueError(f"{name} check needs at least one x0, one path and one "

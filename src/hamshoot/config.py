@@ -155,7 +155,10 @@ def _parse(value, kind):
 _ENSEMBLE = {"constants": ((None, 2), [[0.0, 0.0]]),
              "fourier": ({"count": (_COUNT, 2), "amplitude": (float, 1.0),
                           "modes": (_COUNT, 3)}, None)}
-_CHECK = {"enabled": (bool, False), "x_points": (_COUNT, 3), "ensemble": _ENSEMBLE}
+# the twist-type checks judge the drift of x, which M = 0 does not have
+_CHECK = {"enabled": (bool, False, lambda on, M: "enabled needs M >= 1, there is no x block"
+                      if on and M == 0 else None),
+          "x_points": (_COUNT, 3), "ensemble": _ENSEMBLE}
 _BALL = {**_CHECK, "center": (("M",), np.zeros), "radius": (_POSITIVE, 1.0),
          "boundary_points": (_COUNT, 16)}
 _FORMAT = {

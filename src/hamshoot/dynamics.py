@@ -187,6 +187,8 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
     n = z0.size
     # error control, the step size and the blowup guard read z[:m]
     m = f.state_n if isinstance(f, VariationalField) else n
+    if m == 0:
+        raise ValueError("the state is empty")
     rhs = f.f if isinstance(f, VectorField) else f
 
     def feval(t, z):
@@ -246,7 +248,7 @@ def integrate(f, z0, t0, t1, tol, dense=True, switch=None):
                 err = h * KT_state.dot(_E)
                 abs_new = np.abs(y_new[:m])
                 scale = tol * (1.0 + np.maximum(abs_y, abs_new))
-                ratio = (np.abs(err) / scale).max() if m else 0.0
+                ratio = (np.abs(err) / scale).max()
 
         if not math.isfinite(ratio):
             stats.rejected += 1
@@ -399,8 +401,8 @@ def _nudge(switch, k, side, t, z, dz, h_min):
 def _initial_step(feval, t0, y0, f0, tol, span, m):
     """Hairer-style starting step selection, from the components ``[:m]``."""
     scale = tol * (1.0 + np.abs(y0[:m]))
-    d0 = np.max(np.abs(y0[:m]) / scale) if m else 0.0
-    d1 = np.max(np.abs(f0[:m]) / scale) if m else 0.0
+    d0 = np.max(np.abs(y0[:m]) / scale)
+    d1 = np.max(np.abs(f0[:m]) / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0

@@ -5,12 +5,12 @@ parsed once into an immutable AST.  An :class:`ExprBlock` describes a block
 of expressions once; :func:`compile_blocks` compiles it, alone into the
 block's callable or with others into a system's fused field, as straight-line
 numpy code of (t, z) that returns values or exact forward-mode gradients, and
-second derivatives forward over forward.  :func:`compile_expr` compiles one
-expression for :func:`eval_expr` and :func:`grad_expr`.  Each operation has
+second derivatives forward over forward; :func:`eval_expr` and
+:func:`grad_expr` compile one expression through it.  Each operation has
 one rule, which emits its value line and builds its partials by calling the
 rules again; an operation on literals alone is computed at compile time.  The
-compiled functions accept floats or numpy arrays alike, and an array gives,
-element by element, bitwise what its elements give one by one.
+compiled functions take one point as floats or B points as columns, and the
+columns give, element by element, bitwise what the points give one by one.
 
 Grammar (EBNF), whitespace-insensitive::
 
@@ -34,6 +34,7 @@ follow the second argument's derivative on ties.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -43,7 +44,7 @@ from .errors import DimensionMismatchError, DomainError, ExprSyntaxError, Unboun
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call", "ExprBlock",
-    "parse_expr", "compile_expr", "compile_blocks", "Term", "eval_expr", "grad_expr", "unparse",
+    "parse_expr", "compile_blocks", "Term", "eval_expr", "grad_expr", "unparse",
     "free_variables",
 ]
 
@@ -260,14 +261,11 @@ def _power(x, y):
     return np.power(x, y)
 
 
-def _gradient(value, partials):
-    shape = getattr(value, "shape", ())
-    if not shape:
-        # a partial never has more axes than the value it belongs to
-        return np.array(partials, dtype=float)
-    out = np.empty((len(partials),) + shape)
-    for i, p in enumerate(partials):
-        out[i] = p
+def _rows(z, rows):
+    """``rows`` as one row each over the columns of ``z``, literals broadcast."""
+    out = np.empty((len(rows),) + z.shape[1:])
+    for i, r in enumerate(rows):
+        out[i] = r
     return out
 
 
@@ -275,8 +273,8 @@ _NAMESPACE = {
     "_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt,
     "_abs": np.abs, "_sign": np.sign, "_arctan": np.arctan, "_power": _power,
     "_round": np.round, "_maximum": np.maximum, "_minimum": np.minimum,
-    "_any": _any, "_where": _where, "_pos": _pos, "_empty": np.empty,
-    "_gradient": _gradient, "_float": float, "_DomainError": DomainError, "_array": np.array,
+    "_any": _any, "_where": _where, "_pos": _pos, "_rows": _rows, "_float": float,
+    "_DomainError": DomainError, "_array": np.array,
 }
 
 
@@ -338,9 +336,8 @@ class _Compiler:
     reach the source text.
     """
 
-    def __init__(self, args, wrt, params):
+    def __init__(self):
         self.lines, self.names, self.kinks = [], {}, {}  # kinks: argument operands, once each
-        self.block({name: f"x{i}" for i, name in enumerate(args)}, wrt, params, 1)
 
     def block(self, args, wrt, params, order):
         """Compile what follows over ``args`` (name -> operand), seeded by ``wrt``."""
@@ -514,28 +511,6 @@ class _Compiler:
         raise UnboundVariableError(f"variable {name!r} is not bound")
 
 
-def compile_expr(e, args, wrt=None, params=None):
-    """Compile ``e`` once into a numpy function of the positional ``args``.
-
-    The function returns the value of ``e``, or with ``wrt`` (names from
-    ``args``) its forward-mode gradient, shape ``(len(wrt),) + shape(value)``.
-    ``params`` maps further names to constants folded into the code.  Calls
-    take floats or numpy arrays and raise :class:`DomainError` on a domain
-    violation (with ``wrt``, also ``sqrt`` at 0); unbound names raise
-    :class:`UnboundVariableError` here, and so does :class:`DomainError` a
-    violation on constants alone, which would hold at every point.
-    """
-    args = tuple(args)
-    for name in wrt or ():
-        if name not in args:
-            raise UnboundVariableError(f"variable {name!r} is not bound")
-    c = _Compiler(args, wrt, params)
-    v = c.node(e)
-    partials = ", ".join((p or _ZERO).text for p in v.d or [None] * len(wrt or ()))
-    ret = v.text if wrt is None else f"_gradient({v.text}, [{partials}])"
-    return _define(", ".join(f"x{i}" for i in range(len(args))), c.lines, ret)
-
-
 _NAME = re.compile(r"[A-Za-z_]\w*")
 _ASSIGNMENT = re.compile(r"(\w+) = (.*)")
 
@@ -557,9 +532,9 @@ def _live(lines, ret):
     return kept[::-1]
 
 
-def _define(signature, lines, ret, namespace=_NAMESPACE):
+def _define(lines, ret, namespace=_NAMESPACE):
     body = "".join(f"    {line}\n" for line in _live(lines, ret))
-    src = f"def compiled({signature}):\n{body}    return {ret}\n"
+    src = f"def compiled(x0, z):\n{body}    return {ret}\n"
     namespace = dict(namespace)
     exec(compile(src, "<hamshoot.expr>", "exec"), namespace)
     fn = namespace["compiled"]
@@ -634,7 +609,7 @@ def compile_blocks(blocks, state, combine, tangents=0):
     n, k = len(state), tangents
     index = {name: i for i, name in enumerate(state)}
     names = dict(zip(("t",) + tuple(state), (f"x{i}" for i in range(n + 1))))
-    c = _Compiler((), None, None)
+    c = _Compiler()
     outputs = []
     for b in blocks:
         # one line list for all blocks keeps every generated name unique
@@ -642,8 +617,9 @@ def compile_blocks(blocks, state, combine, tangents=0):
         c.block({name: names[name] for name in b.args}, seeds, b.params, 2 if k and b.wrt else 1)
         terms = [g or _ZERO for v in map(c.node, b.exprs)
                  for g in ([v] if b.wrt is None else v.d or [None] * len(seeds))]
+        # a seed t is not in the state, and neither are its partials
         outputs.append([Term(g, {index[s]: p for s, p in zip(seeds or (), g.d or ())
-                                 if p is not None}, c) for g in terms])
+                                 if p is not None and s in index}, c) for g in terms])
     field = combine(outputs)
     ret = [t.value.text for t in field]
     for t in field:
@@ -662,21 +638,42 @@ def compile_blocks(blocks, state, combine, tangents=0):
         nonlocal by_columns
         if z.ndim != 2 or len(z) != size:
             raise DimensionMismatchError(f"state has shape {z.shape}, expected ({size}, [B])")
-        if by_columns is None:  # _gradient fills rows of one column each, literals broadcast
-            by_columns = _define("x0, z", unpack + c.lines,
-                                 f"_gradient(_empty(z.shape[1:]), [{ret}])")
+        if by_columns is None:
+            by_columns = _define(unpack + c.lines, f"_rows(z, [{ret}])")
         return by_columns(t, z)
 
     head = ["if z.__class__ is not list:", f"    if z.shape != ({size},): return _columns(x0, z)",
             "    z = z.tolist()"]
-    fn = _define("x0, z", head + unpack + c.lines, f"_array([{ret}])",
+    fn = _define(head + unpack + c.lines, f"_array([{ret}])",
                  dict(_FLOAT_NAMESPACE, _columns=columns))
     # literals never change sign; the domain checks are the field's to raise
     kinks = [g for g in c.kinks if g.isidentifier()]
     values = [f"{''.join(f'x{i + 1}, ' for i in range(n))}= z[:{n}].tolist()"] * (n > 0)
-    fn.switch = _define("x0, z", values + [line for line in c.lines if line[:3] != "if "],
+    fn.switch = _define(values + [line for line in c.lines if line[:3] != "if "],
                         f"({', '.join(kinks)},)", _FLOAT_NAMESPACE) if kinks else None
     return fn
+
+
+def _evaluate(e, binding, wrt=None):
+    """``e`` compiled by :func:`compile_blocks` as one block over the names of
+    ``binding`` that it reads, and called at one point on floats or, where a
+    read value is an array, on the read values broadcast together, one column
+    per element: the rows of the block's outputs, each of the broadcast shape.
+    Bound values are read as float64."""
+    read = free_variables(e)
+    args = tuple(name for name in binding if name in read)
+    state = [name for name in args if name != "t"]
+    fn = compile_blocks([ExprBlock((e,), args, wrt)], state, lambda outputs: outputs[0])
+    shape = np.broadcast_shapes(*(np.shape(binding[name]) for name in args))
+    if not shape:
+        return fn(float(binding["t"]) if "t" in args else 0.0,
+                  [float(binding[name]) for name in state])
+    cols = {name: np.broadcast_to(np.asarray(binding[name], dtype=float), shape).ravel()
+            for name in args}
+    # an empty state is a (0, B) block, which the column form takes as B points
+    out = fn(cols.get("t", 0.0), np.reshape([cols[name] for name in state],
+                                            (len(state), math.prod(shape))))
+    return out.reshape(out.shape[:1] + shape)
 
 
 def eval_expr(e, binding):
@@ -684,7 +681,7 @@ def eval_expr(e, binding):
 
     Raises :class:`UnboundVariableError` or :class:`DomainError`.
     """
-    return compile_expr(e, tuple(binding))(*binding.values())
+    return _evaluate(e, binding)[0]
 
 
 def grad_expr(e, var_names, binding):
@@ -695,9 +692,10 @@ def grad_expr(e, var_names, binding):
     their kink, so the result is deterministic everywhere.
     """
     wrt = tuple(var_names)
-    fn = compile_expr(e, tuple(binding), wrt)
-    return fn(*(np.asarray(val, dtype=float) if name in wrt else val
-                for name, val in binding.items()))
+    for name in wrt:
+        if name not in binding:
+            raise UnboundVariableError(f"variable {name!r} is not bound")
+    return _evaluate(e, binding, wrt)
 
 
 def _children(e):

@@ -147,9 +147,8 @@ def asymmetric_field(mu1, nu1, mu2=None, nu2=None, h_src="0", params=None):
     F_u = _template(f"{f} + h", mu1=mu1, nu1=nu1, a=0.5 * (mu1 + mu2), b=0.5 * (mu2 - mu1),
                     c=0.5 * (nu1 + nu2), d=0.5 * (nu2 - nu1), h=h)
     F, _ = planar_field_from_expr(components=(F_u, "v"), params=params)
-    mode = "global" if (mu1 == mu2 and nu1 == nu2) else "quadrant"
     dec = DecompositionData(asymmetric(mu1, nu1), asymmetric(mu2, nu2),
-                            _compiled((h, "0"), _TUV, None, params), mode=mode)
+                            _compiled((h, "0"), _TUV, None, params))
     return F, dec
 
 

@@ -50,18 +50,11 @@ class DecompositionData:
 
     ``H1``, ``H2`` are :class:`~hamshoot.homogeneous.PlanarHamiltonian`;
     ``grad_Q(t, w)`` takes and returns points as F does (see CoupledSystem).
-    ``mode`` is "global" (one gamma on all of R^2) or "quadrant" (a separate
-    gamma on each open quadrant).
     """
 
     H1: object
     H2: object
     grad_Q: callable
-    mode: str = "global"
-
-    def __post_init__(self):
-        if self.mode not in ("global", "quadrant"):
-            raise ValueError(f"unknown decomposition mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -306,8 +299,8 @@ def validate_decomposition(sys, n_samples=256, tol=1e-9, seed=0):
 
     For each sampled (t, w), |w| log-uniform in [0.1, 50], the scalar
     least-squares gamma* is computed; the report records the worst residual
-    and whether gamma* stays in [-tol, 1+tol].  In quadrant mode samples
-    avoid the axes (the open quadrants are the decomposition's domain).
+    and whether gamma* stays in [-tol, 1+tol].  Gamma is fitted per point,
+    so a gamma that varies from quadrant to quadrant, or along u, passes.
     """
     dec = sys.decomposition
     if dec is None:
@@ -315,10 +308,6 @@ def validate_decomposition(sys, n_samples=256, tol=1e-9, seed=0):
     rng = np.random.default_rng(seed)
     ts = sys.t0 + rng.uniform(0.0, 1.0, n_samples) * sys.span
     ang = rng.uniform(0.0, 2 * np.pi, n_samples)
-    if dec.mode == "quadrant":
-        # keep a safe sector away from both axes
-        quadrant = rng.integers(0, 4, n_samples)
-        ang = quadrant * (np.pi / 2) + rng.uniform(0.05, np.pi / 2 - 0.05, n_samples)
     rad = np.exp(rng.uniform(np.log(0.1), np.log(50.0), n_samples))
     w = np.stack([rad * np.cos(ang), rad * np.sin(ang)])
 
@@ -492,7 +481,10 @@ def modify_system(sys, rho):
 
     Identical to ``sys`` for |w| <= rho; equal to the averaged homogeneous
     field plus grad Q for |w| >= rho^3.  F_rho is a plain callable, so the
-    modified system declares ``w_kink`` (u = 0) where ``sys`` has a switch.
+    modified system declares ``w_kink`` (u = 0) where ``sys`` has a switch,
+    and flows split steps at u = 0 alone: the other kink surfaces of the
+    compiled grad_H, grad_P and F, such as u = 0.2 of a coupling
+    ``pos(u - 0.2)^2``, are not split at.
     """
     return replace(sys, F=CutoffModification(sys, rho).F_rho, w_kink=sys.switch is not None)
 

@@ -304,6 +304,15 @@ def test_twist_free_rotator_two_axes():
     assert len(failed) == len(rep.violations) == 2 * 3 * 4
 
 
+def test_twist_type_checks_refuse_a_system_without_angles():
+    sys_, ens, ball = _free_rotator(0), [constant_path([0.0, 0.0])], Ball(np.zeros(0), 1.0)
+    for run in (lambda: twist_check(sys_, [], [], ens),
+                lambda: avoiding_rays_check(sys_, ball, 1, ens),
+                lambda: indefinite_twist_check(sys_, ball, np.eye(0), ens)):
+        with pytest.raises(ValueError, match="with M = 0 there is no x to drift"):
+            run()
+
+
 def test_avoiding_rays_runs_every_path():
     sys_ = _free_rotator(2)
     ens = [constant_path([0.0, 0.0]), constant_path([0.3, -0.2])]

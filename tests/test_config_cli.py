@@ -342,6 +342,15 @@ def test_cli_malformed_conditions_exit_code(tmp_path, capsys, subcommand, block,
     assert f"{where}.{next(k for k in values if k != 'enabled')} must be" in err
 
 
+@pytest.mark.parametrize("block", ["twist", "avoiding_rays", "indefinite_twist"])
+def test_cli_twist_type_check_without_angles_exit_code(tmp_path, capsys, block):
+    # with M = 0 there is no x whose drift the check could judge
+    raw = {**yaml.safe_load(MINIMAL), "M": 0, "hamiltonian": {"preset": "free_rotator"},
+           "coupling": {"expr": "0"}, "conditions": {block: {"enabled": True}}}
+    err = _rejected(tmp_path, capsys, raw, "check-conditions")
+    assert f"conditions.{block}.enabled needs M >= 1, there is no x block" in err
+
+
 def test_cli_empty_start_grid_is_a_config_error(tmp_path, capsys):
     # refused at load, not reported as a solve that found nothing (exit 4)
     raw = _edited("solver.multistart", {"x_points": 0})

@@ -66,6 +66,11 @@ def test_zero_field_constant():
     assert np.array_equal(traj.ys[-1], [1.0, 2.0, 3.0])
 
 
+def test_empty_state_is_refused():
+    with pytest.raises(ValueError, match="the state is empty"):
+        integrate(VectorField(0, lambda t, z: np.zeros(0)), np.zeros(0), 0.0, 1.0, 1e-8)
+
+
 def test_pendulum_equilibrium():
     traj = integrate(PENDULUM, [np.pi, 0.0], 0.0, 2 * np.pi, 1e-10)
     assert np.max(np.abs(traj.ys[-1] - [np.pi, 0.0])) < 1e-12

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hamshoot.errors import DomainError, ExprSyntaxError, UnboundVariableError
-from hamshoot.expr import (ExprBlock, compile_blocks, compile_expr, eval_expr, free_variables,
-                           grad_expr, parse_expr, substitute, unparse)
+from hamshoot.expr import (ExprBlock, compile_blocks, eval_expr, free_variables, grad_expr,
+                           parse_expr, substitute, unparse)
 
 ASYM = "0.5*(mu*pos(u)^2 + nu*neg(u)^2 + v^2)"
 
@@ -108,6 +108,14 @@ def test_passive_array_binding():
     g = grad_expr(parse_expr("sin(t)*u"), ("u",),
                   {"t": np.array([0.0, np.pi / 2]), "u": 2.0})
     assert np.allclose(g, [[0.0, 1.0]])
+
+
+def test_gradient_in_t():
+    # t is seeded like any bound name, at one point and on arrays
+    e = parse_expr("t*t*u")
+    assert grad_expr(e, ("t", "u"), {"t": 2.0, "u": 3.0}).tolist() == [12.0, 4.0]
+    g = grad_expr(e, ("t", "u"), {"t": np.array([1.0, 2.0]), "u": 3.0})
+    assert g.tolist() == [[6.0, 12.0], [1.0, 4.0]]
 
 
 def _switch(*srcs, wrt=None, state=("u", "v"), tangents=0):
@@ -303,8 +311,9 @@ def test_free_variables():
 def test_kink_and_tie_conventions(src, u, v, expected):
     e = parse_expr(src)
     assert grad_expr(e, ("u", "v"), {"u": u, "v": v}).tolist() == expected
-    # the same conventions hold elementwise on arrays
-    g = compile_expr(e, ("u", "v"), ("u", "v"))(np.full(3, u), np.full(3, v))
+    # the same conventions hold elementwise on columns
+    block = ExprBlock((e,), ("t", "u", "v"), ("u", "v"))
+    g = compile_blocks([block], ("u", "v"), lambda o: o[0])(0.0, np.array([[u] * 3, [v] * 3]))
     assert g.tolist() == [[d] * 3 for d in expected]
 
 
@@ -344,9 +353,11 @@ def test_domain_checks_follow_what_is_differentiated():
 
 def test_compile_checks_names_up_front():
     with pytest.raises(UnboundVariableError):
-        compile_expr(parse_expr("a + b"), ("a",))
+        eval_expr(parse_expr("a + b"), {"a": 1.0})
     with pytest.raises(UnboundVariableError):
-        compile_expr(parse_expr("a"), ("a",), ("b",))
+        grad_expr(parse_expr("a + b"), ("a",), {"a": 1.0})
+    with pytest.raises(UnboundVariableError):
+        grad_expr(parse_expr("a"), ("b",), {"a": 1.0})
 
 
 _POINT = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
@@ -367,26 +378,22 @@ def _call_or_raise(fn, *args):
 @example("(a) / ((b) + (1))", [(2.174, 1.759, 2.649)])
 @settings(max_examples=300, deadline=None)
 def test_array_evaluation_matches_scalar_evaluation(src, points):
-    """Arrays evaluate like their elements one by one, bit for bit, values and
-    gradients alike, or both raise."""
+    """The column form of a compiled block gives bit for bit what its float
+    form gives at each point, values and gradients alike, or both raise."""
     e = parse_expr(src)
     names = ("a", "b", "zz_1")
-    cols = [np.array(c) for c in zip(*points)]
     for wrt in (None, names):
         try:
-            fn = compile_expr(e, names, wrt)
+            fn = compile_blocks([ExprBlock((e,), ("t",) + names, wrt)], names, lambda o: o[0])
         except DomainError:  # outside its domain at every point: nothing to evaluate
             continue
-        whole = _call_or_raise(fn, *cols)
-        each = [_call_or_raise(fn, *p) for p in points]
+        whole = _call_or_raise(fn, 0.0, np.array(list(zip(*points))))
+        each = [_call_or_raise(fn, 0.0, list(p)) for p in points]
         if whole is None:
             assert any(r is None for r in each), src
             continue
         assert all(r is not None for r in each), src
-        expected = np.stack(each, axis=-1)
-        if whole.shape != expected.shape:  # a result that does not depend on the points
-            whole = np.broadcast_to(whole[..., None], expected.shape)
-        np.testing.assert_array_equal(whole, expected)
+        np.testing.assert_array_equal(whole, np.stack(each, axis=-1))
 
 
 _HOSTILE = ("lambda", "if", "np", "None", "__import__", "compiled", "x0", "a1", "d2_0",
@@ -401,11 +408,12 @@ def test_hostile_names_as_variables_and_params():
     assert eval_expr(e, vals) == pytest.approx(expected)
     g = grad_expr(e, _HOSTILE, vals)
     assert g.tolist() == pytest.approx([2 * (k + 1) * vals[n] for k, n in enumerate(_HOSTILE)])
-    # the same names as folded-in params, differentiating one of them
+    # the same names as folded-in params of a block, differentiating one of them
     params = {n: v for n, v in vals.items() if n != "np"}
-    fn = compile_expr(e, ("np",), ("np",), params)
-    assert fn(vals["np"]).tolist() == pytest.approx([2 * 3 * vals["np"]])
-    assert compile_expr(e, (), params=vals)() == pytest.approx(expected)
+    fn = compile_blocks([ExprBlock((e,), ("t", "np"), ("np",), params)], ("np",), lambda o: o[0])
+    assert fn(0.0, [vals["np"]]).tolist() == pytest.approx([2 * 3 * vals["np"]])
+    fn = compile_blocks([ExprBlock((e,), ("t",), None, vals)], (), lambda o: o[0])
+    assert fn(0.0, []).tolist() == pytest.approx([expected])
 
 
 def test_substitute_renames_and_splices_once():

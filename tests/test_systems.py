@@ -507,10 +507,9 @@ def test_mode_exclusivity():
 # decomposition
 # ---------------------------------------------------------------------------
 
-def _dec_system(F, H1, H2, mode="global"):
+def _dec_system(F, H1, H2):
     return CoupledSystem(M=0, F=F, T=2 * np.pi,
-                         decomposition=DecompositionData(
-                             H1, H2, lambda t, w: np.zeros_like(w), mode=mode))
+                         decomposition=DecompositionData(H1, H2, lambda t, w: np.zeros_like(w)))
 
 
 def test_decomposition_pure_h1():
@@ -542,7 +541,7 @@ def test_decomposition_quadrantwise_interpolated_stiffness():
         return np.array([z1 * np.maximum(u, 0.0) - z2 * np.maximum(-u, 0.0), w[1]])
 
     rep = validate_decomposition(
-        _dec_system(F, asymmetric(mu1, nu1), asymmetric(mu2, nu2), mode="quadrant"),
+        _dec_system(F, asymmetric(mu1, nu1), asymmetric(mu2, nu2)),
         n_samples=512)
     assert rep.passed
     # gamma on u > 0 equals (zeta1(u) - mu1)/(mu2 - mu1)
